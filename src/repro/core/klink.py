@@ -21,15 +21,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.audit import QueryDecision
     from repro.obs.lineage import SwmForecastAudit
 
-from repro.core.estimator import SwmEstimate, SwmIngestionEstimator
+from repro.core.estimator import SwmIngestionEstimator
 from repro.core.memory_policy import best_prefix
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
-from repro.core.slack import (
-    expected_slack,
-    expected_slack_scalars,
-    interval_steps,
-    interval_steps_scalars,
-)
+from repro.core.slack import expected_slack_scalars, interval_steps_scalars
 from repro.spe.query import Query
 
 
@@ -110,42 +105,32 @@ class KlinkScheduler(Scheduler):
         cost = query.pending_cost_ms()
         slacks: List[float] = []
         steps = 0
+        # The estimator hands back the distribution's scalars directly and
+        # the slack/steps cores consume them, so no SwmEstimate is
+        # allocated per (query, binding) per cycle. An attached forecast
+        # audit only logs the prediction: audited and unaudited runs take
+        # this same path.
         audit = self.forecast_audit
-        if audit is None:
-            # Fused fast path: the estimator hands back the distribution's
-            # scalars directly and the slack/steps cores consume them, so
-            # no SwmEstimate is allocated per (query, binding) per cycle.
-            # The arithmetic — and its operation order — is identical to
-            # the audited path below; decision logs stay byte-equal.
-            estimate_scalars = self.estimator.estimate_scalars
-            now = ctx.now
-            cycle_ms = ctx.cycle_ms
-            phase = query.deployed_at
-            for binding in query.bindings:
-                scalars = estimate_scalars(binding, phase=phase)
-                if scalars is None:
-                    continue
-                mean, std, t_min, t_max = scalars[0], scalars[1], scalars[2], scalars[3]
-                slacks.append(
-                    expected_slack_scalars(
-                        mean, std, t_min, t_max, now, cost, cycle_ms
-                    )
-                )
-                steps += interval_steps_scalars(t_min, t_max, now, cycle_ms)
-        else:
-            for binding in query.bindings:
-                estimate = self.estimator.estimate(
-                    binding, phase=query.deployed_at
-                )
-                if estimate is None:
-                    continue
+        estimate_scalars = self.estimator.estimate_scalars
+        now = ctx.now
+        cycle_ms = ctx.cycle_ms
+        phase = query.deployed_at
+        for binding in query.bindings:
+            scalars = estimate_scalars(binding, phase=phase)
+            if scalars is None:
+                continue
+            mean, std, t_min, t_max = scalars[0], scalars[1], scalars[2], scalars[3]
+            if audit is not None:
                 audit.on_prediction(
-                    query.query_id, binding.source_id, estimate, binding, ctx.now
+                    query.query_id, binding.source_id, scalars[4], mean,
+                    binding, now,
                 )
-                slacks.append(
-                    expected_slack(estimate, ctx.now, cost, ctx.cycle_ms)
+            slacks.append(
+                expected_slack_scalars(
+                    mean, std, t_min, t_max, now, cost, cycle_ms
                 )
-                steps += interval_steps(estimate, ctx.now, ctx.cycle_ms)
+            )
+            steps += interval_steps_scalars(t_min, t_max, now, cycle_ms)
         if not slacks:
             # No window operator downstream: the query has no deadline to
             # protect. It is scheduled after deadline-bearing queries.

@@ -201,6 +201,14 @@ class FaultPlan:
             f for f in self.faults if isinstance(f, MemoryPressureSpike)
         ]
         self._failures = [f for f in self.faults if isinstance(f, NodeFailure)]
+        # queries whose sources a stall, straggler or drop episode targets
+        # (None: an episode targets every query)
+        source_faults = (*self._stalls, *self._stragglers, *self._drops)
+        self._source_victims: Optional[FrozenSet[str]] = (
+            None
+            if any(f.query_ids is None for f in source_faults)
+            else frozenset().union(*(f.query_ids for f in source_faults))
+        )
 
     # -- engine-facing queries (pure functions of identity and time) ---------
 
@@ -230,6 +238,13 @@ class FaultPlan:
         return any(
             f.active(t) and _matches(f.query_ids, query_id) for f in self._drops
         )
+
+    def perturbs_source(self, query_id: str) -> bool:
+        """True when some episode can hold, delay or drop a record of
+        ``query_id``'s sources; otherwise every source hook above is a
+        no-op for that query."""
+        victims = self._source_victims
+        return victims is None or query_id in victims
 
     # -- range variants (vectorized cycle kernel) ----------------------------
     #

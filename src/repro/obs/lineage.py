@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from collections import deque
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.spe.events import EventBatch, record_identity
+from repro.spe.events import EventBatch, pack_event_time, record_identity_prefix
 from repro.spe.metrics import percentile
 from repro.spe.operators import (
     CountWindowedAggregate,
@@ -52,7 +52,6 @@ from repro.spe.operators import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.estimator import SwmEstimate
     from repro.spe.engine import Engine
     from repro.spe.query import Query, SourceBinding
     from repro.spe.streams import Channel
@@ -195,11 +194,13 @@ class SwmForecastAudit:
         self,
         query_id: str,
         source_id: int,
-        estimate: "SwmEstimate",
+        deadline: float,
+        mean: float,
         binding: "SourceBinding",
         now: float,
     ) -> None:
-        """Log one slack evaluation's prediction for its deadline."""
+        """Log one slack evaluation's prediction: the mean of the
+        estimated next-SWM arrival for ``deadline``."""
         progress = binding.progress
         naive: Optional[float] = None
         if progress is not None and progress.last_swm_ingest_time is not None:
@@ -207,9 +208,9 @@ class SwmForecastAudit:
                 progress.last_swm_ingest_time + binding.spec.watermark_period_ms
             )
         key = (query_id, source_id)
-        self._pending.setdefault(key, {}).setdefault(
-            estimate.deadline, []
-        ).append((estimate.mean, naive))
+        self._pending.setdefault(key, {}).setdefault(deadline, []).append(
+            (mean, naive)
+        )
         self.evaluations += 1
 
     def on_actual(
@@ -320,7 +321,7 @@ class SwmForecastAudit:
                 for (qid, sid), errs in self._naive_errors.items()
             ],
             "deadline_errors": [
-                [qid, sid, [list(item) for item in rows]]
+                [qid, sid, list(rows)]  # rows of immutable tuples
                 for (qid, sid), rows in self._deadline_errors.items()
             ],
         }
@@ -352,7 +353,12 @@ class LineageTracker:
     """Deterministic sampled per-record causal tracing.
 
     Wire one tracker per engine via ``Engine(..., lineage=tracker)``; the
-    engine attaches it to every operator. All hooks are observers: they
+    engine attaches it to every operator. Beside ``_inflight`` the tracker
+    keeps a per-operator index of the ``t_end`` keys in flight, which
+    each operator holds as ``lineage_watch``: the drains run their one
+    (fused or inlined) loop whether or not a tracker is attached, and
+    afterwards report to :meth:`on_consumed` only the rows whose key is
+    in that set. All hooks are observers: they
     read simulation state but never mutate it, consume no randomness, and
     perform no float arithmetic the simulation could observe — the
     byte-identity contract of PR 8 is preserved by construction (a
@@ -369,10 +375,16 @@ class LineageTracker:
         # blake2b of its identity falls below rate * 2^64.
         self._threshold = int(round(self.sample_rate * _TWO_POW_64))
         self._key = seed.to_bytes(8, "little", signed=True)
+        #: (query_id, source_id) -> record_identity_prefix of the stream
+        self._prefixes: Dict[Tuple[str, int], bytes] = {}  # klink: transient[pure function of the key, rebuilt on demand]
         #: id(operator) -> static wiring info, built by attach()
         self._ops: Dict[int, _OpInfo] = {}
         #: (query_id, operator name, flowing t_end) -> FIFO of rider groups
         self._inflight: Dict[Tuple[str, str, float], Deque[List[_Record]]] = {}
+        #: (query_id, operator name) -> the t_ends of that operator's
+        #: _inflight keys; each set is shared with the operator as its
+        #: ``lineage_watch``, so it is only ever updated in place
+        self._inflight_index: Dict[Tuple[str, str], Set[float]] = {}  # klink: transient[index over _inflight keys; restore_lineage rebuilds it]
         #: (query_id, operator name, pane end) -> records parked in the pane
         self._window_wait: Dict[Tuple[str, str, float], List[_Record]] = {}
         self._completed: List[Dict[str, Any]] = []
@@ -401,6 +413,7 @@ class LineageTracker:
                     isinstance(op, CountWindowedAggregate),
                 )
                 op.lineage = self
+                op.lineage_watch = self._watch(query.query_id, op.name)
             for binding in query.bindings:
                 self.forecast.register_source(
                     query.query_id,
@@ -409,16 +422,44 @@ class LineageTracker:
                     binding.spec.delay_model.describe(),
                 )
 
+    # -- in-flight index ------------------------------------------------------
+
+    def _watch(self, query_id: str, name: str) -> Set[float]:
+        watch = self._inflight_index.get((query_id, name))
+        if watch is None:
+            watch = self._inflight_index[(query_id, name)] = set()  # klink: transient[index over _inflight keys; restore_lineage rebuilds it]
+        return watch
+
+    def _push_inflight(
+        self, key: Tuple[str, str, float], group: List[_Record]
+    ) -> None:
+        groups = self._inflight.get(key)
+        if groups is None:
+            groups = self._inflight[key] = deque()
+            self._watch(key[0], key[1]).add(key[2])
+        groups.append(group)
+
+    def reindex_inflight(self) -> None:
+        """Rebuild the in-flight index from ``_inflight`` (after a restore
+        replaced it), keeping every operator's watch set object."""
+        for watch in self._inflight_index.values():
+            watch.clear()
+        for query_id, name, t_end in self._inflight:
+            self._watch(query_id, name).add(t_end)
+
     # -- sampling ------------------------------------------------------------
 
     def sampled(self, query_id: str, source_id: int, t_end: float) -> bool:
-        """Deterministic keyed-hash sampling decision for one record."""
+        """Deterministic keyed-hash sampling decision for one record: the
+        keyed blake2b of its :func:`~repro.spe.events.record_identity`."""
         if self._threshold <= 0:
             return False
+        prefix = self._prefixes.get((query_id, source_id))
+        if prefix is None:
+            prefix = record_identity_prefix(query_id, source_id)
+            self._prefixes[(query_id, source_id)] = prefix  # klink: transient[pure function of the key, rebuilt on demand]
         digest = blake2b(
-            record_identity(query_id, source_id, t_end),
-            digest_size=8,
-            key=self._key,
+            prefix + pack_event_time(t_end), digest_size=8, key=self._key
         ).digest()
         return int.from_bytes(digest, "big") < self._threshold
 
@@ -444,8 +485,7 @@ class LineageTracker:
         self.rows_sampled += 1
         owner = binding.channel._owner
         first_op = owner.name if owner is not None else binding.operator.name
-        key = (query_id, first_op, t_end)
-        self._inflight.setdefault(key, deque()).append([rec])
+        self._push_inflight((query_id, first_op, t_end), [rec])
 
     def on_swm_ingested(
         self, query_id: str, source_id: int, wm_timestamp: float, now: float
@@ -475,6 +515,7 @@ class LineageTracker:
         group = groups.popleft()
         if not groups:
             del self._inflight[key]
+            self._inflight_index[key[:2]].discard(t_end)
         transfer = channel.transfer_interval(enqueued_at)
         name = info.name
         for rec in group:
@@ -518,9 +559,7 @@ class LineageTracker:
             for rec in group:
                 self._finish(rec, "no-downstream", now)
             return
-        self._inflight.setdefault(
-            (info.query_id, downstream, t_end), deque()
-        ).append(group)
+        self._push_inflight((info.query_id, downstream, t_end), group)
 
     def on_pane_fire(
         self, op: Operator, pane_end: float, out_count: float, now: float
@@ -546,9 +585,7 @@ class LineageTracker:
             return
         # Every parked record now rides the single pane-output batch,
         # whose event-time boundary is the pane end.
-        self._inflight.setdefault(
-            (info.query_id, downstream, pane_end), deque()
-        ).append(waiting)
+        self._push_inflight((info.query_id, downstream, pane_end), waiting)
 
     # -- completion ------------------------------------------------------------
 
@@ -586,6 +623,7 @@ class LineageTracker:
             for group in self._inflight.pop(key):
                 for rec in group:
                     self._finish(rec, "in-flight", now)
+        self.reindex_inflight()
 
     # -- output ----------------------------------------------------------------
 

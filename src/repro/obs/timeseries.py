@@ -396,6 +396,9 @@ class TelemetrySampler:
         self._lag_count = 0
         self._lag_max = -math.inf
         self._finalized = False
+        #: (name, labels) -> amount added to a cumulative stat before it
+        #: is written to its counter; grows only at a rollback
+        self._total_offsets: Dict[Tuple[str, Labels], float] = {}
 
     # -- engine-facing hook --------------------------------------------------
 
@@ -427,6 +430,29 @@ class TelemetrySampler:
         self.registry.sample(now)
         self.samples_taken += 1
         self.alerts.evaluate(now, self.registry)
+
+    def on_rollback(self, engine: Any) -> None:
+        """Re-base after a checkpoint rollback rewound the engine's stats.
+
+        A counter read off a stat the rollback rewound (events processed,
+        per-operator CPU) would decrease. Its offset grows by the gap, so
+        it continues from its last sampled total and counts the replayed
+        work as it runs again. The latency cursor moves to the end of the
+        shortened ``swm_latencies`` ledger, so the replayed deliveries
+        that follow are observed rather than skipped.
+        """
+        metrics = self.registry._metrics
+        offsets = self._total_offsets
+        for name, labels, value in self._cumulative_stats(engine):
+            key = (name, labels_key(labels))
+            counter = metrics.get(key)
+            if counter is None:
+                continue
+            offset = offsets.get(key, 0.0)
+            gap = counter.value - (value + offset)
+            if gap > 0.0:
+                offsets[key] = offset + gap
+        self._latencies_seen = len(engine.metrics.swm_latencies)
 
     def _sample_due(self, now: float) -> bool:
         period = self.config.period_ms
@@ -472,12 +498,12 @@ class TelemetrySampler:
             engine.memory.utilization(queries)
         )
         registry.gauge("memory_bytes").set(engine.memory.used_bytes(queries))
-        registry.counter("events_processed").set_total(
-            engine.metrics.total_events_processed
-        )
-        registry.counter("cpu_ms").set_total(
-            engine.metrics.busy_cpu_ms + engine.metrics.scheduler_overhead_ms
-        )
+        offsets = self._total_offsets
+        for name, labels, value in self._cumulative_stats(engine):
+            offset = offsets.get((name, labels_key(labels)))
+            registry.counter(name, labels).set_total(
+                value if offset is None else value + offset
+            )
         schedulers = self._schedulers(engine)
         mm_active = any(
             bool(getattr(s, "_mm_active", False)) for _, s in schedulers
@@ -533,9 +559,26 @@ class TelemetrySampler:
                     registry.gauge("op_queue_depth", op_labels).set(
                         op.queued_events
                     )
-                    registry.counter("op_cpu_ms", op_labels).set_total(
-                        op.stats.busy_ms
-                    )
+
+    def _cumulative_stats(
+        self, engine: Any
+    ) -> List[Tuple[str, Optional[Dict[str, str]], float]]:
+        """(counter name, labels, value) of every counter that mirrors a
+        cumulative engine stat, in registration order."""
+        metrics = engine.metrics
+        stats: List[Tuple[str, Optional[Dict[str, str]], float]] = [
+            ("events_processed", None, metrics.total_events_processed),
+            ("cpu_ms", None, metrics.busy_cpu_ms + metrics.scheduler_overhead_ms),
+        ]
+        if self.config.per_operator:
+            for query in engine.queries:
+                for op in query.operators:
+                    stats.append((
+                        "op_cpu_ms",
+                        {"query": query.query_id, "operator": op.name},
+                        op.stats.busy_ms,
+                    ))
+        return stats
 
     # -- finalization --------------------------------------------------------
 

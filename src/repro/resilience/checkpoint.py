@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
 
 from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
@@ -101,6 +102,13 @@ _LEDGER_SCALARS = (
     "events_shed",
     "watermarks_dropped_by_faults",
 )
+
+
+#: row codecs for the per-epoch and per-cycle ledgers, the longest lists a
+#: snapshot holds: one C-level call per row, yielding tuples (JSON encodes a
+#: tuple exactly like a list)
+_epoch_row = attrgetter("mu", "chi", "swm_ingest_time", "swm_timestamp")
+_sample_row = attrgetter("time", "memory_bytes", "cpu_fraction", "events_processed")
 
 
 class CheckpointError(ValueError):
@@ -270,10 +278,12 @@ def _operator_state(op: Operator) -> Dict[str, Any]:
         "inputs": [_channel_state(ch) for ch in op.inputs],
     }
     if isinstance(op, _WindowedOperatorBase):
+        # (start, value) pairs sort by their unique start; the heap holds
+        # immutable tuples, so a shallow copy freezes it
         state["window"] = {
-            "panes": sorted([s, c] for s, c in op._panes.items()),
-            "pane_ends": sorted([s, e] for s, e in op._pane_ends.items()),
-            "pane_heap": [list(item) for item in op._pane_heap],
+            "panes": sorted(op._panes.items()),
+            "pane_ends": sorted(op._pane_ends.items()),
+            "pane_heap": list(op._pane_heap),
             "input_watermarks": list(op._input_watermarks),
             "event_clock": op._event_clock,
         }
@@ -283,9 +293,12 @@ def _operator_state(op: Operator) -> Dict[str, Any]:
             "windows_fired": op.windows_fired,
         }
     if isinstance(op, SinkOperator):
+        # The ledgers are append-only lists of immutable (at, latency)
+        # tuples: a shallow copy freezes them, and JSON encodes a tuple
+        # exactly like a list.
         state["sink"] = {
-            "swm_latencies": [list(item) for item in op.swm_latencies],
-            "marker_latencies": [list(item) for item in op.marker_latencies],
+            "swm_latencies": list(op.swm_latencies),
+            "marker_latencies": list(op.marker_latencies),
             "events_delivered": op.events_delivered,
         }
     if isinstance(op, WatermarkGeneratorOperator):
@@ -388,10 +401,7 @@ def _binding_state(binding: SourceBinding) -> Dict[str, Any]:
     if progress is not None:
         state["progress"] = {
             "epoch_index": progress.epoch_index,
-            "epochs": [
-                [e.mu, e.chi, e.swm_ingest_time, e.swm_timestamp]
-                for e in progress.epochs
-            ],
+            "epochs": list(map(_epoch_row, progress.epochs)),
             "delay_sum": progress._delay_sum,
             "delay_sq_sum": progress._delay_sq_sum,
             "delay_weight": progress._delay_weight,
@@ -449,10 +459,7 @@ def _metrics_state(metrics: RunMetrics) -> Dict[str, Any]:
             qid: list(values)
             for qid, values in metrics.per_query_swm_latencies.items()
         },
-        "samples": [
-            [s.time, s.memory_bytes, s.cpu_fraction, s.events_processed]
-            for s in metrics.samples
-        ],
+        "samples": list(map(_sample_row, metrics.samples)),
         "alert_counts": dict(metrics.alert_counts),
     }
 
@@ -686,7 +693,8 @@ def capture_lineage(tracker: "LineageTracker") -> Dict[str, Any]:
             [list(key), [rec.encode() for rec in records]]
             for key, records in sorted(tracker._window_wait.items())
         ],
-        "completed": [dict(row) for row in tracker._completed],
+        # completed rows are never mutated once appended: share them
+        "completed": list(tracker._completed),
         "rows_sampled": tracker.rows_sampled,
         "spans_recorded": tracker.spans_recorded,
         "forecast": tracker.forecast.encode(),
@@ -703,6 +711,7 @@ def restore_lineage(tracker: "LineageTracker", state: Dict[str, Any]) -> None:
         )
         for k, groups in state["inflight"]
     }
+    tracker.reindex_inflight()
     tracker._window_wait = {
         (str(k[0]), str(k[1]), float(k[2])): [
             _Record.decode(r) for r in records
@@ -820,15 +829,22 @@ class CheckpointCoordinator:
         self._take(engine)
         return True
 
+    def finalize(self, engine: "Engine") -> None:
+        """Record the size of the newest snapshot in
+        ``metrics.checkpoint_bytes_last``. Called once when a run ends:
+        stored snapshots never change after capture, so one serialization
+        here gives the byte count every checkpoint used to pay for."""
+        latest = self.store.latest()
+        if latest is not None:
+            engine.metrics.checkpoint_bytes_last = len(serialize(latest))
+
     def _take(self, engine: "Engine") -> None:
         snapshot = capture(engine)
         tracker = getattr(engine, "lineage", None)
         # The sidecar rides the store but never enters the snapshot, so
-        # checkpoint bytes (and the bytes accounting below) are identical
-        # with tracing on or off.
+        # checkpoint bytes are identical with tracing on or off.
         self.store.add(
             snapshot,
             lineage=capture_lineage(tracker) if tracker is not None else None,
         )
         engine.metrics.checkpoints_taken += 1
-        engine.metrics.checkpoint_bytes_last = len(serialize(snapshot))

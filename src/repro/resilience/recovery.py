@@ -298,6 +298,8 @@ class RecoveryManager:
                 checkpoint_mod.restore_lineage(tracker, sidecar)
         if engine.invariants is not None:
             engine.invariants.on_rollback(engine)
+        if engine.telemetry is not None:
+            engine.telemetry.on_rollback(engine)
         return float(snapshot["time"])
 
     def _commit_recovery(self, engine: "Engine", event: RecoveryEvent) -> None:

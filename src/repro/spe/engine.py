@@ -310,10 +310,14 @@ class Engine:
             binding.next_marker_time = start + spec.marker_period_ms
         faults = self.faults
         gen_batch_ms = spec.gen_batch_ms
-        if faults is None:
-            # Fault-free fast path: the grid walk, the delay draw, and the
-            # calendar-queue filing fuse into one pass per record stream —
-            # no intermediate tick/count lists, no batch staging. The
+        if faults is None or not faults.perturbs_source(query.query_id):
+            # Fault-free fast path, also taken when no fault episode can
+            # touch this query's sources: the fault path's hooks would
+            # hold nothing, add no delay and drop nothing, so it would
+            # file the same records with the same draws. The grid walk,
+            # the delay draw, and the calendar-queue filing fuse into one
+            # pass per record stream — no intermediate tick/count lists,
+            # no batch staging. The
             # horizon of one binding-cycle yields ~3 draws on the pinned
             # grids — below the break-even batch size of a numpy round
             # trip — so draws are taken one at a time out of the model's
@@ -991,6 +995,8 @@ class Engine:
             self.step_cycle()
         if self.recovery is not None:
             self.recovery.finalize(self)
+        if self.checkpoints is not None:
+            self.checkpoints.finalize(self)
         self.metrics.duration_ms = self.clock.now
         self.metrics.late_events_dropped = sum(
             op.stats.late_events_dropped for q in self.queries for op in q.operators

@@ -21,6 +21,10 @@ from itertools import count as _counter
 
 _marker_ids = _counter()
 
+#: the IEEE-754 bit pattern of an event time, as :func:`record_identity`
+#: encodes it
+pack_event_time = struct.Struct("<d").pack
+
 
 def record_identity(query_id: str, source_id: int, t_end: float) -> bytes:
     """Stable byte identity of a generated batch's final event.
@@ -31,13 +35,13 @@ def record_identity(query_id: str, source_id: int, t_end: float) -> bytes:
     bit pattern (not ``repr``), so two floats compare equal here exactly
     when they are the same value bit-for-bit.
     """
-    return (
-        query_id.encode("utf-8")
-        + b"|"
-        + str(source_id).encode("ascii")
-        + b"|"
-        + struct.pack("<d", t_end)
-    )
+    return record_identity_prefix(query_id, source_id) + pack_event_time(t_end)
+
+
+def record_identity_prefix(query_id: str, source_id: int) -> bytes:
+    """The part of :func:`record_identity` fixed per source stream, so a
+    caller hashing many records of one stream can build it once."""
+    return query_id.encode("utf-8") + b"|" + str(source_id).encode("ascii") + b"|"
 
 
 class EventBatch:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
 from repro.spe.streams import _COMPACT_THRESHOLD, Channel, _Entry
@@ -89,6 +89,10 @@ class Operator:
     #: (a partially consumed batch keeps its final event queued, so its
     #: queue span is still open).
     lineage: Optional["LineageTracker"] = None
+    #: installed with ``lineage``: the t_ends of this operator's queued
+    #: records a sampled record rides on (the tracker's in-flight index,
+    #: updated in place). Only those rows are reported to the tracker.
+    lineage_watch: Optional[Set[float]] = None
 
     def __init__(
         self,
@@ -383,26 +387,27 @@ class Operator:
         to ``batch_size=1`` execution. Only called on single-input
         operators (multi-input ones use :meth:`_consume_row_turn`).
         Returns the updated ``used``.
+
+        Stateless and windowed operators run a fused or inlined twin of
+        this loop, traced or not: no drain calls the lineage tracker per
+        row. Each reports its whole-consumed rows once it is done
+        (:meth:`_trace_rows`), which is only work when a tracker is
+        attached.
         """
-        if self.lineage is None:
-            # Fusion/inlining skips the per-row _on_row calls the lineage
-            # hooks piggyback on; fused and unfused execution are
-            # byte-identical (proven by the equivalence gate), so tracing
-            # simply takes the unfused path.
-            if self._stateless_row:
-                output = self.output
-                if (
-                    output is not None
-                    and output.batch_size > 1
-                    and output.latency_ms == 0.0
-                ):
-                    return self._consume_rows_fused(
-                        entry, channel, budget_ms, used, now, output
-                    )
-            elif self._windowed_row:
-                return self._consume_rows_windowed(
-                    entry, channel, budget_ms, used, now
+        if self._stateless_row:
+            output = self.output
+            if (
+                output is not None
+                and output.batch_size > 1
+                and output.latency_ms == 0.0
+            ):
+                return self._consume_rows_fused(
+                    entry, channel, budget_ms, used, now, output
                 )
+        elif self._windowed_row:
+            return self._consume_rows_windowed(
+                entry, channel, budget_ms, used, now
+            )
         rb = entry.record
         counts = rb.counts
         n = len(counts)
@@ -412,7 +417,6 @@ class Operator:
         stats = self.stats
         input_index = channel._consumer_index
         on_row = self._on_row
-        lineage = self.lineage
         # Channel accounting hoisted into locals: the same additions in
         # the same order, written back after the loop. _on_row never
         # touches its own input channel's accounting (outputs are a
@@ -423,7 +427,10 @@ class Operator:
         popped = channel.events_popped
         ev_in = stats.events_in
         busy = stats.busy_ms
-        i = rb.head
+        # rows start..stop-1 are consumed whole (stop drops back to a
+        # partially consumed row)
+        start = i = rb.head
+        stop = n
         while i < n:
             grant = budget_ms - used
             if grant <= _MIN_BUDGET_MS:
@@ -443,17 +450,13 @@ class Operator:
                 ev_in += count
                 busy += full_cost
                 on_row(rb, i, count, input_index, now)
-                if lineage is not None:
-                    lineage.on_consumed(
-                        self, rb.t_starts[i], rb.t_ends[i],
-                        rb.enqueued_ats[i], channel, now,
-                    )
                 used += full_cost
                 i += 1
                 continue
             # Budget covers only part of the row: process the affordable
             # fraction and leave the remainder as the new head row (the
             # pop + push_front sequence of the per-event path).
+            stop = i
             fraction = grant / full_cost
             head_count = count * fraction
             tail_count = count * (1.0 - fraction)
@@ -489,7 +492,43 @@ class Operator:
             # exactly as the per-event queue's next entry would.
             entry.enqueued_at = rb.enqueued_ats[i]
         self._queues_dirty = True
+        if self.lineage_watch:
+            self._trace_rows(rb, start, min(i, stop), channel, now)
         return used
+
+    def _trace_rows(
+        self,
+        rb: RecordBatch,
+        start: int,
+        stop: int,
+        channel: Channel,
+        now: float,
+    ) -> None:
+        """Report rows ``start..stop-1`` of ``rb``, each consumed whole by
+        the drain that just ran, to the lineage tracker — only those whose
+        t_end is in :attr:`lineage_watch`, in row order.
+
+        Deferring the reports to the end of the drain is exact: a payload
+        drain moves no watermark and fires no pane, so the tracker sees
+        the same state it would have seen row by row, and a tracker hook
+        touches only its own state. Callers skip the call while the watch
+        set is empty (always, without a tracker).
+        """
+        watch = self.lineage_watch
+        lineage = self.lineage
+        t_ends = rb.t_ends
+        if watch is None or lineage is None or watch.isdisjoint(t_ends[start:stop]):
+            return
+        on_consumed = lineage.on_consumed
+        t_starts = rb.t_starts
+        enqueued_ats = rb.enqueued_ats
+        for j in range(start, stop):
+            t_end = t_ends[j]
+            # a report may empty this key, so re-test every row
+            if t_end in watch:
+                on_consumed(
+                    self, t_starts[j], t_end, enqueued_ats[j], channel, now
+                )
 
     def _consume_rows_windowed(
         self,
@@ -537,7 +576,8 @@ class Operator:
         ev_in = stats.events_in
         busy = stats.busy_ms
         late = stats.late_events_dropped
-        i = rb.head
+        start = i = rb.head
+        stop = n
         while i < n:
             grant = budget_ms - used
             if grant <= _MIN_BUDGET_MS:
@@ -560,6 +600,7 @@ class Operator:
             else:
                 # Partial row: the affordable fraction flows into panes,
                 # the remainder becomes the new head row.
+                stop = i
                 fraction = grant / full_cost
                 c = count * fraction
                 tail_count = count * (1.0 - fraction)
@@ -635,6 +676,8 @@ class Operator:
         else:
             entry.enqueued_at = rb.enqueued_ats[i]
         self._queues_dirty = True
+        if self.lineage_watch:
+            self._trace_rows(rb, start, min(i, stop), channel, now)
         return used
 
     def _consume_rows_fused(
@@ -694,7 +737,8 @@ class Operator:
             tl_delays = tail.delays
             tl_enqueued = tail.enqueued_ats
         emitted = False
-        i = rb.head
+        start = i = rb.head
+        stop = n
         while i < n:
             grant = budget_ms - used
             if grant <= _MIN_BUDGET_MS:
@@ -746,6 +790,7 @@ class Operator:
                 used += full_cost
                 i += 1
                 continue
+            stop = i
             fraction = grant / full_cost
             head_count = count * fraction
             tail_count = count * (1.0 - fraction)
@@ -809,6 +854,8 @@ class Operator:
         else:
             entry.enqueued_at = rb.enqueued_ats[i]
         self._queues_dirty = True
+        if self.lineage_watch:
+            self._trace_rows(rb, start, min(i, stop), channel, now)
         return used
 
     def _consume_row_turn(
@@ -844,7 +891,7 @@ class Operator:
                 channel._queued_bytes = 0.0
             stats.events_in += count
             stats.busy_ms += full_cost
-            if self._windowed_row and self.lineage is None:
+            if self._windowed_row:
                 # _WindowedOperatorBase._on_row inlined (joins take this
                 # turn path on every row — the handler's statements in
                 # the handler's order, minus the call frame).
@@ -876,11 +923,8 @@ class Operator:
                             heapq.heappush(self._pane_heap, (p_end, p_start))
             else:
                 self._on_row(rb, i, count, channel._consumer_index, now)
-                if self.lineage is not None:
-                    self.lineage.on_consumed(
-                        self, rb.t_starts[i], rb.t_ends[i],
-                        rb.enqueued_ats[i], channel, now,
-                    )
+            if self.lineage_watch:
+                self._trace_rows(rb, i, i + 1, channel, now)
             i += 1
             rb.head = i
             if i >= len(counts):

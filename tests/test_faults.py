@@ -106,6 +106,23 @@ class TestFaultPlanQueries:
         assert not plan.node_down(0, 1500.0)
         assert not plan.node_down(1, 2500.0)
 
+    def test_perturbs_source(self):
+        # only stalls, stragglers and drops touch a query's sources
+        plan = FaultPlan([
+            SourceStall(0.0, 1000.0, query_ids=["q1"]),
+            WatermarkStraggler(0.0, 1000.0, query_ids=["q2"]),
+            WatermarkDrop(0.0, 1000.0, query_ids=["q3"]),
+            OperatorSlowdown(0.0, 1000.0, factor=2.0, query_ids=["q4"]),
+            NodeFailure(0.0, 1000.0),
+            MemoryPressureSpike(0.0, 1000.0, extra_bytes=1.0),
+        ])
+        for qid in ("q1", "q2", "q3"):
+            assert plan.perturbs_source(qid)
+        assert not plan.perturbs_source("q4")
+        assert not plan.perturbs_source("q0")
+        assert FaultPlan([WatermarkDrop(0.0, 1.0)]).perturbs_source("q0")
+        assert not FaultPlan().perturbs_source("q0")
+
     def test_end_ms_and_active_at(self):
         plan = FaultPlan([
             SourceStall(0.0, 1000.0),

@@ -31,6 +31,7 @@ from repro.bench.runner import (
     trace_from_result,
 )
 from repro.cli import main
+from repro.core.klink import KlinkScheduler
 from repro.faults import FaultPlan, NodeFailure
 from repro.obs import (
     RECORD_STATUSES,
@@ -49,6 +50,8 @@ from repro.obs import (
 )
 from repro.obs.lineage import _Record
 from repro.resilience import capture_lineage, restore_lineage
+from repro.spe.engine import Engine
+from repro.workloads import WorkloadParams, build_queries
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -199,7 +202,8 @@ class TestCheckpointCodec:
         tracker.forecast.on_prediction(
             "q0",
             0,
-            SimpleNamespace(deadline=1_000.0, mean=940.0),
+            1_000.0,
+            940.0,
             SimpleNamespace(progress=None, spec=None),
             500.0,
         )
@@ -229,6 +233,102 @@ class TestCheckpointCodec:
         assert fresh.rows_sampled == tracker.rows_sampled
         assert fresh.spans_recorded == tracker.spans_recorded
         assert fresh.forecast.evaluations == tracker.forecast.evaluations
+
+
+def _traced_engine(rate=1.0):
+    # one core for six queries: rows queue up behind each other
+    queries = build_queries("ysb", 6, WorkloadParams(seed=3))
+    tracker = LineageTracker(rate, seed=3)
+    engine = Engine(
+        queries, KlinkScheduler(), cores=1, seed=3, lineage=tracker,
+        batch_size=64,
+    )
+    return engine, tracker
+
+
+def _step(engine, cycles):
+    # step_cycle, not run(): run() ends by closing every in-flight record
+    for _ in range(cycles):
+        engine.step_cycle()
+
+
+def _index_keys(tracker):
+    return {
+        (query_id, name, t_end)
+        for (query_id, name), watch in tracker._inflight_index.items()
+        for t_end in watch
+    }
+
+
+class TestDrainsWithTracker:
+    """Tracing runs the same fused and inlined drains as an untraced run;
+    the tracker's per-operator index decides which rows it hears about."""
+
+    def test_tracker_keeps_fused_and_inlined_drains(self):
+        engine, tracker = _traced_engine()
+        drains = {"fused": 0, "windowed": 0}
+
+        def unfused_row(*args):
+            raise AssertionError("stateless/windowed row took the unfused body")
+
+        for query in engine.queries:
+            for op in query.operators:
+                out = op.output
+                fused = (
+                    op._stateless_row and out is not None
+                    and out.batch_size > 1 and out.latency_ms == 0.0
+                )
+                if fused or op._windowed_row:
+                    op._on_row = unfused_row
+                for kind, attr in (("fused", "_consume_rows_fused"),
+                                   ("windowed", "_consume_rows_windowed")):
+                    def counted(*args, _fn=getattr(op, attr), _kind=kind):
+                        drains[_kind] += 1
+                        return _fn(*args)
+
+                    setattr(op, attr, counted)
+        engine.run(10_000.0)
+        assert drains["fused"] > 0 and drains["windowed"] > 0
+        statuses = {row["status"] for row in tracker.lineage_rows()}
+        assert "delivered" in statuses
+
+    def test_index_tracks_inflight_keys(self):
+        engine, tracker = _traced_engine()
+        busy_cycles = 0
+        for _ in range(80):
+            _step(engine, 1)
+            busy_cycles += bool(tracker._inflight)
+            assert _index_keys(tracker) == set(tracker._inflight)
+        assert busy_cycles > 10
+        for query in engine.queries:
+            for op in query.operators:
+                key = (query.query_id, op.name)
+                assert op.lineage_watch is tracker._inflight_index[key]
+
+    def test_restore_rebuilds_index_in_place(self):
+        engine, tracker = _traced_engine()
+        _step(engine, 40)
+        state = json.loads(json.dumps(capture_lineage(tracker)))
+        assert state["inflight"]
+        _step(engine, 20)
+        restore_lineage(tracker, state)
+        assert _index_keys(tracker) == set(tracker._inflight)
+        # rebuilt in place: every operator still holds its index set
+        for query in engine.queries:
+            for op in query.operators:
+                key = (query.query_id, op.name)
+                assert op.lineage_watch is tracker._inflight_index[key]
+        fresh = LineageTracker(tracker.sample_rate, seed=tracker.seed)
+        restore_lineage(fresh, state)
+        assert _index_keys(fresh) == set(fresh._inflight) == set(tracker._inflight)
+
+    def test_finalize_empties_index(self):
+        engine, tracker = _traced_engine()
+        _step(engine, 40)
+        assert tracker._inflight
+        tracker.finalize(engine.clock.now)
+        assert not tracker._inflight
+        assert all(not watch for watch in tracker._inflight_index.values())
 
 
 def _seed_with_node_failure(duration_ms, query_ids):
@@ -281,8 +381,7 @@ class TestSwmForecastAudit:
     def test_prediction_resolution_and_errors(self):
         audit = SwmForecastAudit()
         audit.register_source("q0", 0, 500.0, {"kind": "constant"})
-        est = SimpleNamespace(deadline=1_000.0, mean=1_180.0)
-        audit.on_prediction("q0", 0, est, self._binding(700.0), 900.0)
+        audit.on_prediction("q0", 0, 1_000.0, 1_180.0, self._binding(700.0), 900.0)
         audit.on_actual("q0", 0, 1_000.0, 1_150.0)
         (row,) = audit.rows()
         assert row["evaluations"] == 1
@@ -294,8 +393,7 @@ class TestSwmForecastAudit:
 
     def test_unswept_deadlines_stay_pending(self):
         audit = SwmForecastAudit()
-        est = SimpleNamespace(deadline=2_000.0, mean=2_100.0)
-        audit.on_prediction("q0", 0, est, self._binding(), 900.0)
+        audit.on_prediction("q0", 0, 2_000.0, 2_100.0, self._binding(), 900.0)
         audit.on_actual("q0", 0, 1_000.0, 1_100.0)  # SWM below the deadline
         (row,) = audit.rows()
         assert row["evaluations"] == 0
@@ -311,8 +409,9 @@ class TestSwmForecastAudit:
             (3_000.0, 2_980.0, 3_010.0),
             (4_000.0, 4_100.0, 4_010.0),
         ]:
-            est = SimpleNamespace(deadline=deadline, mean=mean)
-            audit.on_prediction("q0", 0, est, self._binding(), now - 100.0)
+            audit.on_prediction(
+                "q0", 0, deadline, mean, self._binding(), now - 100.0
+            )
             audit.on_actual("q0", 0, deadline, now)
         (row,) = audit.rows()
         assert row["deadlines_resolved"] == 4

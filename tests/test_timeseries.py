@@ -255,6 +255,76 @@ class TestSamplerOnEngine:
             validate_series(row)
 
 
+class TestSamplerAcrossRollback:
+    """A checkpoint rollback rewinds the stats the sampler mirrors; its
+    counters must stay monotone and replayed deliveries must be seen."""
+
+    def run(self, monkeypatch):
+        from repro.faults import FaultPlan, NodeFailure
+        from repro.resilience import (
+            CheckpointCoordinator,
+            RecoveryConfig,
+            RecoveryManager,
+        )
+
+        queries = [
+            make_simple_query(f"q{i}", rate_eps=2_000.0, seed=i)
+            for i in range(2)
+        ]
+        sampler = TelemetrySampler()
+        rebased = []
+        on_rollback = sampler.on_rollback
+
+        def spy(engine):
+            before = sampler._latencies_seen
+            on_rollback(engine)
+            rebased.append((before, sampler._latencies_seen))
+
+        monkeypatch.setattr(sampler, "on_rollback", spy)
+        coordinator = CheckpointCoordinator(2_000.0)
+        engine = Engine(
+            queries, KlinkScheduler(), cores=4, cycle_ms=100.0, seed=1,
+            telemetry=sampler,
+            faults=FaultPlan([NodeFailure(5_300.0, 6_000.0, node=0)]),
+            checkpoints=coordinator,
+            recovery=RecoveryManager(RecoveryConfig("standby"), coordinator),
+        )
+        return sampler, engine.run(10_000.0), rebased
+
+    def test_counters_stay_monotone(self, monkeypatch):
+        sampler, metrics, rebased = self.run(monkeypatch)
+        assert metrics.recoveries == 1 and len(rebased) == 1
+        counters = [s for s in sampler.registry.series() if s.kind == "counter"]
+        assert {s.name for s in counters} >= {"events_processed", "op_cpu_ms"}
+        for series in counters:
+            values = series.values()
+            assert values == sorted(values), series.key
+
+    def test_replayed_latencies_are_observed(self, monkeypatch):
+        sampler, metrics, rebased = self.run(monkeypatch)
+        ((seen_before, seen_after),) = rebased
+        # the rollback truncated latencies the sampler had already seen
+        assert seen_after < seen_before
+        # everything delivered before the rollback, plus every delivery
+        # after it, replays included
+        observed = sampler.registry.histogram("latency_ms").count
+        assert observed == seen_before + len(metrics.swm_latencies) - seen_after
+
+    def test_traced_recovery_run_completes(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        rc = main([
+            "run", "--workload", "ysb", "--queries", "4", "--duration", "20",
+            "--seed", "11", "--faults", "18", "--recover", "standby",
+            "--trace", str(path), "--no-cache",
+        ])
+        assert rc == 0
+        trace = read_trace(str(path))
+        assert trace.summary["resilience"]["recoveries"] == 1
+        assert any(s["name"] == "events_processed" for s in trace.series)
+
+
 class TestTraceV2RoundTrip:
     def test_series_and_alerts_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
