@@ -80,6 +80,8 @@ class KlinkScheduler(Scheduler):
         # SoA scratch for plan(): per-query slack values aligned with
         # ctx.queries, reused across cycles (rebuilt, never carried over).
         self._slack_soa: List[float] = []
+        # One whole-pipeline Allocation per query, reused by every plan.
+        self._whole: Dict[str, Allocation] = {}
 
     # -- slack evaluation (Algorithm 1) ------------------------------------
 
@@ -150,10 +152,16 @@ class KlinkScheduler(Scheduler):
         (Eq. 1 with the known past ``w``) would bias against large queues
         and starve them.
         """
-        progresses = [b.progress for b in query.bindings if b.progress is not None]
-        if not progresses:
+        ingested_wm = None
+        for binding in query.bindings:
+            progress = binding.progress
+            # min() over the progresses: a strict < keeps the first minimum
+            if progress is not None and (
+                ingested_wm is None or progress.last_watermark_ts < ingested_wm
+            ):
+                ingested_wm = progress.last_watermark_ts
+        if ingested_wm is None:
             return None
-        ingested_wm = min(p.last_watermark_ts for p in progresses)
         swept_deadline = math.inf
         for op in query.windowed_operators():
             # The pane heap's head is the earliest pending deadline (due
@@ -195,11 +203,12 @@ class KlinkScheduler(Scheduler):
         slack_soa = self._slack_soa  # klink: transient[scratch ranking buffer rebuilt every plan()]
         del slack_soa[:]
         total_steps = 0
+        slack_of: Dict[str, float] = {}
         for query in queries:
             slack, steps = self.query_slack(query, ctx)
             slack_soa.append(slack)
+            slack_of[query.query_id] = slack
             total_steps += steps
-        slack_of = dict(zip((q.query_id for q in queries), slack_soa))
         self.last_slacks = slack_of
         self._last_overhead_ms = (
             self.per_query_overhead_ms * len(queries)
@@ -211,7 +220,7 @@ class KlinkScheduler(Scheduler):
         order = sorted(range(len(queries)), key=slack_soa.__getitem__)
         ordered = [queries[i] for i in order]
         if not mm:
-            return Plan([Allocation(q) for q in ordered], mode="priority")
+            return Plan([self._whole_allocation(q) for q in ordered], mode="priority")
         # Memory management (Sec. 3.4): run each query's memory-releasing
         # prefix, prioritizing the queries providing the largest potential
         # reduction in memory utilization; slack breaks ties so latency is
@@ -231,7 +240,7 @@ class KlinkScheduler(Scheduler):
                 allocation = Allocation(query, ops)
                 release = prefix.achievable_removal(ctx.cycle_ms)
             else:
-                allocation = Allocation(query)
+                allocation = self._whole_allocation(query)
                 release = 0.0
             scored.append((release, slack_of[query.query_id], allocation))
         scored.sort(key=lambda item: (-item[0], item[1]))
@@ -243,6 +252,14 @@ class KlinkScheduler(Scheduler):
             # input is throttled while memory management runs.
             throttle_ingestion=True,
         )
+
+    def _whole_allocation(self, query: Query) -> Allocation:
+        """The reusable ``Allocation(query)`` (rebuilt if the query object
+        behind an id changed)."""
+        alloc = self._whole.get(query.query_id)
+        if alloc is None or alloc.query is not query:
+            alloc = self._whole[query.query_id] = Allocation(query)  # klink: transient[reusable plan entries, rebuilt from the query on demand]
+        return alloc
 
     def overhead_ms(self, ctx: SchedulerContext) -> float:
         return self._last_overhead_ms

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.estimator import SwmEstimate, SwmIngestionEstimator
+from repro.core.estimator import SwmIngestionEstimator
 from repro.spe.query import SourceBinding
 
 
@@ -113,13 +113,17 @@ class LinearRegressionEstimator(SwmIngestionEstimator):
             for e in list(progress.epochs)[-limit:]
         ]
 
-    def estimate(
+    def estimate_scalars(
         self,
         binding: SourceBinding,
         *,
         phase: float = 0.0,
         deadline: Optional[float] = None,
-    ) -> Optional[SwmEstimate]:
+    ) -> Optional[tuple]:
+        """``(mean, std, t_min, t_max, deadline, generation)`` from the
+        extrapolated line and its residual band. Klink's slack loop reads
+        these scalars; :meth:`estimate` wraps them in a
+        :class:`~repro.core.estimator.SwmEstimate`."""
         progress = binding.progress
         if progress is None or progress.next_deadline is None:
             return None
@@ -137,11 +141,11 @@ class LinearRegressionEstimator(SwmIngestionEstimator):
         band = self.band_sigmas * self._lr.residual_std(ys)
         band = max(band, 1.0)
         mean = generation + predicted_delay
-        return SwmEstimate(
-            mean=mean,
-            std=band / self.band_sigmas,
-            t_min=mean - band,
-            t_max=mean + band,
-            deadline=ddl,
-            swm_generation=generation,
+        return (
+            mean,
+            band / self.band_sigmas,
+            mean - band,
+            mean + band,
+            ddl,
+            generation,
         )

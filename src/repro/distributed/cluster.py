@@ -13,12 +13,11 @@ local pending cost upstream (Fig. 5's forwarding arrows).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.estimator import SwmEstimate
 from repro.core.klink import KlinkScheduler
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
-from repro.core.slack import expected_slack, interval_steps
+from repro.core.slack import expected_slack_scalars, interval_steps_scalars
 from repro.distributed.forwarding import ForwardingBoard, QueryInfo
 from repro.obs.audit import explain_with_fallback
 from repro.distributed.placement import PhysicalPlan
@@ -37,6 +36,12 @@ class DistributedKlinkScheduler(KlinkScheduler):
       the delay information that node *forwarded* (one RPC period stale);
     * the cost term aggregates the local pending cost with the costs the
       downstream/upstream nodes published (cost forwarding).
+
+    Every node but the source reads the forwarded delay information the
+    same way, so the SWM estimate built from it is computed once per
+    cycle and shared through the board; so is the whole slack for the
+    nodes that host none of the query's operators and hold no board entry
+    for it, since every value they read is remote.
     """
 
     def __init__(self, node: int, board: ForwardingBoard, plan: PhysicalPlan, **kwargs):
@@ -46,37 +51,52 @@ class DistributedKlinkScheduler(KlinkScheduler):
         self.physical_plan = plan
         self.name = f"Klink@node{node}"
 
-    def _forwarded_cost(self, query: Query, now: float) -> float:
-        """Total pending cost: every node's published share for the query."""
-        total = 0.0
-        for node in range(self.physical_plan.n_nodes):
-            info = self.board.read(self.node, node, query.query_id, now)
-            if info is not None:
-                total += info.pending_cost_ms
-        return total
-
     def query_slack(self, query: Query, ctx: SchedulerContext) -> Tuple[float, int]:
-        source_node = self.physical_plan.source_node(query)
+        placement = self.physical_plan.placement(query)
+        source_node = placement.source_node
         if source_node == self.node:
             return super().query_slack(query, ctx)
-        info = self.board.read(self.node, source_node, query.query_id, ctx.now)
+        publishers = self.board.publishers(query.query_id)
+        share = placement.shares.get(self.node)
+        shared = self._shared(query, ctx, source_node)
+        if share is not None or self.node in publishers:
+            local_windows = share.windowed if share is not None else ()
+            return self._remote_slack(query, ctx, shared[0], publishers, local_windows)
+        # This node hosts nothing of the query and reads every value
+        # remotely, exactly as every other such node does this cycle.
+        if shared[1] is None:
+            shared[1] = self._remote_slack(query, ctx, shared[0], publishers, ())
+        return shared[1]
+
+    def _shared(
+        self, query: Query, ctx: SchedulerContext, source_node: int
+    ) -> List[Any]:
+        """This cycle's ``[forwarded estimate, outsider slack]`` for the
+        query, common to every node but the source (the outsider slack is
+        filled in by the first node that hosts nothing of the query)."""
+        key = (query.query_id, ctx.now, self.estimator.z)
+        memo = self.board.remote_memo
+        shared = memo.get(key)
+        if shared is None:
+            shared = memo[key] = [
+                self._forwarded_estimate(query, ctx, source_node),
+                None,
+            ]
+        return shared
+
+    def _forwarded_estimate(
+        self, query: Query, ctx: SchedulerContext, source_node: int
+    ) -> Optional[Tuple[float, float, float, float, float, int]]:
+        """``(watermark, mean, std, t_min, t_max, steps)`` of the next SWM
+        from the delay information the source node forwarded, or ``None``
+        before it forwarded a deadline."""
+        now = ctx.now
+        info = self.board.read(self.node, source_node, query.query_id, now)
         if info is None or info.next_deadline is None:
-            return math.inf, 0
-        cost = self._forwarded_cost(query, ctx.now)
-        # Pending-SWM check against the forwarded watermark state and the
-        # locally hosted window operators' buffered panes.
-        local_windows = [
-            op
-            for op in query.windowed_operators()
-            if self.physical_plan.node_of_operator(op) == self.node
-        ]
-        for op in local_windows:
-            deadlines = op.pending_pane_deadlines()
-            if deadlines and deadlines[0] <= info.last_watermark_ts:
-                return deadlines[0] - ctx.now, 0
-        # Proactive branch from forwarded delay moments.
+            return None
         spec = query.bindings[0].spec
-        generation = self.estimator.swm_generation_time(
+        estimator = self.estimator
+        generation = estimator.swm_generation_time(
             info.next_deadline,
             spec.watermark_period_ms,
             spec.lateness_ms,
@@ -84,16 +104,43 @@ class DistributedKlinkScheduler(KlinkScheduler):
         )
         std = max(math.sqrt(max(info.chi - info.mu * info.mu, 0.0)), 1.0)
         mean = generation + info.mu
-        estimate = SwmEstimate(
-            mean=mean,
-            std=std,
-            t_min=mean - self.estimator.z * std,
-            t_max=mean + self.estimator.z * std,
-            deadline=info.next_deadline,
-            swm_generation=generation,
-        )
-        slack = expected_slack(estimate, ctx.now, cost, ctx.cycle_ms)
-        return slack, interval_steps(estimate, ctx.now, ctx.cycle_ms)
+        t_min = mean - estimator.z * std
+        t_max = mean + estimator.z * std
+        steps = interval_steps_scalars(t_min, t_max, now, ctx.cycle_ms)
+        return info.last_watermark_ts, mean, std, t_min, t_max, steps
+
+    def _remote_slack(
+        self,
+        query: Query,
+        ctx: SchedulerContext,
+        estimate: Optional[Tuple[float, float, float, float, float, int]],
+        publishers: Sequence[int],
+        local_windows: Sequence[Any],
+    ) -> Tuple[float, int]:
+        """Slack from the source node's forwarded estimate (see
+        :meth:`_forwarded_estimate`) and the costs every publishing node
+        forwarded."""
+        if estimate is None:
+            return math.inf, 0
+        watermark, mean, std, t_min, t_max, steps = estimate
+        now = ctx.now
+        # Pending-SWM check against the forwarded watermark state and the
+        # locally hosted window operators' buffered panes (the pane heap's
+        # root is the earliest pending deadline).
+        for op in local_windows:
+            heap = op._pane_heap
+            if heap and heap[0][0] <= watermark:
+                return heap[0][0] - now, 0
+        # Cost forwarding: every node's published share for the query.
+        board = self.board
+        query_id = query.query_id
+        cost = 0.0
+        for node in publishers:
+            forwarded = board.read(self.node, node, query_id, now)
+            if forwarded is not None:
+                cost += forwarded.pending_cost_ms
+        slack = expected_slack_scalars(mean, std, t_min, t_max, now, cost, ctx.cycle_ms)
+        return slack, steps
 
 
 class DistributedEngine(Engine):
@@ -127,6 +174,7 @@ class DistributedEngine(Engine):
         vectorized: bool = True,
     ) -> None:
         self.plan = plan
+        plan.build_index(queries)
         self.board = ForwardingBoard(rpc_latency_ms)
         self.cores_per_node = cores_per_node
         self.rpc_latency_ms = float(rpc_latency_ms)
@@ -195,44 +243,65 @@ class DistributedEngine(Engine):
     # -- forwarding ---------------------------------------------------------------
 
     def _publish_info(self, now: float, down_nodes=frozenset()) -> None:
+        board = self.board
         for query in self.queries:
-            unit = query.unit_costs()
-            source_node = self.plan.source_node(query)
-            for node in range(self.plan.n_nodes):
+            placement = self.plan.placement(query)
+            unit = None
+            for node, share in placement.shares.items():
                 if node in down_nodes:
                     continue  # a failed node publishes nothing; reads go stale
-                local_ops = self.plan.local_operators(query, node)
-                if not local_ops:
-                    continue
-                info = QueryInfo(published_at=now)
-                info.pending_cost_ms = sum(
-                    op.queued_events * unit[op] for op in local_ops
-                )
-                if node == source_node:
-                    progresses = [
-                        b.progress for b in query.bindings if b.progress is not None
-                    ]
-                    if progresses:
-                        mus = [p.current_epoch_mean()[0] for p in progresses]
-                        chis = [p.current_epoch_mean()[1] for p in progresses]
-                        info.mu = sum(mus) / len(mus)
-                        info.chi = sum(chis) / len(chis)
-                        info.last_watermark_ts = min(
-                            p.last_watermark_ts for p in progresses
-                        )
-                        deadlines = [
-                            p.next_deadline
-                            for p in progresses
-                            if p.next_deadline is not None
-                        ]
-                        info.next_deadline = min(deadlines) if deadlines else None
-                        ingests = [
-                            p.last_swm_ingest_time
-                            for p in progresses
-                            if p.last_swm_ingest_time is not None
-                        ]
-                        info.last_swm_ingest_time = max(ingests) if ingests else None
-                self.board.publish(node, query.query_id, info)
+                if unit is None:
+                    unit = query.unit_cost_list()
+                pending = 0.0
+                for op, i in zip(share.operators, share.positions):
+                    if op._queues_dirty:
+                        op._refresh_queue_memo()
+                    pending += op._queued_events_memo * unit[i]
+                if node == placement.source_node:
+                    info = self._delay_info(query, now, pending)
+                else:
+                    info = QueryInfo(published_at=now, pending_cost_ms=pending)
+                board.publish(node, query.query_id, info)
+
+    @staticmethod
+    def _delay_info(query: Query, now: float, pending: float) -> QueryInfo:
+        """The source node's info: its pending cost plus the watermark
+        state and mean delay moments of the query's input streams.
+
+        Plain loops with the float operations of ``sum(...) / len(...)``
+        (an int-0 start, adds in binding order) and of ``min``/``max``
+        (strict comparisons keep the first extreme)."""
+        n = 0
+        mu_sum = chi_sum = 0
+        watermark = deadline = ingest = None
+        for binding in query.bindings:
+            progress = binding.progress
+            if progress is None:
+                continue
+            mu, chi = progress.current_epoch_mean()
+            mu_sum += mu
+            chi_sum += chi
+            n += 1
+            ts = progress.last_watermark_ts
+            if watermark is None or ts < watermark:
+                watermark = ts
+            ts = progress.next_deadline
+            if ts is not None and (deadline is None or ts < deadline):
+                deadline = ts
+            ts = progress.last_swm_ingest_time
+            if ts is not None and (ingest is None or ts > ingest):
+                ingest = ts
+        if not n:
+            return QueryInfo(published_at=now, pending_cost_ms=pending)
+        return QueryInfo(
+            published_at=now,
+            mu=mu_sum / n,
+            chi=chi_sum / n,
+            last_watermark_ts=watermark,
+            next_deadline=deadline,
+            last_swm_ingest_time=ingest,
+            pending_cost_ms=pending,
+        )
 
     # -- cycle override --------------------------------------------------------------
 
@@ -250,7 +319,8 @@ class DistributedEngine(Engine):
         if self.recovery is not None:
             down_nodes = self.recovery.on_cycle(self, down_nodes, now)
         for channel in self._delayed_channels:
-            channel.release(now)
+            if channel._pending:
+                channel.release(now)
         backpressured = (
             self.memory.backpressured(self.queries) or self._throttle_requested
         )
@@ -355,12 +425,13 @@ class DistributedEngine(Engine):
         """Re-place the failed node's operators onto a hot standby.
 
         The standby is modelled as spare capacity on the surviving node
-        with the fewest operators (ties to the lowest index): placement
-        entries, and channel transfer latencies, are rewritten so the
-        moved operators run there from the next plan onward. Everything
-        downstream — ``_localize``, ``plan.local_operators``, the
-        forwarding board, the per-node schedulers — reads the placement
-        dynamically, so the promotion takes effect cluster-wide at once.
+        with the fewest operators (ties to the lowest index):
+        :meth:`PhysicalPlan.relocate` moves the operators and rebuilds the
+        placement index, and channel transfer latencies are rewritten, so
+        the moved operators run there from the next plan onward. Everything
+        downstream — ``_localize``, ``_publish_info``, the per-node
+        schedulers — reads that index, so the promotion takes effect
+        cluster-wide at once.
         """
         survivors = [
             n
@@ -375,10 +446,9 @@ class DistributedEngine(Engine):
             if target_node in load:
                 load[target_node] += 1
         target = min(survivors, key=lambda n: (load[n], n))
-        for query in self.queries:
-            for op in query.operators:
-                if self.plan.node_of[id(op)] == node:
-                    self.plan.node_of[id(op)] = target  # klink: transient[placement is infrastructure state: failover re-placement survives rollback, like the wall clock]
+        # Placement is infrastructure state: the re-placement survives a
+        # later rollback, like the wall clock.
+        self.plan.relocate(self.queries, node, target)
         # Re-derive which edges now cross nodes (the moved operators may
         # have gained or lost co-location with their neighbours).
         for query in self.queries:
@@ -396,13 +466,17 @@ class DistributedEngine(Engine):
 
     def _localize(self, plan: Plan, node: int) -> Plan:
         """Restrict a node's plan to the operators hosted on that node."""
+        placement = self.plan.placement
         allocations = []
         for alloc in plan.allocations:
-            local = [
-                op
-                for op in alloc.runnable_operators()
-                if self.plan.node_of[id(op)] == node
-            ]
+            share = placement(alloc.query).shares.get(node)
+            if share is None:
+                continue
+            if alloc.operators is None:
+                allocations.append(share.allocation)
+                continue
+            op_ids = share.op_ids
+            local = [op for op in alloc.operators if id(op) in op_ids]
             if local:
                 allocations.append(Allocation(alloc.query, local))
         return Plan(allocations, mode=plan.mode)

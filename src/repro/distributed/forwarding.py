@@ -19,8 +19,9 @@ ago. A node reading its own entries sees them fresh.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -38,6 +39,9 @@ class QueryInfo:
     pending_cost_ms: float = 0.0
 
 
+_NO_PUBLISHERS: List[int] = []
+
+
 class ForwardingBoard:
     """RPC-lagged key-value store for inter-node scheduler information."""
 
@@ -47,13 +51,41 @@ class ForwardingBoard:
         self.rpc_latency_ms = rpc_latency_ms
         # (node, query_id) -> [(published_at, info)] — two most recent kept
         self._entries: Dict[Tuple[int, str], List[Tuple[float, QueryInfo]]] = {}
+        # query_id -> ascending nodes holding an entry for it; derived from
+        # _entries and rebuilt by reindex() when a checkpoint restores them.
+        self._publishers: Dict[str, List[int]] = {}
+        #: What every node but a query's source derives from remote reads
+        #: alone, computed by the first such node each cycle: the forwarded
+        #: SWM estimate, and the slack seen by nodes that host none of the
+        #: query's operators and hold no entry for it. Keyed by
+        #: (query_id, now, estimator z); any board write drops it.
+        self.remote_memo: Dict[Tuple[str, float, float], List[Any]] = {}
 
     def publish(self, node: int, query_id: str, info: QueryInfo) -> None:
         """Publish ``node``'s local information about ``query_id``."""
-        history = self._entries.setdefault((node, query_id), [])
+        if self.remote_memo:
+            self.remote_memo.clear()  # klink: transient[memo of values derived from _entries]
+        key = (node, query_id)
+        history = self._entries.get(key)
+        if history is None:
+            history = self._entries[key] = []
+            insort(self._publishers.setdefault(query_id, []), node)  # klink: transient[derived from _entries; reindex() rebuilds it on restore]
         history.append((info.published_at, info))
         if len(history) > 2:
             del history[0]
+
+    def publishers(self, query_id: str) -> List[int]:
+        """Nodes holding an entry for ``query_id``, ascending (do not
+        mutate the returned list)."""
+        return self._publishers.get(query_id, _NO_PUBLISHERS)
+
+    def reindex(self) -> None:
+        """Re-derive the publisher lists after ``_entries`` was replaced."""
+        self.remote_memo.clear()
+        publishers: Dict[str, List[int]] = {}
+        for node, query_id in sorted(self._entries):
+            publishers.setdefault(query_id, []).append(node)
+        self._publishers = publishers
 
     def read(
         self, reader_node: int, owner_node: int, query_id: str, now: float

@@ -527,6 +527,7 @@ def _restore_board(board: Any, rows: List[Any]) -> None:
         ]
         for node, query_id, history in rows
     }
+    board.reindex()
 
 
 def _check_topology(engine: "Engine", snapshot: Dict[str, Any]) -> None:

@@ -509,28 +509,16 @@ class Query:
     def join_operators(self) -> List[WindowedJoin]:
         return [op for op in self.operators if isinstance(op, WindowedJoin)]
 
-    def unit_costs(self) -> Dict[Operator, float]:
-        """Cost to push one event end-to-end from each operator (ms).
+    def unit_cost_list(self) -> List[float]:
+        """Cost to push one event end-to-end from each operator (ms), by
+        position in ``operators``.
 
         ``unit_cost[op] = cost(op) + selectivity(op) * unit_cost(downstream)``
         using measured selectivities where available (Sec. 3: cost is
         estimated from per-operator processing time and selectivity [33]).
-        """
-        costs: Dict[Operator, float] = {}
-        for op in reversed(self.operators):
-            down = self._downstream[op]
-            sel = op.stats.measured_selectivity if op.stats.events_in > 0 else op.selectivity
-            tail = costs[down] if down is not None else 0.0
-            costs[op] = op.cost_per_event_ms + sel * tail
-        return costs
-
-    def pending_cost_ms(self) -> float:
-        """cost_q(t): CPU time to process every queued event end-to-end.
-
-        Inlines :meth:`unit_costs` (same expressions, same walk order)
-        over position-indexed scratch arrays instead of an
-        operator-keyed dict: the scheduler evaluates this for every
-        query every cycle, and list indexing beats identity hashing.
+        Position-indexed rather than operator-keyed: the scheduler and the
+        distributed cost forwarding price queues every cycle, and list
+        indexing beats identity hashing.
         """
         ops = self.operators
         n = len(ops)
@@ -540,15 +528,18 @@ class Query:
             op = ops[i]
             di = downstream_idx[i]
             stats = op.stats
-            sel = (
-                stats.measured_selectivity
-                if stats.events_in > 0
-                else op.selectivity
-            )
+            events_in = stats.events_in
+            # measured_selectivity, inlined under its events_in > 0 branch
+            sel = stats.events_out / events_in if events_in > 0 else op.selectivity
             tail = costs[di] if di >= 0 else 0.0
             costs[i] = op.cost_per_event_ms + sel * tail
+        return costs
+
+    def pending_cost_ms(self) -> float:
+        """cost_q(t): CPU time to process every queued event end-to-end."""
+        costs = self.unit_cost_list()
         total = 0.0
-        for i, op in enumerate(ops):
+        for i, op in enumerate(self.operators):
             if op._queues_dirty:
                 op._refresh_queue_memo()
             total += op._queued_events_memo * costs[i]

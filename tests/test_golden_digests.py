@@ -8,9 +8,11 @@ second set proves a stored snapshot never changes after it was taken.
 The pinned runs exercise the paths whose cost the resilience and tracing
 layers keep low: a YSB standby failover at lineage sample rate 1.0 (every
 row goes through the drains' lineage hook, and a lineage sidecar is
-restored), a two-node ``DistributedEngine.with_klink`` failover, and a
-traced run with checkpoints. Regenerate the fixture only for a deliberate
-output change::
+restored), a two-node ``DistributedEngine.with_klink`` failover, a
+four-node split deployment in which most nodes host no operator of a given
+query (so they rank it on forwarded information alone) and a standby
+failover moves operators between nodes, and a traced run with checkpoints.
+Regenerate the fixture only for a deliberate output change::
 
     PYTHONPATH=src python -m tests.test_golden_digests --record
 """
@@ -18,6 +20,7 @@ output change::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,11 +32,12 @@ from typing import Any, Dict, List, Tuple
 import pytest
 
 import repro.spe.events as events_mod
-from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.bench.runner import ExperimentConfig, run_experiment, trace_summary
 from repro.core.klink import KlinkScheduler
 from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import FaultPlan, InvariantMonitor
 from repro.faults.plan import NodeFailure
+from repro.obs import AuditLog, TelemetrySampler, TraceWriter
 from repro.obs.lineage import LineageTracker
 from repro.resilience import (
     CheckpointCoordinator,
@@ -43,6 +47,7 @@ from repro.resilience import (
 from repro.resilience.checkpoint import serialize
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
+from repro.spe.tracing import CycleTracer
 from repro.workloads import WorkloadParams, build_queries
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_digests.json"
@@ -150,6 +155,55 @@ def dist_klink_standby() -> Tuple[Engine, Dict[str, Any]]:
 
 
 @lru_cache(maxsize=None)
+def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
+    """Fig. 6e's split deployment on four nodes: every query spans two
+    nodes, so the other two rank it from forwarded delay and cost alone.
+    Node 1 fails once and its standby moves its operators to a survivor.
+    Audit, telemetry and the cycle tracer stream into one JSONL trace."""
+    _fresh_marker_ids()
+    queries = build_queries("ysb", 16, WorkloadParams(seed=11, rate_scale=1.25))
+    plan = PhysicalPlan.split(queries, 4, segments=2)
+    coordinator = CheckpointCoordinator(2_000.0)
+    taken = _record_store(coordinator)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        writer = TraceWriter(str(path), meta={"run": "dist4-klink"})
+        sampler = TelemetrySampler()
+        tracer = CycleTracer()
+        engine = DistributedEngine.with_klink(
+            queries,
+            plan,
+            cores_per_node=1,
+            memory=MemoryConfig(capacity_bytes=0.5 * GIB),
+            rpc_latency_ms=100.0,
+            seed=11,
+            tracer=tracer,
+            audit=AuditLog(stream=writer),
+            telemetry=sampler,
+            faults=FaultPlan([NodeFailure(6_000.0, 9_000.0, node=1)]),
+            invariants=InvariantMonitor(),
+            checkpoints=coordinator,
+            recovery=RecoveryManager(RecoveryConfig("standby"), coordinator),
+        )
+        metrics = engine.run(14_000.0)
+        writer.finalize(
+            series=sampler.series_rows(),
+            alerts=sampler.alert_rows(),
+            summary=trace_summary(metrics),
+        )
+        trace = path.read_text()
+    digests = _digests(engine, metrics, taken)
+    digests["trace"] = _sha(trace)
+    digests["cycle_tracer"] = _json_sha(
+        [dataclasses.asdict(record) for record in tracer.rows]
+    )
+    digests["last_slacks"] = _json_sha(
+        [s.last_slacks for s in engine.node_schedulers]
+    )
+    return engine, digests
+
+
+@lru_cache(maxsize=None)
 def ysb_traced_checkpoints() -> Dict[str, Any]:
     """A full JSONL trace (audit, telemetry, lineage) of a run that
     checkpoints but never fails."""
@@ -182,6 +236,7 @@ def current_digests() -> Dict[str, Dict[str, Any]]:
     return {
         "ysb-standby-lineage": ysb_standby_lineage()[1],
         "dist-klink-standby": dist_klink_standby()[1],
+        "dist4-klink-traced-standby": dist4_klink_traced_standby()[1],
         "ysb-traced-checkpoints": ysb_traced_checkpoints(),
     }
 
@@ -193,21 +248,34 @@ def _golden() -> Dict[str, Dict[str, Any]]:
 def test_pinned_runs_exercise_failover_and_lineage():
     _, ysb = ysb_standby_lineage()
     _, dist = dist_klink_standby()
-    for digests in (ysb, dist):
+    dist4_engine, dist4 = dist4_klink_traced_standby()
+    for digests in (ysb, dist, dist4):
         assert digests["recoveries"] == 1
         assert digests["checkpoints_taken"] >= 5
     assert ysb["lineage_row_count"] > 1000
+    # The standby moved every operator off the failed node.
+    assert 1 not in dist4_engine.plan.node_of.values()
 
 
 @pytest.mark.parametrize(
-    "run", ["ysb-standby-lineage", "dist-klink-standby", "ysb-traced-checkpoints"]
+    "run",
+    [
+        "ysb-standby-lineage",
+        "dist-klink-standby",
+        "dist4-klink-traced-standby",
+        "ysb-traced-checkpoints",
+    ],
 )
 def test_matches_golden_digests(run):
     assert current_digests()[run] == _golden()[run]
 
 
 def test_stored_snapshots_never_change_after_capture():
-    for engine, digests in (ysb_standby_lineage(), dist_klink_standby()):
+    for engine, digests in (
+        ysb_standby_lineage(),
+        dist_klink_standby(),
+        dist4_klink_traced_standby(),
+    ):
         kept = len(engine.checkpoints.store)
         assert digests["snapshots_at_end"] == digests["snapshots"][-kept:]
 

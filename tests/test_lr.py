@@ -117,3 +117,23 @@ class TestLinearRegressionEstimator:
         lr = LinearRegressionEstimator().estimate(binding)
         klink = SwmIngestionEstimator().estimate(binding)
         assert (lr.t_max - lr.t_min) < 2.0 * (klink.t_max - klink.t_min)
+
+    def test_klink_slack_uses_the_lr_estimate(self):
+        """Klink's slack loop reads ``estimate_scalars``; with an LR
+        estimator it must schedule on LR's numbers, not the base
+        estimator's moments."""
+        from repro.core.klink import KlinkScheduler
+        from repro.core.scheduler import SchedulerContext
+        from repro.core.slack import expected_slack
+        from tests.helpers import make_simple_query
+
+        query = make_simple_query("q0")
+        binding = query.bindings[0]
+        self._advance_epochs(binding, [10.0, 40.0, 25.0, 60.0, 80.0])
+        lr = LinearRegressionEstimator()
+        now = binding.progress.next_deadline
+        ctx = SchedulerContext(now=now, cycle_ms=120.0, cores=1, queries=[query])
+        slack, _ = KlinkScheduler(estimator=lr).query_slack(query, ctx)
+        estimate = lr.estimate(binding, phase=query.deployed_at)
+        assert slack == expected_slack(estimate, now, query.pending_cost_ms(), 120.0)
+        assert slack != KlinkScheduler().query_slack(query, ctx)[0]

@@ -107,7 +107,7 @@ class TestAggregates:
     def test_unit_costs_fold_selectivity(self):
         q = make_simple_query(cost_ms=1.0, selectivity=0.5)
         filt, window, sink = q.operators
-        unit = q.unit_costs()
+        unit = dict(zip(q.operators, q.unit_cost_list()))
         # sink: 0 cost; window: 1.0 + sel*0 (window declared sel 1.0,
         # unmeasured); filter: 1.0 + 0.5 * unit(window)
         assert unit[sink] == pytest.approx(sink.cost_per_event_ms)
