@@ -32,13 +32,12 @@ constructs that silently break it:
            timers measure host time, not simulated time, so any value
            derived from them varies across machines and runs.
  KL007     per-element ``.sample()`` delay draws inside a loop (engine
-           code under ``repro/spe/`` only): the vectorized cycle kernel
-           draws a horizon's delays through ``sample_batch`` /
-           ``sample_amortized``, whose value streams are pinned
-           bit-identical to sequential ``sample()`` calls — a stray
-           scalar draw loop silently forfeits that batching. The alias
-           form (``sample = model.sample`` ... ``sample()``) is caught
-           too. Deliberate scalar paths carry the inline pragma.
+           code under ``repro/spe/`` only): the engine draws every
+           delay through ``sample_amortized``, whose value stream (like
+           ``sample_batch``'s) is pinned bit-identical to sequential
+           ``sample()`` calls — a ``sample()`` loop pays one numpy call
+           per draw for the same values. The alias form (``sample =
+           model.sample`` ... ``sample()``) is caught too.
 ========  ==============================================================
 
 A finding on a given line is suppressed with an inline pragma on that
@@ -254,10 +253,9 @@ class _LintVisitor(ast.NodeVisitor):
         self._flag(
             node,
             "KL007",
-            "per-element .sample() draw inside a loop: draw the horizon's "
-            "delays through sample_batch()/sample_amortized() (bit-identical "
-            "by the pinned batching contract) or mark a deliberate scalar "
-            "path with `# klink: allow[KL007]`",
+            "per-element .sample() draw inside a loop: draw through "
+            "sample_amortized() or sample_batch() (the same values, by the "
+            "pinned batching contract)",
         )
 
     def visit_For(self, node: ast.For) -> None:
@@ -278,10 +276,10 @@ class _LintVisitor(ast.NodeVisitor):
         self._loop_depth -= 1
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        # Record names bound from a ``.sample``-bearing expression; the
-        # bound-method alias (also via a conditional expression choosing
-        # between sample variants) is the pattern the engine's generator
-        # uses, and exactly what a loop later calls.
+        # Record names bound from a ``.sample``-bearing expression (also
+        # via a conditional expression choosing between sample variants):
+        # the engine's generator binds its draw method to a local the same
+        # way, and a loop later calls the alias.
         if any(
             isinstance(sub, ast.Attribute) and sub.attr == "sample"
             for sub in ast.walk(node.value)

@@ -145,10 +145,6 @@ class ExperimentConfig:
     # observer: any rate leaves summaries, scheduler decisions, and
     # checkpoint bytes identical to an untraced run.
     lineage_sample_rate: float = 0.0
-    # vectorized cycle kernel (batched delay draws + calendar-queue
-    # network). False runs the scalar reference path; both paths are
-    # byte-identical by contract, so this too is a pure wall-clock knob.
-    vectorized: bool = True
 
     def resolved_memory_gb(self) -> float:
         if self.memory_gb is not None:
@@ -327,7 +323,6 @@ def run_experiment(
         validate=config.validate,
         batch_size=config.batch_size,
         lineage=lineage,
-        vectorized=config.vectorized,
     )
     if phase_profiler is not None:
         engine.phase_profiler = phase_profiler

@@ -193,14 +193,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "for simulation wall-clock",
     )
     parser.add_argument(
-        "--scalar-kernel", action="store_true",
-        help="run the scalar reference cycle kernel (per-record delay "
-             "draws + global network heap) instead of the vectorized "
-             "one (batched draws + calendar queue). Both kernels are "
-             "byte-identical by contract — this flag exists for the "
-             "equivalence gate and for bisecting kernel regressions",
-    )
-    parser.add_argument(
         "--lineage-sample-rate", type=float, default=0.0, metavar="RATE",
         help="trace a deterministic hash-sampled fraction of records "
              "end-to-end (network/queue/execute/window/emit latency "
@@ -269,7 +261,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         recover=args.recover,
         batch_size=args.batch_size,
         lineage_sample_rate=args.lineage_sample_rate,
-        vectorized=not args.scalar_kernel,
         **_telemetry_fields(args),
     )
     if args.bench_json:
@@ -310,7 +301,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         recover=args.recover,
         batch_size=args.batch_size,
         lineage_sample_rate=args.lineage_sample_rate,
-        vectorized=not args.scalar_kernel,
         **_telemetry_fields(args),
     )
     _configure_cli_cache(args)

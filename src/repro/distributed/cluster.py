@@ -171,7 +171,6 @@ class DistributedEngine(Engine):
         checkpoints=None,
         recovery=None,
         validate: bool = True,
-        vectorized: bool = True,
     ) -> None:
         self.plan = plan
         plan.build_index(queries)
@@ -198,7 +197,6 @@ class DistributedEngine(Engine):
             checkpoints=checkpoints,
             recovery=recovery,
             validate=validate,
-            vectorized=vectorized,
         )
         # Attach transfer latency to cross-node edges.
         self._delayed_channels: List[Channel] = []

@@ -246,58 +246,6 @@ class FaultPlan:
         victims = self._source_victims
         return victims is None or query_id in victims
 
-    # -- range variants (vectorized cycle kernel) ----------------------------
-    #
-    # The vectorized ``_generate_binding`` evaluates a whole horizon of
-    # generation timestamps at once; these helpers answer the same pure
-    # (identity, time) queries for a sequence of times with exactly the
-    # per-element semantics of the scalar methods above.
-
-    def source_hold_until_range(
-        self, query_id: str, times: Sequence[float]
-    ) -> List[float]:
-        """``source_hold_until`` evaluated element-wise over ``times``."""
-        stalls = [f for f in self._stalls if _matches(f.query_ids, query_id)]
-        if not stalls:
-            return [0.0] * len(times)
-        out = []
-        for t in times:
-            hold = 0.0
-            for f in stalls:
-                if f.start_ms <= t < f.end_ms:
-                    hold = max(hold, f.end_ms)
-            out.append(hold)
-        return out
-
-    def watermark_extra_delay_range(
-        self, query_id: str, times: Sequence[float]
-    ) -> List[float]:
-        """``watermark_extra_delay`` evaluated element-wise over ``times``."""
-        stragglers = [
-            f for f in self._stragglers if _matches(f.query_ids, query_id)
-        ]
-        if not stragglers:
-            return [0.0] * len(times)
-        out = []
-        for t in times:
-            extra = 0.0
-            for f in stragglers:
-                if f.start_ms <= t < f.end_ms:
-                    extra += f.extra_delay_ms
-            out.append(extra)
-        return out
-
-    def drops_watermark_range(
-        self, query_id: str, times: Sequence[float]
-    ) -> List[bool]:
-        """``drops_watermark`` evaluated element-wise over ``times``."""
-        drops = [f for f in self._drops if _matches(f.query_ids, query_id)]
-        if not drops:
-            return [False] * len(times)
-        return [
-            any(f.start_ms <= t < f.end_ms for f in drops) for t in times
-        ]
-
     def slowdown_factor(self, query_id: str, operator_name: str, t: float) -> float:
         """Cost multiplier for one operator at time ``t`` (>= 1.0)."""
         factor = 1.0

@@ -48,11 +48,12 @@ class DelayModel(abc.ABC):
         order — the refill is one :meth:`sample_batch` call, whose pinned
         contract is bit-identity with sequential ``sample()`` draws. The
         only observable difference is the *generator's internal state*,
-        which runs ahead of the consumed values by up to a block. Callers
-        that snapshot generator state (checkpointing engines) or
-        interleave direct ``sample``/``sample_batch`` calls on the same
-        model must not mix them with ``sample_amortized`` — the engine
-        enables amortization only when no such observer exists.
+        which runs ahead of the consumed values by up to a block. The
+        engine draws every delay this way; checkpoints capture the
+        logical position through :meth:`checkpoint_rng_state`, and a
+        restore discards the prefetch. Do not interleave direct
+        ``sample``/``sample_batch`` calls on the same model with this
+        method: they would read values the buffer already holds.
         """
         pos = self._draw_pos
         buf = self._draw_buf

@@ -67,7 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v4: the in-flight network is captured through the engine's layout
 #: helpers — the vectorized calendar queue and the scalar heap flatten
 #: to the identical canonical (ingest_time, seq)-sorted list, and
-#: restore loads into whichever layout the engine runs)
+#: restore loads into whichever layout the engine runs; the heap has
+#: since been retired, and the calendar queue writes the same list)
 SCHEMA_VERSION = 4
 
 #: RunMetrics scalar fields captured verbatim (the resilience counters —
@@ -186,6 +187,18 @@ def _decode_record(state: Dict[str, Any]) -> object:
         rb.enqueued_ats = [float(v) for v in state["enq"]]
         return rb
     raise CheckpointError(f"unknown record tag: {kind!r}")
+
+
+def _highest_marker_id(snapshot: Dict[str, Any]) -> int:
+    """The highest latency-marker id in flight or queued (-1 for none)."""
+    records = [record for *_, record in snapshot["network"]]
+    for q_state in snapshot["queries"]:
+        for op_state in q_state["operators"]:
+            for channel in op_state["inputs"]:
+                records.extend(rec for rec, _ in channel["entries"])
+                records.extend(rec for rec, _ in channel["pending"])
+    ids = [rec["id"] for rec in records if rec["t"] == "m"]
+    return int(max(ids, default=-1))
 
 
 def _cursor_state(cursor: PeriodicCursor) -> List[float]:
@@ -566,10 +579,9 @@ def _check_topology(engine: "Engine", snapshot: Dict[str, Any]) -> None:
 
 def capture(engine: "Engine") -> Dict[str, Any]:
     """Snapshot ``engine`` into a JSON-safe dict. Pure: mutates nothing."""
-    # The engine flattens whichever network layout is active (scalar heap
-    # or vectorized calendar queue) into the same canonical
-    # (ingest_time, seq)-sorted list, so snapshot bytes are identical
-    # across kernel paths.
+    # The engine flattens its calendar queue into the (ingest_time,
+    # seq)-sorted delivery order, so snapshot bytes do not depend on
+    # which cycle bucket holds a record.
     network = [
         [ingest_time, seq, query.query_id, query.bindings.index(binding),
          _encode_record(record)]
@@ -657,10 +669,10 @@ def restore(engine: "Engine", snapshot: Dict[str, Any], *, mode: str = "resume")
                 _decode_record(record),
             )
         )
-    # The engine files the sorted list into its active network layout
-    # (heap: a time-sorted list is a valid heap; calendar queue: bucket
-    # keys are recomputed against the restored clock).
+    # The engine re-files the sorted list into its calendar queue, with
+    # bucket keys recomputed against the restored clock.
     engine.network_entries = network
+    engine.reserve_marker_ids(_highest_marker_id(snapshot))
     for scheduler, state in zip(schedulers, scheduler_states):
         scheduler.restore_state(state)
     board = getattr(engine, "board", None)

@@ -30,7 +30,6 @@ events age in the network buffer and latency grows.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +44,8 @@ from repro.spe.operators import Operator, SinkOperator
 from repro.spe.query import Query, SourceBinding
 from repro.spe.simtime import VirtualClock
 
+#: an in-flight network record: (ingest_time, seq, query, binding, record)
+NetworkEntry = Tuple[float, int, Query, SourceBinding, object]
 
 class Engine:
     """Runs a set of queries under a scheduling policy on one node."""
@@ -69,7 +70,6 @@ class Engine:
         lineage=None,
         validate: bool = True,
         batch_size: int = 1,
-        vectorized: bool = True,
     ) -> None:
         if cores < 1:
             raise ValueError(f"need at least one core: {cores}")
@@ -132,31 +132,18 @@ class Engine:
         self.metrics = RunMetrics()
         self._rng = np.random.default_rng(seed)
         self._seq = 0
-        #: vectorized cycle kernel (batched delay draws + calendar-queue
-        #: network). The scalar reference path (``vectorized=False``) is
-        #: kept verbatim; both paths are byte-identical by contract (the
-        #: scalar-vs-vectorized equivalence gate in tests and CI enforces
-        #: summaries, traces, decision logs, and checkpoint bytes).
-        self.vectorized = bool(vectorized)
-        # Scalar path: a global (ingest_time, seq) heapq.
-        # (ingest_time, seq, query, binding, record)
-        self._network: List[Tuple[float, int, Query, SourceBinding, object]] = []
-        # Vectorized path: a bucketed calendar queue. Records land in the
-        # bucket of the cycle that can first deliver them; each delivery
-        # drains every bucket <= the current cycle index, keeps the
-        # authoritative ``ingest_time <= now`` check, and sorts the
-        # deliverable set once by the same (ingest_time, seq) key the heap
-        # pops in — so delivery order is provably unchanged.
-        self._cal_buckets: Dict[int, List[Tuple[float, int, Query, SourceBinding, object]]] = {}
+        #: id of the next LatencyMarker this engine generates. Numbering is
+        #: per engine, so snapshot bytes do not depend on what else ran in
+        #: the process; like the markers it numbers, it is never rolled back.
+        self._marker_id = 0
+        # The network: a calendar queue of NetworkEntry tuples. Records
+        # land in the bucket of the cycle that can first deliver them;
+        # each delivery drains every bucket <= the current cycle index,
+        # keeps the authoritative ``ingest_time <= now`` check, and sorts
+        # the deliverable set once by (ingest_time, seq), the network's
+        # delivery order.
+        self._cal_buckets: Dict[int, List[NetworkEntry]] = {}
         self._cal_cycle = 0
-        # Delay draws may be block-prefetched (DelayModel.sample_amortized)
-        # whenever generation is the only consumer of the delay models'
-        # generators: the fault path interleaves direct sample_batch
-        # calls on the same models, so it keeps per-record draws.
-        # Checkpoints are safe — the codec captures the *logical* RNG
-        # position (DelayModel.checkpoint_rng_state), so snapshot bytes
-        # and restored streams are independent of prefetching.
-        self._amortized_draws = self.vectorized and faults is None
         self._throttle_requested = False  # set by plans that stall sources
         self._swm_drained: Dict[str, int] = {q.query_id: 0 for q in self.queries}
         self._marker_drained: Dict[str, int] = {q.query_id: 0 for q in self.queries}
@@ -195,112 +182,24 @@ class Engine:
         markers are control traffic and keep flowing, so event-time keeps
         progressing while the input rate is throttled.
         """
-        generate = (
-            self._generate_binding_vec
-            if self.vectorized
-            else self._generate_binding
-        )
         for query in self.queries:
             for binding in query.bindings:
-                generate(query, binding, horizon, shed_events)
+                self._generate_binding(query, binding, horizon, shed_events)
 
     def _generate_binding(
         self, query: Query, binding: SourceBinding, horizon: float, shed_events: bool
     ) -> None:
-        spec = binding.spec
-        start = query.deployed_at
-        if binding.next_gen_time < start:
-            binding.next_gen_time = start
-            binding.next_watermark_time = start + spec.watermark_period_ms
-            binding.next_marker_time = start + spec.marker_period_ms
-        faults = self.faults
-        qid = query.query_id
-        metrics = self.metrics
-        push = self._push_network
-        sample = spec.delay_model.sample
-        # The cursors' drift-free arithmetic (``origin + step * period``,
-        # see PeriodicCursor.value) is inlined below with origin/period
-        # hoisted: this loop runs for every binding every cycle and the
-        # property indirection dominates its cost.
-        gen_batch_ms = spec.gen_batch_ms
-        bytes_per_event = spec.bytes_per_event
-        cursor = binding._gen_cursor
-        g_origin, g_period = cursor.origin, cursor.period
-        # Event batches: one per generation interval, rate-modulated by the
-        # source's burst state machine (load spikes, Sec. 1).
-        g0 = g_origin + cursor.step * g_period
-        while g0 + gen_batch_ms <= horizon:
-            cursor.step += 1
-            g1 = g_origin + cursor.step * g_period  # drift-free g0 + gen_batch_ms
-            count = self._current_rate(binding, g0) * gen_batch_ms / 1000.0
-            if shed_events:
-                metrics.events_shed += count
-            elif count > 0:
-                delay = sample()  # klink: allow[KL007] scalar reference path; vec kernel batches via sample_amortized
-                if faults is not None:
-                    # A stalled source holds the batch until the stall ends;
-                    # the extra time counts as experienced network delay, so
-                    # Klink's delay history sees the perturbation.
-                    hold = faults.source_hold_until(qid, g1)
-                    delay = max(delay, hold - g1)
-                batch = EventBatch(
-                    count=count,
-                    t_start=g0,
-                    t_end=g1,
-                    delay=delay,
-                    bytes_per_event=bytes_per_event,
-                )
-                push(g1 + delay, query, binding, batch)
-            g0 = g1
-        # Watermarks: periodic, timestamp lags generation by the lateness
-        # allowance (Sec. 2.2's "current time minus five seconds" pattern).
-        # Suppressed for sources whose pipeline generates watermarks with
-        # a WatermarkGeneratorOperator instead (Sec. 2.2 case ii).
-        if spec.emit_watermarks:
-            cursor = binding._watermark_cursor
-            w_origin, w_period = cursor.origin, cursor.period
-            lateness = spec.lateness_ms
-            source_id = binding.source_id
-            while True:
-                g = w_origin + cursor.step * w_period
-                if g > horizon:
-                    break
-                cursor.step += 1
-                if faults is not None and faults.drops_watermark(qid, g):
-                    metrics.watermarks_dropped_by_faults += 1
-                    continue
-                wm = Watermark(g - lateness, source_id=source_id)
-                delay = sample()  # klink: allow[KL007] scalar reference path; vec kernel batches via sample_amortized
-                if faults is not None:
-                    delay += faults.watermark_extra_delay(qid, g)
-                    delay = max(delay, faults.source_hold_until(qid, g) - g)
-                push(g + delay, query, binding, wm)
-        # Latency markers: 200 ms period per source (Sec. 6.1.2).
-        cursor = binding._marker_cursor
-        m_origin, m_period = cursor.origin, cursor.period
-        while True:
-            g = m_origin + cursor.step * m_period
-            if g > horizon:
-                break
-            delay = sample()  # klink: allow[KL007] scalar reference path; vec kernel batches via sample_amortized
-            if faults is not None:
-                delay = max(delay, faults.source_hold_until(qid, g) - g)
-            push(g + delay, query, binding, LatencyMarker(created_at=g))
-            cursor.step += 1
+        """File one source's records generated up to ``horizon`` into the
+        network: event batches, then watermarks, then latency markers, each
+        stream in generation order — the order in which records take their
+        delay draws and seq numbers.
 
-    def _generate_binding_vec(
-        self, query: Query, binding: SourceBinding, horizon: float, shed_events: bool
-    ) -> None:
-        """Vectorized twin of :meth:`_generate_binding` (same byte output).
-
-        Computes the horizon's generation/watermark/marker grids with the
-        identical drift-free cursor arithmetic, evaluates fault hooks
-        through their range variants, then draws *every* network delay
-        the binding needs this cycle in one ``sample_batch`` call —
-        events first, then watermarks, then markers, which is exactly the
-        scalar draw order — and materializes records only at the network
-        boundary. Batched ``Generator`` draws are sequential, so the
-        delay stream (and hence every downstream byte) is unchanged.
+        The grid walk, the delay draw and the calendar-queue filing fuse
+        into one pass per stream. Delays come one at a time out of the
+        model's block-prefetch buffer (``DelayModel.sample_amortized``): a
+        binding-cycle needs ~3 draws, below the break-even size of a numpy
+        batch. Fault hooks run per record, and only for sources that some
+        fault episode can hold, delay or drop.
         """
         spec = binding.spec
         start = query.deployed_at
@@ -308,267 +207,136 @@ class Engine:
             binding.next_gen_time = start
             binding.next_watermark_time = start + spec.watermark_period_ms
             binding.next_marker_time = start + spec.marker_period_ms
-        faults = self.faults
-        gen_batch_ms = spec.gen_batch_ms
-        if faults is None or not faults.perturbs_source(query.query_id):
-            # Fault-free fast path, also taken when no fault episode can
-            # touch this query's sources: the fault path's hooks would
-            # hold nothing, add no delay and drop nothing, so it would
-            # file the same records with the same draws. The grid walk,
-            # the delay draw, and the calendar-queue filing fuse into one
-            # pass per record stream — no intermediate tick/count lists,
-            # no batch staging. The
-            # horizon of one binding-cycle yields ~3 draws on the pinned
-            # grids — below the break-even batch size of a numpy round
-            # trip — so draws are taken one at a time out of the model's
-            # block-prefetch buffer when no checkpoint can observe the
-            # generator's internal state, and via plain ``sample()``
-            # otherwise. Both are byte-identical to the batched draw by
-            # the pinned sample/sample_batch equivalence contract. The
-            # fault path below batches via ``sample_batch`` + range fault
-            # hooks.
-            delay_model = spec.delay_model
-            sample = (
-                delay_model.sample_amortized
-                if self._amortized_draws
-                else delay_model.sample  # klink: allow[KL007]
-            )
-            seq = self._seq
-            buckets = self._cal_buckets
-            cur = self._cal_cycle
-            now = self.clock.now
-            cycle_ms = self.cycle_ms
-            cursor = binding._gen_cursor
-            g_origin, g_period = cursor.origin, cursor.period
-            step = cursor.step
-            g0 = g_origin + step * g_period
-            bursty = spec.burst_factor > 1.0
-            if not bursty:
-                count = spec.rate_eps * gen_batch_ms / 1000.0
-            else:
-                rate = self._current_rate
-            bytes_per_event = spec.bytes_per_event
-            while g0 + gen_batch_ms <= horizon:
-                step += 1
-                g1 = g_origin + step * g_period  # drift-free g0 + gen_batch_ms
-                if bursty:
-                    count = rate(binding, g0) * gen_batch_ms / 1000.0
-                if shed_events:
-                    self.metrics.events_shed += count
-                elif count > 0:
-                    delay = sample()  # klink: allow[KL007]
-                    t = g1 + delay
-                    seq += 1
-                    if t <= now:
-                        key = cur
-                    else:
-                        key = cur + int((t - now) / cycle_ms)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = []
-                    bucket.append(
-                        (
-                            t,
-                            seq,
-                            query,
-                            binding,
-                            EventBatch(
-                                count=count,
-                                t_start=g0,
-                                t_end=g1,
-                                delay=delay,
-                                bytes_per_event=bytes_per_event,
-                            ),
-                        )
-                    )
-                g0 = g1
-            cursor.step = step
-            if spec.emit_watermarks:
-                cursor = binding._watermark_cursor
-                w_origin, w_period = cursor.origin, cursor.period
-                step = cursor.step
-                lateness = spec.lateness_ms
-                source_id = binding.source_id
-                while True:
-                    g = w_origin + step * w_period
-                    if g > horizon:
-                        break
-                    step += 1
-                    delay = sample()  # klink: allow[KL007]
-                    t = g + delay
-                    seq += 1
-                    if t <= now:
-                        key = cur
-                    else:
-                        key = cur + int((t - now) / cycle_ms)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = []
-                    bucket.append(
-                        (
-                            t,
-                            seq,
-                            query,
-                            binding,
-                            Watermark(g - lateness, source_id=source_id),
-                        )
-                    )
-                cursor.step = step
-            cursor = binding._marker_cursor
-            m_origin, m_period = cursor.origin, cursor.period
-            step = cursor.step
-            while True:
-                g = m_origin + step * m_period
-                if g > horizon:
-                    break
-                delay = sample()  # klink: allow[KL007]
-                t = g + delay
-                seq += 1
-                if t <= now:
-                    key = cur
-                else:
-                    key = cur + int((t - now) / cycle_ms)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = bucket = []
-                bucket.append(
-                    (t, seq, query, binding, LatencyMarker(created_at=g))
-                )
-                step += 1
-            cursor.step = step
-            self._seq = seq
-            return
-        # Fault-injected path: build the horizon's tick grids, filter
-        # drop-faulted watermarks, then draw every delay in one
-        # ``sample_batch`` call and apply the range fault hooks.
         qid = query.query_id
+        faults = self.faults
+        if faults is not None and not faults.perturbs_source(qid):
+            faults = None  # every source hook would be a no-op
         metrics = self.metrics
+        sample = spec.delay_model.sample_amortized
+        seq = self._seq
+        buckets = self._cal_buckets
+        cur = self._cal_cycle
+        now = self.clock.now
+        cycle_ms = self.cycle_ms
+        # The cursors' drift-free arithmetic (``origin + step * period``,
+        # see PeriodicCursor.value) is inlined below with origin/period
+        # hoisted: this loop runs for every binding every cycle and the
+        # property indirection dominates its cost. Records are filed
+        # inline, under _file_network's bucket rule.
+        gen_batch_ms = spec.gen_batch_ms
         cursor = binding._gen_cursor
         g_origin, g_period = cursor.origin, cursor.period
         step = cursor.step
         g0 = g_origin + step * g_period
-        ev_g0: List[float] = []
-        ev_g1: List[float] = []
+        # Event batches: one per generation interval, rate-modulated by the
+        # source's burst state machine (load spikes, Sec. 1).
+        bursty = spec.burst_factor > 1.0
+        if not bursty:
+            count = spec.rate_eps * gen_batch_ms / 1000.0
+        else:
+            rate = self._current_rate
+        bytes_per_event = spec.bytes_per_event
         while g0 + gen_batch_ms <= horizon:
             step += 1
             g1 = g_origin + step * g_period  # drift-free g0 + gen_batch_ms
-            ev_g0.append(g0)
-            ev_g1.append(g1)
+            if bursty:
+                count = rate(binding, g0) * gen_batch_ms / 1000.0
+            if shed_events:
+                metrics.events_shed += count
+            elif count > 0:
+                delay = sample()
+                if faults is not None:
+                    # A stalled source holds the batch until the stall
+                    # ends; the extra time counts as experienced network
+                    # delay, so Klink's delay history sees the perturbation.
+                    delay = max(delay, faults.source_hold_until(qid, g1) - g1)
+                t = g1 + delay
+                seq += 1
+                key = cur if t <= now else cur + int((t - now) / cycle_ms)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                bucket.append(
+                    (
+                        t,
+                        seq,
+                        query,
+                        binding,
+                        EventBatch(
+                            count=count,
+                            t_start=g0,
+                            t_end=g1,
+                            delay=delay,
+                            bytes_per_event=bytes_per_event,
+                        ),
+                    )
+                )
             g0 = g1
         cursor.step = step
-        n_ev = len(ev_g0)
-        if spec.burst_factor <= 1.0:
-            count = spec.rate_eps * gen_batch_ms / 1000.0
-            counts = [count] * n_ev
-        else:
-            # The burst state machine consumes binding.rng in interval
-            # order, exactly like the scalar while-loop.
-            rate = self._current_rate
-            counts = [rate(binding, g) * gen_batch_ms / 1000.0 for g in ev_g0]
-        if shed_events:
-            # Sequential adds: float accumulation order matches the
-            # scalar per-interval ``events_shed += count``.
-            for count in counts:
-                metrics.events_shed += count
-            n_event_draws = 0
-        else:
-            n_event_draws = sum(1 for count in counts if count > 0)
-        # Watermark grid. Drop-faulted ticks are filtered out *before*
-        # sampling — a dropped watermark consumes no delay draw.
-        wm_live: List[float] = []
+        # Watermarks: periodic, timestamp lags generation by the lateness
+        # allowance (Sec. 2.2's "current time minus five seconds" pattern).
+        # Suppressed for sources whose pipeline generates watermarks with
+        # a WatermarkGeneratorOperator instead (Sec. 2.2 case ii).
         if spec.emit_watermarks:
             cursor = binding._watermark_cursor
             w_origin, w_period = cursor.origin, cursor.period
             step = cursor.step
-            wm_ticks: List[float] = []
+            lateness = spec.lateness_ms
+            source_id = binding.source_id
             while True:
                 g = w_origin + step * w_period
                 if g > horizon:
                     break
                 step += 1
-                wm_ticks.append(g)
-            cursor.step = step
-            if wm_ticks and faults is not None:
-                dropped = faults.drops_watermark_range(qid, wm_ticks)
-                n_dropped = sum(dropped)
-                if n_dropped:
-                    # Integer counter bumped by an integer tick count —
-                    # no float drift is possible here.
-                    metrics.watermarks_dropped_by_faults += n_dropped  # klink: allow[KL005]
-                    wm_live = [
-                        g for g, drop in zip(wm_ticks, dropped) if not drop
-                    ]
+                if faults is None:
+                    delay = sample()
+                elif faults.drops_watermark(qid, g):
+                    # A lost watermark takes no delay draw.
+                    metrics.watermarks_dropped_by_faults += 1
+                    continue
                 else:
-                    wm_live = wm_ticks
-            else:
-                wm_live = wm_ticks
-        # Latency-marker grid.
+                    delay = sample() + faults.watermark_extra_delay(qid, g)
+                    delay = max(delay, faults.source_hold_until(qid, g) - g)
+                t = g + delay
+                seq += 1
+                key = cur if t <= now else cur + int((t - now) / cycle_ms)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = bucket = []
+                bucket.append(
+                    (
+                        t,
+                        seq,
+                        query,
+                        binding,
+                        Watermark(g - lateness, source_id=source_id),
+                    )
+                )
+            cursor.step = step
+        # Latency markers: 200 ms period per source (Sec. 6.1.2).
         cursor = binding._marker_cursor
         m_origin, m_period = cursor.origin, cursor.period
         step = cursor.step
-        mk_ticks: List[float] = []
+        marker_id = self._marker_id
         while True:
             g = m_origin + step * m_period
             if g > horizon:
                 break
-            mk_ticks.append(g)
+            delay = sample()
+            if faults is not None:
+                delay = max(delay, faults.source_hold_until(qid, g) - g)
+            t = g + delay
+            seq += 1
+            key = cur if t <= now else cur + int((t - now) / cycle_ms)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = bucket = []
+            bucket.append((t, seq, query, binding, LatencyMarker(g, marker_id)))
+            marker_id += 1
             step += 1
         cursor.step = step
-        n_wm = len(wm_live)
-        n_mk = len(mk_ticks)
-        total = n_event_draws + n_wm + n_mk
-        if total == 0:
-            return
-        # One batched draw covers the whole binding-cycle; slices are
-        # consumed in the scalar order (events, watermarks, markers).
-        delays = spec.delay_model.sample_batch(total).tolist()
-        push = self._push_network
-        i = 0
-        if n_event_draws:
-            bytes_per_event = spec.bytes_per_event
-            holds = faults.source_hold_until_range(qid, ev_g1)
-            for j, count in enumerate(counts):
-                if count <= 0:
-                    continue
-                g1 = ev_g1[j]
-                delay = delays[i]
-                i += 1
-                delay = max(delay, holds[j] - g1)
-                push(
-                    g1 + delay,
-                    query,
-                    binding,
-                    EventBatch(
-                        count=count,
-                        t_start=ev_g0[j],
-                        t_end=g1,
-                        delay=delay,
-                        bytes_per_event=bytes_per_event,
-                    ),
-                )
-        if n_wm:
-            lateness = spec.lateness_ms
-            source_id = binding.source_id
-            extras = faults.watermark_extra_delay_range(qid, wm_live)
-            holds_w = faults.source_hold_until_range(qid, wm_live)
-            for j, g in enumerate(wm_live):
-                delay = delays[i]
-                i += 1
-                delay += extras[j]
-                delay = max(delay, holds_w[j] - g)
-                push(
-                    g + delay,
-                    query,
-                    binding,
-                    Watermark(g - lateness, source_id=source_id),
-                )
-        if n_mk:
-            holds_m = faults.source_hold_until_range(qid, mk_ticks)
-            for j, g in enumerate(mk_ticks):
-                delay = delays[i]
-                i += 1
-                delay = max(delay, holds_m[j] - g)
-                push(g + delay, query, binding, LatencyMarker(created_at=g))
+        self._marker_id = marker_id  # klink: transient[never rolled back; restore raises it past every restored id]
+        self._seq = seq
 
     def _current_rate(self, binding: SourceBinding, at: float) -> float:
         """Source rate at generation time ``at``, per the burst state."""
@@ -584,23 +352,30 @@ class Engine:
         factor = spec.burst_factor if binding.bursting else spec.quiet_factor
         return spec.rate_eps * factor
 
+    def reserve_marker_ids(self, highest: int) -> None:
+        """Number future latency markers above ``highest``, an id this
+        engine now holds (a restore calls this, so an engine resuming a
+        snapshot never reissues a restored marker's id)."""
+        if highest >= self._marker_id:
+            self._marker_id = highest + 1
+
+    # -- network -------------------------------------------------------------------
+
     def _push_network(
         self, ingest_time: float, query: Query, binding: SourceBinding, record: object
     ) -> None:
         self._seq += 1
-        if not self.vectorized:
-            heapq.heappush(  # klink: transient[canonical form captured as network_entries]
-                self._network, (ingest_time, self._seq, query, binding, record)
-            )
-            return
-        # Calendar queue: file the record under the first cycle whose
-        # delivery pass may find it due. The bucket index only controls
-        # *when the record is checked* — the authoritative test stays the
-        # per-record ``ingest_time <= now`` in the delivery pass, so a
-        # record bucketed one cycle early (float division is correctly
-        # rounded, so it can never be bucketed late by more than an ulp's
-        # worth, which the re-check absorbs) is simply deferred to the
-        # next bucket, exactly as the heap would have left it unpopped.
+        self._file_network((ingest_time, self._seq, query, binding, record))
+
+    def _file_network(self, entry: NetworkEntry) -> None:
+        """File ``entry`` under the first cycle whose delivery pass may find
+        it due. The bucket index only controls *when the record is
+        checked*: the authoritative test stays the per-record
+        ``ingest_time <= now`` in the delivery pass, so a record bucketed
+        one cycle early (float division is correctly rounded, so it can
+        never be bucketed late by more than an ulp's worth, which the
+        re-check absorbs) is simply deferred to the next bucket."""
+        ingest_time = entry[0]
         now = self.clock.now
         if ingest_time <= now:
             key = self._cal_cycle
@@ -609,55 +384,26 @@ class Engine:
         bucket = self._cal_buckets.get(key)
         if bucket is None:
             self._cal_buckets[key] = bucket = []  # klink: transient[canonical form captured as network_entries]
-        bucket.append((ingest_time, self._seq, query, binding, record))
+        bucket.append(entry)
 
     @property
-    def network_entries(self) -> List[Tuple[float, int, Query, SourceBinding, object]]:
-        """Every in-flight record, sorted by the (ingest_time, seq) total
-        order both network layouts deliver in. The checkpoint codec
-        captures this canonical form, so snapshot bytes are independent
-        of the active layout; assigning it loads restored records into
-        whichever layout the engine runs."""
-        if self.vectorized:
-            entries = [
-                entry
-                for bucket in self._cal_buckets.values()
-                for entry in bucket
-            ]
-        else:
-            entries = list(self._network)
+    def network_entries(self) -> List[NetworkEntry]:
+        """Every in-flight record, sorted by (ingest_time, seq) — the order
+        the network delivers in. The checkpoint codec captures this form;
+        assigning it re-files the records against the current clock."""
+        entries = [
+            entry for bucket in self._cal_buckets.values() for entry in bucket
+        ]
         entries.sort(key=lambda entry: (entry[0], entry[1]))
         return entries
 
     @network_entries.setter
-    def network_entries(
-        self, entries: List[Tuple[float, int, Query, SourceBinding, object]]
-    ) -> None:
-        if self.vectorized:
-            self._network = []
-            self._cal_buckets = {}
-            for entry in entries:
-                ingest_time = entry[0]
-                now = self.clock.now
-                if ingest_time <= now:
-                    key = self._cal_cycle
-                else:
-                    key = self._cal_cycle + int(
-                        (ingest_time - now) / self.cycle_ms
-                    )
-                bucket = self._cal_buckets.get(key)
-                if bucket is None:
-                    self._cal_buckets[key] = bucket = []
-                bucket.append(entry)
-        else:
-            # A time-sorted list is a valid heap, and pop order is total
-            # in (ingest_time, seq), so the layout is behaviour-neutral.
-            self._network = list(entries)
-            self._cal_buckets = {}
+    def network_entries(self, entries: List[NetworkEntry]) -> None:
+        self._cal_buckets = {}
+        for entry in entries:
+            self._file_network(entry)
 
-    def _due_calendar_records(
-        self, now: float
-    ) -> List[Tuple[float, int, Query, SourceBinding, object]]:
+    def _due_calendar_records(self, now: float) -> List[NetworkEntry]:
         """Drain every bucket up to the current cycle and return the
         deliverable records in (ingest_time, seq) order; records checked
         early re-file under the next cycle's bucket."""
@@ -689,7 +435,7 @@ class Engine:
             else:
                 nxt.extend(early)
         # (ingest_time, seq) pairs are unique, so tuple comparison never
-        # reaches the Query element and the order equals heap-pop order.
+        # reaches the Query element.
         ready.sort()
         return ready
 
@@ -708,29 +454,7 @@ class Engine:
         over queries) defers everything for queries whose ingestion path
         is unavailable — e.g. their source node failed.
         """
-        if self.vectorized:
-            ready = self._due_calendar_records(now)
-        else:
-            # Popping the whole due prefix first, then processing, is
-            # identical to the historical pop-process interleave: the
-            # processing body never pushes into the network (deferrals
-            # re-enter only after the loop).
-            ready = []
-            network = self._network
-            heappop = heapq.heappop
-            while network and network[0][0] <= now:
-                ready.append(heappop(network))
-        self._ingest_records(ready, now, backpressured, blocked)
-
-    def _ingest_records(
-        self,
-        ready: List[Tuple[float, int, Query, SourceBinding, object]],
-        now: float,
-        backpressured: bool,
-        blocked=None,
-    ) -> None:
-        """Deliver ``ready`` (already in (ingest_time, seq) order) into
-        source queues; shared by the heap and calendar network layouts."""
+        ready = self._due_calendar_records(now)
         deferred = []
         stalled: Dict[str, bool] = {}
         metrics = self.metrics

@@ -12,6 +12,19 @@ restored), a two-node ``DistributedEngine.with_klink`` failover, a
 four-node split deployment in which most nodes host no operator of a given
 query (so they rank it on forwarded information alone) and a standby
 failover moves operators between nodes, and a traced run with checkpoints.
+
+The ``kernel-*`` runs pin the cycle kernel (source generation, network
+delay draws, the calendar-queue network and its delivery order) on small
+runs: a summary matrix over every scheduler, a fully observed trace, a
+lineage-sampled run, fault-injected runs, restart failovers, the snapshot
+bytes of a run whose delay models hold prefetched draws, a run that
+defers payload for consecutive backpressured cycles, and bursty sources.
+``cli-lrb-faults-checkpoints`` is the trace of the fault-injected,
+checkpointed LRB run that ``repro-bench run --workload lrb --scheduler
+Klink --queries 4 --duration 20 --cores 8 --seed 5 --faults 3
+--checkpoint-period 5000 --trace T`` writes. Runs marked ``chaos`` run
+outside tier-1 (``pytest -m ""``).
+
 Regenerate the fixture only for a deliberate output change::
 
     PYTHONPATH=src python -m tests.test_golden_digests --record
@@ -22,17 +35,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import tempfile
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
-import repro.spe.events as events_mod
-from repro.bench.runner import ExperimentConfig, run_experiment, trace_summary
+from repro.bench.runner import (
+    SCHEDULER_NAMES,
+    ExperimentConfig,
+    make_scheduler,
+    run_experiment,
+    trace_summary,
+)
 from repro.core.klink import KlinkScheduler
 from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import FaultPlan, InvariantMonitor
@@ -44,11 +61,12 @@ from repro.resilience import (
     RecoveryConfig,
     RecoveryManager,
 )
-from repro.resilience.checkpoint import serialize
+from repro.resilience.checkpoint import capture, serialize
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
 from repro.spe.tracing import CycleTracer
 from repro.workloads import WorkloadParams, build_queries
+from tests.helpers import make_simple_query
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_digests.json"
 
@@ -59,12 +77,6 @@ def _sha(text: str) -> str:
 
 def _json_sha(value: Any) -> str:
     return _sha(json.dumps(value, sort_keys=True))
-
-
-def _fresh_marker_ids() -> None:
-    """LatencyMarker ids are process-global and land in snapshot bytes;
-    number every pinned run's markers from zero, as a fresh process does."""
-    events_mod._marker_ids = itertools.count()
 
 
 def _record_store(coordinator: CheckpointCoordinator) -> List[Tuple[str, str]]:
@@ -101,7 +113,6 @@ def _digests(
 def ysb_standby_lineage() -> Tuple[Engine, Dict[str, Any]]:
     """YSB, Klink, contended cores, one standby failover, every record
     sampled by the lineage tracker."""
-    _fresh_marker_ids()
     queries = build_queries("ysb", 10, WorkloadParams(seed=5))
     scheduler = KlinkScheduler()
     tracker = LineageTracker(1.0, seed=5)
@@ -133,7 +144,6 @@ def ysb_standby_lineage() -> Tuple[Engine, Dict[str, Any]]:
 @lru_cache(maxsize=None)
 def dist_klink_standby() -> Tuple[Engine, Dict[str, Any]]:
     """Fig. 6e's split deployment on two nodes; node 1 fails once."""
-    _fresh_marker_ids()
     queries = build_queries("ysb", 8, WorkloadParams(seed=7))
     plan = PhysicalPlan.split(queries, 2, segments=2)
     coordinator = CheckpointCoordinator(2_000.0)
@@ -160,7 +170,6 @@ def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
     nodes, so the other two rank it from forwarded delay and cost alone.
     Node 1 fails once and its standby moves its operators to a survivor.
     Audit, telemetry and the cycle tracer stream into one JSONL trace."""
-    _fresh_marker_ids()
     queries = build_queries("ysb", 16, WorkloadParams(seed=11, rate_scale=1.25))
     plan = PhysicalPlan.split(queries, 4, segments=2)
     coordinator = CheckpointCoordinator(2_000.0)
@@ -207,7 +216,6 @@ def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
 def ysb_traced_checkpoints() -> Dict[str, Any]:
     """A full JSONL trace (audit, telemetry, lineage) of a run that
     checkpoints but never fails."""
-    _fresh_marker_ids()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         result = run_experiment(
@@ -232,13 +240,218 @@ def ysb_traced_checkpoints() -> Dict[str, Any]:
     }
 
 
-def current_digests() -> Dict[str, Dict[str, Any]]:
+# -- the cycle-kernel matrix ----------------------------------------------------
+
+KERNEL_DURATION_MS = 30_000.0
+KERNEL_QUERIES = 3
+KERNEL_SEED = 7
+#: workloads and the tier-1 scheduler slice of the kernel summary matrix
+KERNEL_WORKLOADS = ("ysb", "lrb")
+KERNEL_SLICE = ("Klink", "Default")
+#: restart-failover matrix: (workload, scheduler, failure time); the
+#: first entry runs in tier-1
+KERNEL_FAILOVERS = [("ysb", "Klink", 8_000.0)] + [
+    (workload, scheduler, fail_at)
+    for workload in KERNEL_WORKLOADS
+    for scheduler in KERNEL_SLICE
+    for fail_at in (5_000.0, 12_000.0)
+]
+
+
+def _kernel_config(workload: str, scheduler: str, **fields: Any) -> ExperimentConfig:
+    return ExperimentConfig(
+        workload=workload,
+        scheduler=scheduler,
+        duration_ms=KERNEL_DURATION_MS,
+        n_queries=KERNEL_QUERIES,
+        seed=KERNEL_SEED,
+        **fields,
+    )
+
+
+@lru_cache(maxsize=None)
+def kernel_summary(workload: str, scheduler: str) -> Dict[str, Any]:
+    result = run_experiment(_kernel_config(workload, scheduler))
+    return {"summary": _json_sha(result.summary)}
+
+
+@lru_cache(maxsize=None)
+def kernel_trace() -> Dict[str, Any]:
+    """Trace, audit and telemetry: every record the trace writer emits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        result = run_experiment(
+            _kernel_config(
+                "ysb", "Klink", audit=True, telemetry=True, trace_path=str(path)
+            )
+        )
+        trace = path.read_text()
+    return {"summary": _json_sha(result.summary), "trace": _sha(trace)}
+
+
+@lru_cache(maxsize=None)
+def kernel_lineage() -> Dict[str, Any]:
+    result = run_experiment(
+        _kernel_config("ysb", "Klink", lineage_sample_rate=0.05)
+    )
+    return {"summary": _json_sha(result.summary)}
+
+
+@lru_cache(maxsize=None)
+def kernel_faults(workload: str, fault_seed: int) -> Dict[str, Any]:
+    """Seed 3 delays watermarks; seed 5 also stalls a source and drops
+    watermarks."""
+    result = run_experiment(
+        _kernel_config(
+            workload, "Klink", fault_seed=fault_seed, check_invariants=True
+        )
+    )
     return {
-        "ysb-standby-lineage": ysb_standby_lineage()[1],
-        "dist-klink-standby": dist_klink_standby()[1],
-        "dist4-klink-traced-standby": dist4_klink_traced_standby()[1],
-        "ysb-traced-checkpoints": ysb_traced_checkpoints(),
+        "summary": _json_sha(result.summary),
+        "watermarks_dropped": result.metrics.watermarks_dropped_by_faults,
+        "invariants_ok": result.monitor.ok,
     }
+
+
+@lru_cache(maxsize=None)
+def kernel_restart(workload: str, scheduler: str, fail_at: float) -> Dict[str, Any]:
+    """Checkpoint, fail mid-flight, roll back when the node returns."""
+    queries = build_queries(
+        workload, KERNEL_QUERIES, WorkloadParams(seed=KERNEL_SEED)
+    )
+    monitor = InvariantMonitor()
+    coordinator = CheckpointCoordinator(2_000.0)
+    engine = Engine(
+        queries,
+        make_scheduler(scheduler),
+        cores=8,
+        cycle_ms=100.0,
+        seed=KERNEL_SEED,
+        faults=FaultPlan([NodeFailure(fail_at, fail_at + 3_000.0, node=0)]),
+        invariants=monitor,
+        checkpoints=coordinator,
+        recovery=RecoveryManager(RecoveryConfig("restart"), coordinator),
+    )
+    metrics = engine.run(20_000.0)
+    return {
+        "summary": _json_sha(metrics.summary()),
+        "checkpoints_taken": metrics.checkpoints_taken,
+        "recoveries": metrics.recoveries,
+        "invariants_ok": monitor.ok,
+    }
+
+
+@lru_cache(maxsize=None)
+def kernel_snapshot() -> Tuple[Engine, Dict[str, Any]]:
+    """Snapshot bytes mid-run. The run is long enough that every staggered
+    source has deployed and draws delays."""
+    queries = build_queries("ysb", KERNEL_QUERIES, WorkloadParams(seed=KERNEL_SEED))
+    engine = Engine(
+        queries, make_scheduler("Klink"), cores=8, cycle_ms=100.0, seed=KERNEL_SEED
+    )
+    engine.run(25_000.0)
+    snapshot = serialize(capture(engine))
+    return engine, {"snapshot": _sha(snapshot), "snapshot_bytes": len(snapshot)}
+
+
+@lru_cache(maxsize=None)
+def kernel_backpressure() -> Dict[str, Any]:
+    """A memory budget small enough that payload is deferred for
+    consecutive cycles: each deferral re-files the record under a fresh
+    (ingest_time, seq) key, so an ordering drift would compound."""
+    result = run_experiment(
+        ExperimentConfig(
+            workload="ysb",
+            scheduler="Default",
+            duration_ms=30_000.0,
+            n_queries=KERNEL_QUERIES,
+            seed=KERNEL_SEED,
+            cores=1,
+            rate_scale=8.0,
+            memory_gb=0.0001,
+        )
+    )
+    return {
+        "summary": _json_sha(result.summary),
+        "backpressure_cycles": result.metrics.backpressure_cycles,
+    }
+
+
+@lru_cache(maxsize=None)
+def kernel_bursty(seed: int) -> Dict[str, Any]:
+    """The burst state machine consumes ``binding.rng`` in interval order."""
+    queries = [
+        make_simple_query("bursty-q0", rate_eps=5_000.0, burst_factor=3.0, seed=seed)
+    ]
+    engine = Engine(
+        queries, make_scheduler("Default"), cores=2, cycle_ms=100.0, seed=seed
+    )
+    return {"summary": _json_sha(engine.run(10_000.0).summary())}
+
+
+@lru_cache(maxsize=None)
+def cli_lrb_faults_checkpoints() -> Dict[str, Any]:
+    """The run behind ``repro-bench run --workload lrb --scheduler Klink
+    --queries 4 --duration 20 --cores 8 --seed 5 --faults 3
+    --checkpoint-period 5000 --trace T``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        result = run_experiment(
+            ExperimentConfig(
+                workload="lrb",
+                scheduler="Klink",
+                n_queries=4,
+                duration_ms=20_000.0,
+                cores=8,
+                seed=5,
+                fault_seed=3,
+                checkpoint_period_ms=5_000.0,
+                trace_path=str(path),
+            )
+        )
+        trace = path.read_text()
+    return {
+        "summary": _json_sha(result.summary),
+        "checkpoints_taken": result.metrics.checkpoints_taken,
+        "trace": _sha(trace),
+    }
+
+
+#: every pinned run, by fixture key
+CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
+    "ysb-standby-lineage": lambda: ysb_standby_lineage()[1],
+    "dist-klink-standby": lambda: dist_klink_standby()[1],
+    "dist4-klink-traced-standby": lambda: dist4_klink_traced_standby()[1],
+    "ysb-traced-checkpoints": ysb_traced_checkpoints,
+    "kernel-trace-ysb-Klink": kernel_trace,
+    "kernel-lineage-ysb-Klink": kernel_lineage,
+    "kernel-faults-ysb": partial(kernel_faults, "ysb", 3),
+    "kernel-faults-lrb": partial(kernel_faults, "lrb", 3),
+    "kernel-faults-seed5-ysb": partial(kernel_faults, "ysb", 5),
+    "kernel-faults-seed5-lrb": partial(kernel_faults, "lrb", 5),
+    "kernel-snapshot-ysb-Klink": lambda: kernel_snapshot()[1],
+    "kernel-backpressure-ysb-Default": kernel_backpressure,
+    "kernel-bursty-seed5": partial(kernel_bursty, 5),
+    "kernel-bursty-seed6": partial(kernel_bursty, 6),
+    "cli-lrb-faults-checkpoints": cli_lrb_faults_checkpoints,
+}
+#: runs outside tier-1
+CHAOS = set()
+for _workload in KERNEL_WORKLOADS:
+    for _scheduler in SCHEDULER_NAMES:
+        _name = f"kernel-summary-{_workload}-{_scheduler}"
+        CASES[_name] = partial(kernel_summary, _workload, _scheduler)
+        if _scheduler not in KERNEL_SLICE:
+            CHAOS.add(_name)
+for _i, (_workload, _scheduler, _fail_at) in enumerate(KERNEL_FAILOVERS):
+    _name = f"kernel-restart-{_workload}-{_scheduler}-{int(_fail_at)}"
+    CASES[_name] = partial(kernel_restart, _workload, _scheduler, _fail_at)
+    if _i:
+        CHAOS.add(_name)
+
+
+def current_digests() -> Dict[str, Dict[str, Any]]:
+    return {run: digests() for run, digests in CASES.items()}
 
 
 def _golden() -> Dict[str, Dict[str, Any]]:
@@ -260,14 +473,33 @@ def test_pinned_runs_exercise_failover_and_lineage():
 @pytest.mark.parametrize(
     "run",
     [
-        "ysb-standby-lineage",
-        "dist-klink-standby",
-        "dist4-klink-traced-standby",
-        "ysb-traced-checkpoints",
+        pytest.param(run, marks=pytest.mark.chaos) if run in CHAOS else run
+        for run in CASES
     ],
 )
 def test_matches_golden_digests(run):
-    assert current_digests()[run] == _golden()[run]
+    assert CASES[run]() == _golden()[run]
+
+
+def test_kernel_runs_exercise_what_they_pin():
+    for workload in KERNEL_WORKLOADS:
+        assert kernel_faults(workload, 3)["invariants_ok"]
+        seed5 = kernel_faults(workload, 5)
+        assert seed5["invariants_ok"] and seed5["watermarks_dropped"] > 0
+    restart = kernel_restart(*KERNEL_FAILOVERS[0])
+    assert restart["invariants_ok"]
+    assert restart["checkpoints_taken"] >= 1 and restart["recoveries"] >= 1
+    assert kernel_backpressure()["backpressure_cycles"] >= 2
+    # The seed drives the burst walk.
+    assert kernel_bursty(5) != kernel_bursty(6)
+    # The snapshot is taken while some delay model holds prefetched
+    # draws, so the codec's logical-state reconstruction is exercised.
+    engine, _ = kernel_snapshot()
+    assert any(
+        b.spec.delay_model._draw_pos < len(b.spec.delay_model._draw_buf)
+        for q in engine.queries
+        for b in q.bindings
+    )
 
 
 def test_stored_snapshots_never_change_after_capture():

@@ -31,6 +31,7 @@ from repro.resilience import (
 )
 from repro.spe.engine import Engine
 from repro.spe.memory import MemoryConfig
+from repro.workloads import WorkloadParams, build_queries
 
 from tests.helpers import make_join_query, make_simple_query
 
@@ -122,6 +123,48 @@ def test_resumed_run_equals_uninterrupted_run(scheduler):
     assert resumed_summary == full_summary
     assert resumed.metrics.swm_latencies == full.metrics.swm_latencies
     assert resumed.metrics.marker_latencies == full.metrics.marker_latencies
+
+
+def _marker_ids(snapshot):
+    """Every latency-marker id a snapshot holds, in flight or queued."""
+    records = [record for *_, record in snapshot["network"]]
+    for q_state in snapshot["queries"]:
+        for op_state in q_state["operators"]:
+            for channel in op_state["inputs"]:
+                records.extend(rec for rec, _ in channel["entries"])
+                records.extend(rec for rec, _ in channel["pending"])
+    return [rec["id"] for rec in records if rec["t"] == "m"]
+
+
+class TestLatencyMarkerIds:
+    @staticmethod
+    def ysb_engine() -> Engine:
+        """Network delays up to 500 ms keep markers in flight across
+        cycles, so snapshots hold some."""
+        queries = build_queries("ysb", 3, WorkloadParams(seed=7))
+        return Engine(
+            queries, make_scheduler("Klink"), cores=8, cycle_ms=100.0, seed=7
+        )
+
+    def test_identical_engines_in_one_process_snapshot_identically(self):
+        first = self.ysb_engine()
+        first.run(20_000.0)
+        second = self.ysb_engine()
+        second.run(20_000.0)
+        assert _marker_ids(capture(first))
+        assert serialize(capture(second)) == serialize(capture(first))
+
+    def test_resumed_engine_never_reissues_a_restored_id(self):
+        first = self.ysb_engine()
+        first.run(20_000.0)
+        snapshot = deserialize(serialize(capture(first)))
+        restored = _marker_ids(snapshot)
+        resumed = self.ysb_engine()
+        restore(resumed, snapshot, mode="resume")
+        resumed.run(1_000.0)
+        fresh = set(_marker_ids(capture(resumed))) - set(restored)
+        assert restored and fresh
+        assert min(fresh) > max(restored)
 
 
 class TestRestoreValidation:
