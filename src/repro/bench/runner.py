@@ -61,6 +61,7 @@ from repro.resilience import (
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
 from repro.spe.metrics import RunMetrics
+from repro.spe.streams import DEFAULT_BATCH_SIZE
 from repro.workloads import WorkloadParams, build_queries
 
 #: simulated experiment length (the paper runs 20 real minutes)
@@ -137,10 +138,10 @@ class ExperimentConfig:
     # recovery strategy for node failures (None keeps legacy semantics)
     checkpoint_period_ms: Optional[float] = None
     recover: Optional[str] = None  # "restart" | "standby" | "none"
-    # rows coalesced per channel queue entry (1 = per-event reference
-    # path); execution is byte-identical for every value, so this is a
-    # pure wall-clock knob and safe to default on
-    batch_size: int = 64
+    # payload rows per channel queue entry (1 = one row per entry);
+    # execution is byte-identical for every value, so this is a pure
+    # wall-clock knob
+    batch_size: int = DEFAULT_BATCH_SIZE
     # hash-based lineage sampling rate (0 = off). Tracing is a pure
     # observer: any rate leaves summaries, scheduler decisions, and
     # checkpoint bytes identical to an untraced run.

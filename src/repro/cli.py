@@ -42,6 +42,7 @@ from repro.bench.runner import (
 )
 from repro.core.estimator import SwmIngestionEstimator
 from repro.core.lr import LinearRegressionEstimator
+from repro.spe.streams import DEFAULT_BATCH_SIZE
 from repro.workloads import (
     WorkloadParams,
     build_queries,
@@ -185,12 +186,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "--checkpoint-period 5000 unless one is given",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=64, metavar="N",
-        help="rows coalesced per channel queue entry (default 64); "
-             "1 selects the per-event reference path. Execution is "
-             "byte-identical for every value — summaries and traces "
-             "match batch-size 1 exactly — so this only trades memory "
-             "for simulation wall-clock",
+        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE, metavar="N",
+        help="payload rows per channel queue entry (default "
+             f"{DEFAULT_BATCH_SIZE}; 1 = one row per entry). Execution is "
+             "byte-identical for every value — summaries and traces do "
+             "not change with it — so this only trades memory for "
+             "simulation wall-clock",
     )
     parser.add_argument(
         "--lineage-sample-rate", type=float, default=0.0, metavar="RATE",

@@ -179,12 +179,12 @@ def _decode_record(state: Dict[str, Any]) -> object:
     if kind == "m":
         return LatencyMarker(created_at=state["at"], marker_id=state["id"])
     if kind == "rb":
-        rb = RecordBatch(state["bpe"])
-        rb.counts = [float(v) for v in state["counts"]]
-        rb.t_starts = [float(v) for v in state["t_starts"]]
-        rb.t_ends = [float(v) for v in state["t_ends"]]
-        rb.delays = [float(v) for v in state["delays"]]
-        rb.enqueued_ats = [float(v) for v in state["enq"]]
+        columns = [
+            [float(v) for v in state[key]]
+            for key in ("counts", "t_starts", "t_ends", "delays", "enq")
+        ]
+        rb = RecordBatch(state["bpe"], *(column[0] for column in columns))
+        rb.counts, rb.t_starts, rb.t_ends, rb.delays, rb.enqueued_ats = columns
         return rb
     raise CheckpointError(f"unknown record tag: {kind!r}")
 

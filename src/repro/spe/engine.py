@@ -43,6 +43,7 @@ from repro.spe.metrics import RunMetrics, UtilizationSample
 from repro.spe.operators import Operator, SinkOperator
 from repro.spe.query import Query, SourceBinding
 from repro.spe.simtime import VirtualClock
+from repro.spe.streams import DEFAULT_BATCH_SIZE
 
 #: an in-flight network record: (ingest_time, seq, query, binding, record)
 NetworkEntry = Tuple[float, int, Query, SourceBinding, object]
@@ -69,7 +70,7 @@ class Engine:
         recovery=None,
         lineage=None,
         validate: bool = True,
-        batch_size: int = 1,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         if cores < 1:
             raise ValueError(f"need at least one core: {cores}")
@@ -80,21 +81,18 @@ class Engine:
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1: {batch_size}")
         self.queries = list(queries)
-        #: rows coalesced per channel queue entry (1 = per-event mode).
-        #: All payload channels carry columnar RecordBatch runs instead of
-        #: individual EventBatch entries. Single-input operators drain a
-        #: run's rows within one budget-loop turn; multi-input (join)
-        #: operators consume exactly one row per round-robin turn, which
-        #: replicates the per-event entry granularity their budget split
-        #: depends on. Execution is byte-identical for every batch size
-        #: (the batch_size=1-vs-N equality gate in tests and CI enforces
-        #: it).
+        #: row cap of every input channel's columnar RecordBatch entries
+        #: (1 = one row per entry). Single-input operators drain an
+        #: entry's rows within one budget-loop turn; multi-input (join)
+        #: operators consume exactly one row per round-robin turn, the
+        #: granularity their budget split depends on. Execution is
+        #: byte-identical for every row cap (the batch-equivalence gate in
+        #: tests and CI enforces it).
         self.batch_size = int(batch_size)
-        if self.batch_size > 1:
-            for query in self.queries:
-                for op in query.operators:
-                    for channel in op.inputs:
-                        channel.batch_size = self.batch_size
+        for query in self.queries:
+            for op in query.operators:
+                for channel in op.inputs:
+                    channel.batch_size = self.batch_size
         if validate:
             # Fail fast on misconfigured plans (cycles, keyless keyed
             # windows, watermark-less event-time windows, ...) before a
@@ -492,22 +490,14 @@ class Engine:
                 is_payload = type(record) is EventBatch
             progress = binding.progress
             if is_payload:
-                # Inlined Channel.push dispatch for the common case: a
-                # zero-latency coalescing channel routes EventBatch pushes
-                # straight to push_row with the same arguments push would
-                # forward, skipping one call and one isinstance per batch.
-                ch = binding.channel
-                if ch.batch_size > 1 and ch.latency_ms == 0.0:
-                    ch.push_row(
-                        record.count,
-                        record.t_start,
-                        record.t_end,
-                        record.delay,
-                        record.bytes_per_event,
-                        now,
-                    )
-                else:
-                    ch.push(record, now)
+                binding.channel.push_row(
+                    record.count,
+                    record.t_start,
+                    record.t_end,
+                    record.delay,
+                    record.bytes_per_event,
+                    now,
+                )
                 binding.events_ingested += record.count
                 if progress is not None:
                     progress.observe_delay(record.delay, record.count)

@@ -2,16 +2,19 @@
 
 To keep a pure-Python simulation tractable at the paper's event rates
 (10,000+ events per second per query), payload events are represented as
-*batches*: one :class:`EventBatch` stands for ``count`` events generated over
-the event-time interval ``[t_start, t_end]`` that experienced the same
-network delay. All scheduling-relevant quantities — queue sizes, processing
-cost, selectivity, memory footprint, window assignment — are functions of
-counts and timestamp ranges, so batching preserves the behaviour the paper
-measures while cutting interpreter overhead by orders of magnitude.
+*rows*: one row stands for ``count`` events generated over the event-time
+interval ``[t_start, t_end]`` that experienced the same network delay. All
+scheduling-relevant quantities — queue sizes, processing cost,
+selectivity, memory footprint, window assignment — are functions of
+counts and timestamp ranges, so grouping events this way preserves the
+behaviour the paper measures while cutting interpreter overhead by orders
+of magnitude.
 
-Watermarks and latency markers remain individual records because their
-per-record semantics (progress signalling, latency probing) are the object
-of study.
+A source generates each row as an :class:`EventBatch`, the record the
+network carries. Every channel stores payload as the columns of a
+:class:`RecordBatch`. Watermarks and latency markers remain individual
+records because their per-record semantics (progress signalling, latency
+probing) are the object of study.
 """
 
 from __future__ import annotations
@@ -110,43 +113,28 @@ class EventBatch:
         """Total memory footprint of the batch."""
         return self.count * self.bytes_per_event
 
-    def split_fraction(self, fraction: float) -> "EventBatch":
-        """Return a new batch holding ``fraction`` of this batch's events.
-
-        Used when a scheduling cycle's budget runs out mid-batch; the
-        remainder stays queued. The event-time range is kept identical on
-        both halves (events are interleaved in time, not prefix-ordered).
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction out of range: {fraction}")
-        return EventBatch(
-            count=self.count * fraction,
-            t_start=self.t_start,
-            t_end=self.t_end,
-            delay=self.delay,
-            bytes_per_event=self.bytes_per_event,
-        )
-
 
 class RecordBatch:
-    """A columnar run of :class:`EventBatch` rows coalesced in a queue.
+    """A columnar run of payload rows: the one form payload takes in a
+    channel queue.
 
-    When a channel runs with ``batch_size > 1``, consecutive payload
-    pushes are appended as *rows* of one ``RecordBatch`` instead of
-    individual queue entries: parallel columns hold each row's count,
-    event-time interval, and network delay, plus the engine time at which
-    the row was enqueued. Operators drain rows in order with exactly the
-    per-row arithmetic of the per-event path (the batch_size=1-vs-N
-    equivalence gate holds byte-for-byte); the win is purely constant
-    overhead — one queue entry, one dispatch, and one budget-loop round
-    amortized over the run.
+    Consecutive payload pushes are appended as *rows* of one
+    ``RecordBatch`` (up to the channel's ``batch_size``): parallel columns
+    hold each row's count, event-time interval, and network delay, plus
+    the engine time at which the row was enqueued. Operators drain rows in
+    order with the same per-row arithmetic whatever the row cap (the
+    batch-equivalence gate holds byte-for-byte); a larger cap only
+    amortizes the queue entry, dispatch, and budget-loop round over more
+    rows.
 
     Control records (watermarks, latency markers) are never coalesced,
     and a control push seals the current tail batch, so FIFO order across
     record kinds is preserved exactly.
 
-    ``head`` indexes the first unconsumed row: partially drained batches
-    advance it instead of shifting the columns.
+    A batch is created holding its first row (a queued batch is never
+    empty: a drained one leaves the queue). ``head`` indexes the first
+    unconsumed row: partially drained batches advance it instead of
+    shifting the columns.
     """
 
     __slots__ = (
@@ -159,12 +147,20 @@ class RecordBatch:
         "head",
     )
 
-    def __init__(self, bytes_per_event: int = 100) -> None:
-        self.counts: list = []
-        self.t_starts: list = []
-        self.t_ends: list = []
-        self.delays: list = []
-        self.enqueued_ats: list = []
+    def __init__(
+        self,
+        bytes_per_event: int,
+        count: float,
+        t_start: float,
+        t_end: float,
+        delay: float,
+        enqueued_at: float,
+    ) -> None:
+        self.counts: list = [count]
+        self.t_starts: list = [t_start]
+        self.t_ends: list = [t_end]
+        self.delays: list = [delay]
+        self.enqueued_ats: list = [enqueued_at]
         self.bytes_per_event = int(bytes_per_event)
         self.head = 0
 
@@ -192,15 +188,19 @@ class RecordBatch:
         """Total payload events across unconsumed rows (diagnostics)."""
         return sum(self.counts[self.head:])
 
-    def row_batch(self, index: int) -> "EventBatch":
-        """Materialize one row as a standalone :class:`EventBatch`."""
-        return EventBatch(
-            count=self.counts[index],
-            t_start=self.t_starts[index],
-            t_end=self.t_ends[index],
-            delay=self.delays[index],
-            bytes_per_event=self.bytes_per_event,
-        )
+    def compact(self) -> None:
+        """Drop the consumed prefix before ``head`` (rebases ``head`` to 0).
+
+        Deletes in place, so callers holding the column lists keep valid
+        references.
+        """
+        h = self.head
+        del self.counts[:h]
+        del self.t_starts[:h]
+        del self.t_ends[:h]
+        del self.delays[:h]
+        del self.enqueued_ats[:h]
+        self.head = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -291,14 +291,3 @@ class LatencyMarker:
         )
 
 
-Record = object  # EventBatch | RecordBatch | Watermark | LatencyMarker
-
-
-def is_data(record: object) -> bool:
-    """True for payload-bearing records (batches)."""
-    return isinstance(record, (EventBatch, RecordBatch))
-
-
-def is_control(record: object) -> bool:
-    """True for control records (watermarks and latency markers)."""
-    return isinstance(record, (Watermark, LatencyMarker))

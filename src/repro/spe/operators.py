@@ -29,7 +29,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
+from repro.spe.events import LatencyMarker, RecordBatch, Watermark
 from repro.spe.streams import _COMPACT_THRESHOLD, Channel, _Entry
 from repro.spe.windows import Pane, WindowAssigner
 
@@ -79,7 +79,7 @@ class OperatorStats:
 class Operator:
     """Base class: a stateless unary operator applying selectivity.
 
-    Subclasses override :meth:`_on_batch` and :meth:`_on_watermark` to
+    Subclasses override :meth:`_on_row` and :meth:`_on_watermark` to
     change data/watermark handling; the budget-accounting loop in
     :meth:`step` is shared.
     """
@@ -132,11 +132,11 @@ class Operator:
         self._queues_dirty = True
         self._queued_events_memo = 0.0
         self._queued_bytes_memo = 0.0
-        # True when this class's _on_row is exactly the stateless fast-path
-        # handler: _consume_rows may then fuse row handling and emission
-        # into its drain loop (same expressions, no per-row calls).
+        # True when this class keeps the stateless row handler: _consume_rows
+        # may then fuse row handling and emission into its drain loop (same
+        # expressions, no per-row calls).
         self._stateless_row = (  # klink: transient[build-time classification derived from the class]
-            type(self)._on_row is _StatelessRowFastPath._on_row
+            type(self)._on_row is Operator._on_row
         )
         # Likewise for the windowed pane-assignment handler: when the class
         # inherits _WindowedOperatorBase._on_row unchanged (windowed
@@ -209,164 +209,57 @@ class Operator:
         Inputs are drained round-robin so multi-input operators make
         progress on every stream: each round splits the remaining budget
         evenly across the inputs that still hold records, so one stream's
-        oversized batch cannot starve the others (a join must keep all its
+        oversized row cannot starve the others (a join must keep all its
         watermark fronts moving). Emission order preserves FIFO per input.
         """
-        if len(self.inputs) == 1:
-            # Single-input fast path: the round-robin loop degenerates —
-            # one active channel means share == grant == budget - used,
-            # exactly what the general loop computes (division by 1 is
-            # exact), so this path is float-for-float identical.
-            channel = self.inputs[0]
-            entries = channel._entries
-            used = 0.0
-            while budget_ms - used > _MIN_BUDGET_MS and entries:
-                entry = entries[0]
-                record = entry.record
-                if type(record) is RecordBatch:
-                    used = self._consume_rows(entry, channel, budget_ms, used, now)
-                    continue
-                # Channel.pop inlined: the head entry is already in hand,
-                # and control records (the common case here) need no
-                # payload accounting.
-                entries.popleft()
-                if type(record) is EventBatch:
-                    channel._pop_batch_accounting(record)
-                used += self._dispatch(
-                    record, channel, entry.enqueued_at, budget_ms - used, now
-                )
-            return used
+        inputs = self.inputs
+        if len(inputs) == 1:
+            return self._drain(inputs[0], budget_ms, 0.0, now)
         used = 0.0
-        if len(self.inputs) == 2:
-            # Binary joins dominate the multi-input population, and their
-            # row-per-channel-per-turn granularity makes this loop the
-            # engine's hottest scaffold. Specialized round-robin over the
-            # fixed (a, b) pair: the same expressions in the same order as
-            # the general loop below with ``active == [a, b]`` (division
-            # by len(active) == 2, grant recomputed per turn), minus the
-            # per-round list construction and peek() calls.
-            in_a, in_b = self.inputs
-            a_entries = in_a._entries
-            b_entries = in_b._entries
-            while budget_ms - used > _MIN_BUDGET_MS:
-                if a_entries:
-                    if not b_entries:
-                        channel = in_a
-                        break_after = True
-                    else:
-                        channel = None  # both active: run the pair round
-                elif b_entries:
-                    channel = in_b
-                    break_after = True
-                else:
-                    break
-                if channel is not None:
-                    # Single active channel: drain whole batches, exactly
-                    # like the general loop's len(active) == 1 branch.
-                    entries = channel._entries
-                    while budget_ms - used > _MIN_BUDGET_MS and entries:
-                        entry = entries[0]
-                        record = entry.record
-                        if type(record) is RecordBatch:
-                            used = self._consume_rows(
-                                entry, channel, budget_ms, used, now
-                            )
-                            continue
-                        entries.popleft()
-                        if type(record) is EventBatch:
-                            channel._pop_batch_accounting(record)
-                        used += self._dispatch(
-                            record, channel, entry.enqueued_at,
-                            budget_ms - used, now,
-                        )
-                    break
-                rem = budget_ms - used
-                share = rem / 2
-                # channel a's turn (inlined min: ties take the first arg)
-                grant = share if share <= rem else rem
-                if grant <= _MIN_BUDGET_MS:
-                    break
-                entry = a_entries[0]
-                record = entry.record
-                if type(record) is RecordBatch:
-                    used += self._consume_row_turn(entry, in_a, grant, now)
-                else:
-                    a_entries.popleft()
-                    if type(record) is EventBatch:
-                        in_a._pop_batch_accounting(record)
-                    used += self._dispatch(
-                        record, in_a, entry.enqueued_at, grant, now
-                    )
-                # channel b's turn
-                rem = budget_ms - used
-                grant = share if share <= rem else rem
-                if grant <= _MIN_BUDGET_MS:
-                    continue
-                if not b_entries:  # pragma: no cover - acyclic topology
-                    continue
-                entry = b_entries[0]
-                record = entry.record
-                if type(record) is RecordBatch:
-                    used += self._consume_row_turn(entry, in_b, grant, now)
-                else:
-                    b_entries.popleft()
-                    if type(record) is EventBatch:
-                        in_b._pop_batch_accounting(record)
-                    used += self._dispatch(
-                        record, in_b, entry.enqueued_at, grant, now
-                    )
-            return used
-        progressed = True
-        while budget_ms - used > _MIN_BUDGET_MS and progressed:
-            progressed = False
-            active = [ch for ch in self.inputs if ch._entries]
+        while budget_ms - used > _MIN_BUDGET_MS:
+            active = [ch for ch in inputs if ch._entries]
             if not active:
                 break
             if len(active) == 1:
                 # Only one input holds records: the round-robin loop
                 # degenerates (share == grant == budget - used per record,
-                # division by 1 is exact) into the single-input path, so
-                # whole batches can be drained here byte-identically.
+                # division by 1 is exact) into the single-input drain.
                 # Nothing is pushed to this operator's own inputs during
                 # its step (the topology is acyclic), so the other inputs
                 # stay empty for the rest of the budget.
-                channel = active[0]
-                entries = channel._entries
-                while budget_ms - used > _MIN_BUDGET_MS and entries:
-                    entry = entries[0]
-                    if type(entry.record) is RecordBatch:
-                        used = self._consume_rows(
-                            entry, channel, budget_ms, used, now
-                        )
-                        continue
-                    channel.pop()
-                    used += self._dispatch(
-                        entry.record, channel, entry.enqueued_at,
-                        budget_ms - used, now,
-                    )
-                break
+                return self._drain(active[0], budget_ms, used, now)
             share = (budget_ms - used) / len(active)
             for channel in active:
                 grant = min(share, budget_ms - used)
                 if grant <= _MIN_BUDGET_MS:
-                    break
-                entry = channel.peek()
-                if entry is None:
-                    continue
+                    # share is fixed for the round, so either it is spent
+                    # or the whole budget is: no later turn can run
+                    return used
+                entry = channel._entries[0]
                 if type(entry.record) is RecordBatch:
-                    # Coalesced channel on a multi-input operator: consume
-                    # exactly ONE row this turn — the per-event loop pops
-                    # one record per channel per round, and the row cap
-                    # replicates that granularity (and thus the budget
-                    # split) byte-for-byte.
+                    # One row per channel per turn: the budget split
+                    # depends on this granularity, not on the row cap.
                     used += self._consume_row_turn(entry, channel, grant, now)
-                    progressed = True
-                    continue
-                channel.pop()
-                used += self._dispatch(
-                    entry.record, channel, entry.enqueued_at, grant, now
-                )
-                progressed = True
+                else:
+                    channel._entries.popleft()
+                    used += self._dispatch(entry.record, channel, grant, now)
+        return used
+
+    def _drain(
+        self, channel: Channel, budget_ms: float, used: float, now: float
+    ) -> float:
+        """Drain ``channel`` in FIFO order until the budget is spent or the
+        queue is empty; returns the updated ``used``."""
+        entries = channel._entries
+        while budget_ms - used > _MIN_BUDGET_MS and entries:
+            entry = entries[0]
+            record = entry.record
+            if type(record) is RecordBatch:
+                used = self._consume_rows(entry, channel, budget_ms, used, now)
+                continue
+            # Control records carry no payload accounting.
+            entries.popleft()
+            used += self._dispatch(record, channel, budget_ms - used, now)
         return used
 
     def _consume_rows(
@@ -379,14 +272,14 @@ class Operator:
     ) -> float:
         """Drain rows of the head :class:`RecordBatch` within the budget.
 
-        Replays, row by row, the exact arithmetic the per-event path
-        performs — grant recomputation (`budget - used` per row), the
-        full-vs-partial cost split of :meth:`_consume_batch`, and the
-        channel pop / push_front accounting sequence — so every float the
-        scheduler or the invariant monitor can observe is byte-identical
-        to ``batch_size=1`` execution. Only called on single-input
-        operators (multi-input ones use :meth:`_consume_row_turn`).
-        Returns the updated ``used``.
+        Each row is charged against a grant recomputed as ``budget -
+        used``; a row the grant only partly covers has its affordable
+        fraction processed and the rest left as the new head row. The
+        arithmetic is per row, so every float the scheduler or the
+        invariant monitor can observe is byte-identical whatever the
+        channel's row cap. Called for a single-input drain (multi-input
+        round-robin turns use :meth:`_consume_row_turn`). Returns the
+        updated ``used``.
 
         Stateless and windowed operators run a fused or inlined twin of
         this loop, traced or not: no drain calls the lineage tracker per
@@ -396,11 +289,7 @@ class Operator:
         """
         if self._stateless_row:
             output = self.output
-            if (
-                output is not None
-                and output.batch_size > 1
-                and output.latency_ms == 0.0
-            ):
+            if output is not None and output.latency_ms == 0.0:
                 return self._consume_rows_fused(
                     entry, channel, budget_ms, used, now, output
                 )
@@ -438,8 +327,7 @@ class Operator:
             count = counts[i]
             full_cost = count * cpe * mult
             if full_cost <= grant or cpe == 0.0:
-                # Pop accounting for the whole row, then process it —
-                # the order of Channel.pop followed by _consume_batch.
+                # Pop accounting for the whole row, then process it.
                 q_events -= count
                 q_bytes -= count * bpe
                 popped += count
@@ -454,8 +342,8 @@ class Operator:
                 i += 1
                 continue
             # Budget covers only part of the row: process the affordable
-            # fraction and leave the remainder as the new head row (the
-            # pop + push_front sequence of the per-event path).
+            # fraction and leave the remainder as the new head row (pop
+            # accounting for the row, then the remainder returned).
             stop = i
             fraction = grant / full_cost
             head_count = count * fraction
@@ -488,8 +376,7 @@ class Operator:
         if i >= n:
             channel.discard_head()
         else:
-            # The first unconsumed row's arrival defines head_arrival,
-            # exactly as the per-event queue's next entry would.
+            # The first unconsumed row's arrival defines head_arrival.
             entry.enqueued_at = rb.enqueued_ats[i]
         self._queues_dirty = True
         if self.lineage_watch:
@@ -693,9 +580,9 @@ class Operator:
         :meth:`Channel.push_row` emission fused into the drain loop.
 
         Same expressions in the same order as the unfused pair — the row
-        handler is known to be ``_StatelessRowFastPath._on_row`` and the
-        output channel is known to coalesce, so the per-row calls collapse
-        into straight-line code. The output tail batch is carried across
+        handler is known to be ``Operator._on_row`` and the output channel
+        is known to be local, so the per-row calls collapse into
+        straight-line code. The output tail batch is carried across
         rows (push_row would re-read ``entries[-1]``, which only this loop
         appends to) and the output accounting is hoisted into locals and
         written back once, like the input side. Byte-identical by the
@@ -763,26 +650,23 @@ class Operator:
                         and len(tl_counts) - tail.head < o_cap
                     ):
                         if tail.head > _COMPACT_THRESHOLD:
-                            h = tail.head
-                            del tl_counts[:h]
-                            del tl_t_starts[:h]
-                            del tl_t_ends[:h]
-                            del tl_delays[:h]
-                            del tl_enqueued[:h]
-                            tail.head = 0
+                            tail.compact()
+                        tl_counts.append(out_count)
+                        tl_t_starts.append(t_starts[i])
+                        tl_t_ends.append(t_ends[i])
+                        tl_delays.append(delays[i])
+                        tl_enqueued.append(now)
                     else:
-                        tail = RecordBatch(out_bpe)
+                        tail = RecordBatch(
+                            out_bpe, out_count, t_starts[i], t_ends[i],
+                            delays[i], now,
+                        )
                         tl_counts = tail.counts
                         tl_t_starts = tail.t_starts
                         tl_t_ends = tail.t_ends
                         tl_delays = tail.delays
                         tl_enqueued = tail.enqueued_ats
                         o_entries.append(_Entry(tail, now))
-                    tl_counts.append(out_count)
-                    tl_t_starts.append(t_starts[i])
-                    tl_t_ends.append(t_ends[i])
-                    tl_delays.append(delays[i])
-                    tl_enqueued.append(now)
                     oq_events += out_count
                     oq_bytes += out_count * out_bpe
                     o_pushed += out_count
@@ -808,20 +692,13 @@ class Operator:
                 ev_out += out_count
                 if tail is not None and len(tail.counts) - tail.head < o_cap:
                     if tail.head > _COMPACT_THRESHOLD:
-                        h = tail.head
-                        del tail.counts[:h]
-                        del tail.t_starts[:h]
-                        del tail.t_ends[:h]
-                        del tail.delays[:h]
-                        del tail.enqueued_ats[:h]
-                        tail.head = 0
+                        tail.compact()
                     tail.append_row(
                         out_count, t_starts[i], t_ends[i], delays[i], now
                     )
                 else:
-                    tail = RecordBatch(out_bpe)
-                    tail.append_row(
-                        out_count, t_starts[i], t_ends[i], delays[i], now
+                    tail = RecordBatch(
+                        out_bpe, out_count, t_starts[i], t_ends[i], delays[i], now
                     )
                     o_entries.append(_Entry(tail, now))
                 oq_events += out_count
@@ -869,9 +746,8 @@ class Operator:
         round-robin turn of a multi-input operator.
 
         Same arithmetic as one iteration of :meth:`_consume_rows` with
-        the turn's ``grant`` as the budget — which is exactly what the
-        per-event path's pop + :meth:`_consume_batch` does for a single
-        queued record. Returns the cost charged this turn.
+        the turn's ``grant`` as the budget. Returns the cost charged this
+        turn.
         """
         rb = entry.record
         counts = rb.counts
@@ -934,7 +810,7 @@ class Operator:
             self._queues_dirty = True
             return full_cost
         # Partial row: process the affordable fraction; the remainder
-        # stays as the head row (per-event pop + push_front sequence).
+        # stays as the head row.
         fraction = grant / full_cost
         head_count = count * fraction
         tail_count = count * (1.0 - fraction)
@@ -967,14 +843,11 @@ class Operator:
         self,
         record: object,
         channel: Channel,
-        enqueued_at: float,
         budget_ms: float,
         now: float,
     ) -> float:
-        # Exact-type checks: queue records are exactly EventBatch,
-        # RecordBatch (handled by the callers), Watermark, or LatencyMarker.
-        if type(record) is EventBatch:
-            return self._consume_batch(record, channel, enqueued_at, budget_ms, now)
+        # Exact-type checks: control entries are exactly Watermark or
+        # LatencyMarker (payload rows are drained by the callers).
         if type(record) is Watermark:
             self.stats.watermarks_seen += 1
             cost = min(self.cost_per_event_ms * self.cost_multiplier, budget_ms)
@@ -988,51 +861,7 @@ class Operator:
             return cost
         raise TypeError(f"unknown record type: {type(record)!r}")
 
-    def _consume_batch(
-        self,
-        batch: EventBatch,
-        channel: Channel,
-        enqueued_at: float,
-        budget_ms: float,
-        now: float,
-    ) -> float:
-        full_cost = batch.count * self.cost_per_event_ms * self.cost_multiplier
-        if full_cost <= budget_ms or self.cost_per_event_ms == 0.0:
-            self.stats.events_in += batch.count
-            self.stats.busy_ms += full_cost
-            self._on_batch(batch, channel._consumer_index, now)
-            if self.lineage is not None:
-                self.lineage.on_consumed(
-                    self, batch.t_start, batch.t_end, enqueued_at, channel, now
-                )
-            return full_cost
-        # Budget covers only part of the batch: process the affordable
-        # fraction, return the remainder to the head of the queue.
-        fraction = budget_ms / full_cost
-        head = batch.split_fraction(fraction)
-        tail = batch.split_fraction(1.0 - fraction) if fraction < 1.0 else None
-        self.stats.events_in += head.count
-        self.stats.busy_ms += budget_ms
-        self._on_batch(head, channel._consumer_index, now)
-        if tail is not None and tail.count > 0:
-            channel.push_front(tail, enqueued_at)
-        return budget_ms
-
     # -- record handlers (overridden by subclasses) ------------------------------
-
-    def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
-        out_count = batch.count * self.selectivity
-        if out_count > 0:
-            self._emit(
-                EventBatch(
-                    count=out_count,
-                    t_start=batch.t_start,
-                    t_end=batch.t_end,
-                    delay=batch.delay,
-                    bytes_per_event=self.out_bytes_per_event,
-                ),
-                now,
-            )
 
     def _on_row(
         self,
@@ -1042,52 +871,47 @@ class Operator:
         input_index: int,
         now: float,
     ) -> None:
-        """Handle one row of a coalesced batch carrying ``count`` events.
+        """Handle ``count`` events of row ``index`` of ``rb``.
 
-        The base implementation materializes the row as an
-        :class:`EventBatch` and defers to :meth:`_on_batch`, so any
-        subclass that only overrides ``_on_batch`` (reorder buffers,
-        watermark generators, user operators) stays correct under
-        batching. Performance-critical leaf operators override this with
-        an allocation-free equivalent.
+        The stateless handler emits the row scaled by ``selectivity``.
+        Subclasses that keep it get the fused drain
+        (:meth:`_consume_rows_fused`), which inlines exactly this.
         """
-        self._on_batch(
-            EventBatch(
-                count=count,
-                t_start=rb.t_starts[index],
-                t_end=rb.t_ends[index],
-                delay=rb.delays[index],
-                bytes_per_event=rb.bytes_per_event,
-            ),
-            input_index,
-            now,
-        )
+        out_count = count * self.selectivity
+        if out_count > 0:
+            self._emit_row(
+                out_count,
+                rb.t_starts[index],
+                rb.t_ends[index],
+                rb.delays[index],
+                self.out_bytes_per_event,
+                now,
+            )
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
         self._emit(wm, now)
 
-    def _emit(self, record: object, now: float) -> None:
+    def _emit_row(
+        self,
+        count: float,
+        t_start: float,
+        t_end: float,
+        delay: float,
+        bytes_per_event: int,
+        now: float,
+    ) -> None:
+        """Emit one payload row downstream."""
+        self.stats.events_out += count
         output = self.output
-        if type(record) is EventBatch:
-            self.stats.events_out += record.count
-            if output is not None:
-                if output.batch_size > 1 and output.latency_ms == 0.0:
-                    # Coalescing channel: append the columns directly —
-                    # the same accounting Channel.push would route to.
-                    output.push_row(
-                        record.count,
-                        record.t_start,
-                        record.t_end,
-                        record.delay,
-                        record.bytes_per_event,
-                        now,
-                    )
-                else:
-                    output.push(record, now)
-        elif output is not None:
-            # Control record (watermark/marker): Channel.push inlined —
-            # no payload accounting, just the entry append (or the
-            # in-flight queue on a latency channel).
+        if output is not None:
+            output.push_row(count, t_start, t_end, delay, bytes_per_event, now)
+
+    def _emit(self, record: object, now: float) -> None:
+        """Emit a control record (watermark or latency marker)."""
+        output = self.output
+        if output is not None:
+            # Channel.push inlined: no payload accounting, just the entry
+            # append (or the in-flight queue on a latency channel).
             if output.latency_ms > 0.0:
                 output._pending.append(_Entry(record, now + output.latency_ms))
             else:
@@ -1097,39 +921,7 @@ class Operator:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class _StatelessRowFastPath:
-    """Allocation-free ``_on_row`` for operators using the base ``_on_batch``.
-
-    Mirrors ``Operator._on_batch`` + ``_emit`` exactly (same expressions,
-    same order) but emits through :meth:`Channel.push_row` instead of
-    constructing an intermediate :class:`EventBatch`. Only safe for
-    classes that do NOT override ``_on_batch``.
-    """
-
-    def _on_row(
-        self,
-        rb: RecordBatch,
-        index: int,
-        count: float,
-        input_index: int,
-        now: float,
-    ) -> None:
-        out_count = count * self.selectivity  # type: ignore[attr-defined]
-        if out_count > 0:
-            self.stats.events_out += out_count  # type: ignore[attr-defined]
-            output = self.output  # type: ignore[attr-defined]
-            if output is not None:
-                output.push_row(
-                    out_count,
-                    rb.t_starts[index],
-                    rb.t_ends[index],
-                    rb.delays[index],
-                    self.out_bytes_per_event,  # type: ignore[attr-defined]
-                    now,
-                )
-
-
-class MapOperator(_StatelessRowFastPath, Operator):
+class MapOperator(Operator):
     """One-to-one transformation (projection, enrichment, parsing)."""
 
     def __init__(self, name: str, cost_per_event_ms: float, out_bytes_per_event: int = 100):
@@ -1137,7 +929,7 @@ class MapOperator(_StatelessRowFastPath, Operator):
                          out_bytes_per_event=out_bytes_per_event)
 
 
-class FilterOperator(_StatelessRowFastPath, Operator):
+class FilterOperator(Operator):
     """Drops a fraction of events: selectivity < 1."""
 
     def __init__(
@@ -1153,7 +945,7 @@ class FilterOperator(_StatelessRowFastPath, Operator):
                          out_bytes_per_event=out_bytes_per_event)
 
 
-class FlatMapOperator(_StatelessRowFastPath, Operator):
+class FlatMapOperator(Operator):
     """One-to-many transformation: selectivity may exceed 1."""
 
     def __init__(
@@ -1167,7 +959,7 @@ class FlatMapOperator(_StatelessRowFastPath, Operator):
                          out_bytes_per_event=out_bytes_per_event)
 
 
-class KeyByOperator(_StatelessRowFastPath, Operator):
+class KeyByOperator(Operator):
     """Key-partitioning marker (Flink's ``keyBy``).
 
     Declares the key selector under which downstream keyed windows group
@@ -1287,53 +1079,23 @@ class _WindowedOperatorBase(Operator):
 
     # -- record handlers -----------------------------------------------------------
 
-    def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
-        clock = self._input_watermarks[input_index]
-        if batch.t_end <= clock:
-            # Entirely late: every event precedes the stream's watermark.
-            self.stats.late_events_dropped += batch.count
-            return
-        t_start = batch.t_start
-        count = batch.count
-        if t_start < clock < batch.t_end:
-            # Partially late: drop the uniform mass before the watermark.
-            keep = (batch.t_end - clock) / (batch.t_end - t_start)
-            self.stats.late_events_dropped += count * (1.0 - keep)
-            count *= keep
-            t_start = clock
-        panes = self._panes
-        pane_ends = self._pane_ends
-        event_clock = self._event_clock
-        self._state_events_memo = None
-        for p_start, p_end, pane_count in self.assigner.assign_range_raw(
-            t_start, batch.t_end, count
-        ):
-            if p_end <= event_clock:
-                # Pane already fired; late contribution is dropped (Flink's
-                # default allowed-lateness of zero).
-                self.stats.late_events_dropped += pane_count
-                continue
-            panes[p_start] = panes.get(p_start, 0.0) + pane_count
-            if p_start not in pane_ends:
-                pane_ends[p_start] = p_end
-                heapq.heappush(self._pane_heap, (p_end, p_start))
-
     def _on_row(
         self,
-        rb: "RecordBatch",
+        rb: RecordBatch,
         index: int,
         count: float,
         input_index: int,
         now: float,
     ) -> None:
-        # Same logic as _on_batch, reading row columns directly.
         clock = self._input_watermarks[input_index]
         t_end = rb.t_ends[index]
         if t_end <= clock:
+            # Entirely late: every event precedes the stream's watermark.
             self.stats.late_events_dropped += count
             return
         t_start = rb.t_starts[index]
         if t_start < clock < t_end:
+            # Partially late: drop the uniform mass before the watermark.
             keep = (t_end - clock) / (t_end - t_start)
             self.stats.late_events_dropped += count * (1.0 - keep)
             count *= keep
@@ -1346,6 +1108,8 @@ class _WindowedOperatorBase(Operator):
             t_start, t_end, count
         ):
             if p_end <= event_clock:
+                # Pane already fired; late contribution is dropped (Flink's
+                # default allowed-lateness of zero).
                 self.stats.late_events_dropped += pane_count
                 continue
             panes[p_start] = panes.get(p_start, 0.0) + pane_count
@@ -1395,15 +1159,8 @@ class _WindowedOperatorBase(Operator):
             fire_cost = out_count * self.fire_cost_per_event_ms * self.cost_multiplier
             self.stats.busy_ms += fire_cost
             if out_count > 0:
-                self._emit(
-                    EventBatch(
-                        count=out_count,
-                        t_start=end,
-                        t_end=end,
-                        delay=0.0,
-                        bytes_per_event=self.out_bytes_per_event,
-                    ),
-                    now,
+                self._emit_row(
+                    out_count, end, end, 0.0, self.out_bytes_per_event, now
                 )
             if lineage is not None:
                 lineage.on_pane_fire(self, end, out_count, now)
@@ -1545,9 +1302,6 @@ class CountWindowedAggregate(Operator):
             return self.output_events_per_window * self.state_bytes_per_event
         return self._accumulated * self.state_bytes_per_event
 
-    def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
-        self._accumulate(batch.count, batch.t_end, now)
-
     def _on_row(
         self,
         rb: RecordBatch,
@@ -1564,15 +1318,9 @@ class CountWindowedAggregate(Operator):
             self._accumulated -= self.size
             self.windows_fired += 1
             if self.output_events_per_window > 0:
-                self._emit(
-                    EventBatch(
-                        count=self.output_events_per_window,
-                        t_start=last_t,
-                        t_end=last_t,
-                        delay=0.0,
-                        bytes_per_event=self.out_bytes_per_event,
-                    ),
-                    now,
+                self._emit_row(
+                    self.output_events_per_window, last_t, last_t, 0.0,
+                    self.out_bytes_per_event, now,
                 )
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
@@ -1594,9 +1342,6 @@ class SinkOperator(Operator):
         self.marker_latencies: List[Tuple[float, float]] = []
         self.events_delivered: float = 0.0
 
-    def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
-        self.events_delivered += batch.count
-
     def _on_row(
         self,
         rb: RecordBatch,
@@ -1611,10 +1356,10 @@ class SinkOperator(Operator):
         if wm.is_swm:
             self.swm_latencies.append((now, now - wm.timestamp))
 
-    def _dispatch(self, record, channel, enqueued_at, budget_ms, now):
+    def _dispatch(self, record, channel, budget_ms, now):
         if isinstance(record, LatencyMarker):
             cost = min(self.cost_per_event_ms, budget_ms)
             self.marker_latencies.append((now, now - record.created_at))
             self.stats.busy_ms += cost
             return cost
-        return super()._dispatch(record, channel, enqueued_at, budget_ms, now)
+        return super()._dispatch(record, channel, budget_ms, now)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.spe.events import EventBatch, Watermark
+from repro.spe.events import EventBatch, RecordBatch, Watermark
 from repro.spe.operators import Operator
 
 
@@ -53,9 +53,23 @@ class ReorderBuffer(Operator):
             return self._buffered_events * self._state_bytes_per_event
         return self._buffered_bytes
 
-    def _on_batch(self, batch: EventBatch, input_index: int, now: float) -> None:
+    def _on_row(
+        self,
+        rb: RecordBatch,
+        index: int,
+        count: float,
+        input_index: int,
+        now: float,
+    ) -> None:
+        batch = EventBatch(
+            count=count,
+            t_start=rb.t_starts[index],
+            t_end=rb.t_ends[index],
+            delay=rb.delays[index],
+            bytes_per_event=rb.bytes_per_event,
+        )
         self._buffer.append(batch)
-        self._buffered_events += batch.count
+        self._buffered_events += count
         self._buffered_bytes += batch.bytes
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
@@ -71,7 +85,10 @@ class ReorderBuffer(Operator):
                 self.released_events += batch.count
                 # Pass bytes through unchanged: reordering transforms
                 # nothing.
-                self._emit(batch, now)
+                self._emit_row(
+                    batch.count, batch.t_start, batch.t_end, batch.delay,
+                    batch.bytes_per_event, now,
+                )
             remaining = [b for b in self._buffer if b.t_end > wm.timestamp]
             self._buffer = remaining
         self._emit(wm, now)

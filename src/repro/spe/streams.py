@@ -5,16 +5,14 @@ to its first operator). It tracks the aggregate statistics the schedulers
 consume: number of queued events, queued bytes, and the engine-clock time
 at which the head record arrived (FCFS orders queries by this).
 
-Batched mode
-------------
-With ``batch_size > 1`` a channel coalesces consecutive payload pushes
-into columnar :class:`~repro.spe.events.RecordBatch` entries of up to
-``batch_size`` rows. Control records are never merged and seal the tail
-batch, so FIFO order across record kinds is exact. All aggregate
-accounting is applied *per row* in push order — the same float-add
-sequence the per-event path performs — so queue statistics (and thus
-every scheduler decision derived from them) are byte-identical whatever
-the batch size.
+Payload enters a channel only as rows (:meth:`Channel.push_row`), which
+coalesce into columnar :class:`~repro.spe.events.RecordBatch` entries of
+up to ``batch_size`` rows; ``batch_size=1`` puts one row in each entry on
+the same code path. Control records (watermarks, latency markers) are
+queued one per entry and seal the tail batch, so FIFO order across record
+kinds is exact. All aggregate accounting is applied *per row* in push
+order, so queue statistics (and thus every scheduler decision derived
+from them) are byte-identical whatever the batch size.
 """
 
 from __future__ import annotations
@@ -22,7 +20,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterator, Optional
 
-from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
+from repro.spe.events import EventBatch, RecordBatch
+
+#: rows per channel queue entry unless the caller says otherwise; the
+#: engine, ``ExperimentConfig`` and the CLI all read it
+DEFAULT_BATCH_SIZE = 64
 
 #: rows a partially drained tail batch may accumulate before its consumed
 #: prefix is compacted away (purely a memory bound; never observable)
@@ -41,10 +43,10 @@ class Channel:
     """Bounded-accounting FIFO queue between operators.
 
     A channel whose endpoints live on different nodes carries a transfer
-    ``latency_ms``: pushed records stay in a pending buffer until the
-    engine calls :meth:`release` once the latency has elapsed (the RPC /
-    network hop of a distributed deployment, Sec. 4). Latency channels
-    never coalesce (each record is an independent transfer).
+    ``latency_ms``: pushed records stay in a pending buffer, stamped with
+    their arrival time, until the engine calls :meth:`release` once the
+    latency has elapsed (the RPC / network hop of a distributed
+    deployment, Sec. 4). Pending rows coalesce like queued ones.
     """
 
     def __init__(
@@ -54,8 +56,8 @@ class Channel:
             raise ValueError(f"negative channel latency: {latency_ms}")
         self.name = name
         self.latency_ms = latency_ms
-        #: payload rows coalesced per queue entry (1 = per-event mode);
-        #: set by the engine at wiring time for single-input consumers.
+        #: payload rows coalesced per queue entry; the engine sets it on
+        #: every input channel at wiring time.
         self.batch_size = 1
         #: consuming operator (if any); its memoized queue aggregates are
         #: invalidated whenever this channel's payload accounting changes.
@@ -76,27 +78,22 @@ class Channel:
     # -- producer side -----------------------------------------------------
 
     def push(self, record: object, now: float) -> None:
-        """Enqueue ``record`` at engine time ``now``."""
-        if self.latency_ms > 0.0:
-            self._pending.append(_Entry(record, now + self.latency_ms))
-            return
+        """Enqueue ``record`` at engine time ``now``.
+
+        An :class:`EventBatch` is forwarded to :meth:`push_row`; control
+        records are queued as they are.
+        """
         if isinstance(record, EventBatch):
-            if self.batch_size > 1:
-                self.push_row(
-                    record.count,
-                    record.t_start,
-                    record.t_end,
-                    record.delay,
-                    record.bytes_per_event,
-                    now,
-                )
-                return
-            self._entries.append(_Entry(record, now))
-            self._queued_events += record.count
-            self._queued_bytes += record.bytes
-            self.events_pushed += record.count
-            if self._owner is not None:
-                self._owner._queues_dirty = True  # klink: transient[back-pointer; only invalidates the owner's queue memo]
+            self.push_row(
+                record.count,
+                record.t_start,
+                record.t_end,
+                record.delay,
+                record.bytes_per_event,
+                now,
+            )
+        elif self.latency_ms > 0.0:
+            self._pending.append(_Entry(record, now + self.latency_ms))
         else:
             self._entries.append(_Entry(record, now))
 
@@ -109,72 +106,110 @@ class Channel:
         bytes_per_event: int,
         now: float,
     ) -> None:
-        """Enqueue one payload row, coalescing into the tail batch.
-
-        The fast emission path in batched mode: appends columns directly
-        instead of constructing an :class:`EventBatch`. Falls back to a
-        per-event push when this channel does not coalesce.
-        """
-        if self.batch_size > 1 and self.latency_ms == 0.0:
-            entries = self._entries
-            tail = entries[-1].record if entries else None
-            if (
-                type(tail) is RecordBatch
-                and tail.bytes_per_event == bytes_per_event
-                and len(tail.counts) - tail.head < self.batch_size
-            ):
-                if tail.head > _COMPACT_THRESHOLD:
-                    h = tail.head
-                    del tail.counts[:h]
-                    del tail.t_starts[:h]
-                    del tail.t_ends[:h]
-                    del tail.delays[:h]
-                    del tail.enqueued_ats[:h]
-                    tail.head = 0
-                tail.append_row(count, t_start, t_end, delay, now)
-            else:
-                batch = RecordBatch(bytes_per_event)
-                batch.append_row(count, t_start, t_end, delay, now)
-                self._entries.append(_Entry(batch, now))
-            self._queued_events += count
-            self._queued_bytes += count * bytes_per_event
-            self.events_pushed += count
-            if self._owner is not None:
-                self._owner._queues_dirty = True
+        """Enqueue one payload row, coalescing into the tail batch."""
+        if self.latency_ms > 0.0:
+            self._append_row(
+                self._pending, count, t_start, t_end, delay, bytes_per_event,
+                now + self.latency_ms,
+            )
             return
-        self.push(
-            EventBatch(
-                count=count,
-                t_start=t_start,
-                t_end=t_end,
-                delay=delay,
-                bytes_per_event=bytes_per_event,
-            ),
-            now,
+        self._append_row(
+            self._entries, count, t_start, t_end, delay, bytes_per_event, now
         )
+        self._queued_events += count
+        self._queued_bytes += count * bytes_per_event
+        self.events_pushed += count
+        if self._owner is not None:
+            self._owner._queues_dirty = True  # klink: transient[back-pointer; only invalidates the owner's queue memo]
+
+    def _append_row(
+        self,
+        queue: Deque[_Entry],
+        count: float,
+        t_start: float,
+        t_end: float,
+        delay: float,
+        bytes_per_event: int,
+        at: float,
+    ) -> None:
+        """Append a row stamped ``at`` to ``queue``'s tail batch, or to a
+        new one when the tail is a control record, full, or of another
+        row size."""
+        tail = queue[-1].record if queue else None
+        if (
+            type(tail) is RecordBatch
+            and tail.bytes_per_event == bytes_per_event
+            and len(tail.counts) - tail.head < self.batch_size
+        ):
+            if tail.head > _COMPACT_THRESHOLD:
+                tail.compact()
+            # RecordBatch.append_row inlined (one call per row saved)
+            tail.counts.append(count)
+            tail.t_starts.append(t_start)
+            tail.t_ends.append(t_end)
+            tail.delays.append(delay)
+            tail.enqueued_ats.append(at)
+        else:
+            queue.append(
+                _Entry(
+                    RecordBatch(bytes_per_event, count, t_start, t_end, delay, at),
+                    at,
+                )
+            )
 
     def release(self, now: float) -> int:
-        """Deliver in-flight records whose transfer completed; returns count."""
+        """Deliver in-flight records whose transfer completed, in FIFO
+        order, booking rows one by one; returns how many rows and control
+        records arrived."""
+        pending = self._pending
         released = 0
-        while self._pending and self._pending[0].enqueued_at <= now:
-            entry = self._pending.popleft()
-            self._entries.append(entry)
-            if isinstance(entry.record, EventBatch):
-                self._queued_events += entry.record.count
-                self._queued_bytes += entry.record.bytes
-                self.events_pushed += entry.record.count
-                if self._owner is not None:
-                    self._owner._queues_dirty = True
-            released += 1
+        while pending and pending[0].enqueued_at <= now:
+            entry = pending[0]
+            rb = entry.record
+            if type(rb) is not RecordBatch:
+                self._entries.append(pending.popleft())
+                released += 1
+                continue
+            arrivals = rb.enqueued_ats
+            n = len(arrivals)
+            head = stop = rb.head
+            while stop < n and arrivals[stop] <= now:
+                stop += 1
+            counts = rb.counts
+            bpe = rb.bytes_per_event
+            for i in range(head, stop):
+                count = counts[i]
+                self._queued_events += count
+                self._queued_bytes += count * bpe
+                self.events_pushed += count
+            released += stop - head
+            if self._owner is not None:
+                self._owner._queues_dirty = True
+            if stop == n:
+                # every row has arrived: the batch moves as it is
+                self._entries.append(pending.popleft())
+                continue
+            # only a prefix has arrived: it moves row by row
+            for i in range(head, stop):
+                self._append_row(
+                    self._entries, counts[i], rb.t_starts[i], rb.t_ends[i],
+                    rb.delays[i], bpe, arrivals[i],
+                )
+            rb.head = stop
+            entry.enqueued_at = arrivals[stop]
+            break
         return released
 
     def push_front(self, record: object, enqueued_at: float) -> None:
-        """Return a partially processed record to the head of the queue."""
+        """Return a popped record to the head of the queue."""
         self._entries.appendleft(_Entry(record, enqueued_at))
-        if isinstance(record, EventBatch):
-            self._queued_events += record.count
-            self._queued_bytes += record.bytes
-            self.events_returned += record.count
+        if type(record) is RecordBatch:
+            bpe = record.bytes_per_event
+            for i in range(record.head, len(record.counts)):
+                count = record.counts[i]
+                self._queued_events += count
+                self._queued_bytes += count * bpe
+                self.events_returned += count
             if self._owner is not None:
                 self._owner._queues_dirty = True
 
@@ -186,26 +221,16 @@ class Channel:
             return None
         entry = self._entries.popleft()
         record = entry.record
-        if isinstance(record, EventBatch):
-            self._queued_events -= record.count
-            self._queued_bytes -= record.bytes
-            self.events_popped += record.count
-            # Guard against float drift accumulating into negatives.
-            if self._queued_events < 1e-9:
-                self._queued_events = 0.0
-            if self._queued_bytes < 1e-6:
-                self._queued_bytes = 0.0
-            if self._owner is not None:
-                self._owner._queues_dirty = True
-        elif isinstance(record, RecordBatch):
+        if type(record) is RecordBatch:
             # Row-by-row accounting in row order: the same float sequence
-            # popping the rows as individual entries would produce.
+            # the operator drains apply as they consume each row.
             bpe = record.bytes_per_event
             for i in range(record.head, len(record.counts)):
                 count = record.counts[i]
                 self._queued_events -= count
                 self._queued_bytes -= count * bpe
                 self.events_popped += count
+                # Guard against float drift accumulating into negatives.
                 if self._queued_events < 1e-9:
                     self._queued_events = 0.0
                 if self._queued_bytes < 1e-6:
@@ -214,24 +239,6 @@ class Channel:
                 self._owner._queues_dirty = True
         return entry
 
-    def _pop_batch_accounting(self, record: EventBatch) -> None:
-        """Payload accounting of :meth:`pop`'s EventBatch branch.
-
-        The operator step loops inline the popleft itself (the head entry
-        is already in hand) and call this only when the popped record
-        carries payload — the same statements :meth:`pop` runs, in the
-        same order.
-        """
-        self._queued_events -= record.count
-        self._queued_bytes -= record.bytes
-        self.events_popped += record.count
-        if self._queued_events < 1e-9:
-            self._queued_events = 0.0
-        if self._queued_bytes < 1e-6:
-            self._queued_bytes = 0.0
-        if self._owner is not None:
-            self._owner._queues_dirty = True
-
     def peek(self) -> Optional[_Entry]:
         """Return (without removing) the head entry, or ``None``."""
         return self._entries[0] if self._entries else None
@@ -239,8 +246,8 @@ class Channel:
     def discard_head(self) -> None:
         """Remove the head entry without payload accounting.
 
-        Used by the batched consume path once every row of the head
-        :class:`RecordBatch` has been drained (row accounting already
+        Used by the operator drains once every row of the head
+        :class:`RecordBatch` has been consumed (row accounting already
         applied as each row was consumed).
         """
         self._entries.popleft()
@@ -285,26 +292,13 @@ class Channel:
         """Engine time at which the oldest queued record arrived."""
         return self._entries[0].enqueued_at if self._entries else None
 
-    def oldest_event_arrival(self) -> Optional[float]:
-        """Arrival time of the oldest queued *payload* record, if any."""
-        for entry in self._entries:
-            if isinstance(entry.record, (EventBatch, RecordBatch, LatencyMarker)):
-                return entry.enqueued_at
-        return None
-
-    def has_watermark(self) -> bool:
-        """True when at least one watermark is queued."""
-        return any(isinstance(e.record, Watermark) for e in self._entries)
-
     def clear(self) -> None:
         """Drop all queued records (used by tests and teardown)."""
         # Dropped records count as consumed so the cumulative flow
         # counters stay consistent with the (now empty) queue.
         for entry in self._entries:
             record = entry.record
-            if isinstance(record, EventBatch):
-                self.events_popped += record.count
-            elif isinstance(record, RecordBatch):
+            if type(record) is RecordBatch:
                 for i in range(record.head, len(record.counts)):
                     self.events_popped += record.counts[i]
         self._entries.clear()

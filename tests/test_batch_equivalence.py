@@ -1,10 +1,11 @@
-"""Batched-vs-per-event equivalence gates (ISSUE 8 tentpole).
+"""Row-cap equivalence gates (ISSUE 8 tentpole).
 
-The batched columnar operator core is a pure wall-clock optimization:
-for ANY batch size the engine must produce byte-identical
-``RunMetrics.summary()`` output and byte-identical JSONL traces to the
-``batch_size=1`` per-event reference path. These tests are the equality
-gate that pins that contract:
+Every channel stores payload as columnar ``RecordBatch`` rows, and
+``batch_size`` only caps how many rows share one queue entry. The cap is
+a pure wall-clock knob: for ANY batch size the engine must produce
+byte-identical ``RunMetrics.summary()`` output and byte-identical JSONL
+traces to ``batch_size=1``, one row per entry. These tests are the
+equality gate that pins that contract:
 
 * a tier-1 smoke slice (ysb/lrb x Klink/Default, batch sizes 7 and 64);
 * the full matrix — batch sizes {7, 64, 1024} against 1 across all
@@ -13,8 +14,11 @@ gate that pins that contract:
 * trace byte-equality for a traced, audited, telemetry-sampling run;
 * checkpoint/restore with RecordBatches in flight: a run that fails,
   restores from a checkpoint whose channels held coalesced batches, and
-  resumes must still be byte-identical to the per-event run of the same
-  scenario (tier-1 smoke + chaos matrix).
+  resumes must still be byte-identical to the one-row-per-entry run of
+  the same scenario (tier-1 smoke + chaos matrix);
+* a distributed run whose cross-node channels hold rows in flight: one
+  row per entry on every channel gives the same summary as the default
+  cap.
 """
 
 import functools
@@ -28,6 +32,7 @@ from repro.bench.runner import (
     make_scheduler,
     run_experiment,
 )
+from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import FaultPlan, InvariantMonitor, NodeFailure
 from repro.resilience import CheckpointCoordinator, RecoveryConfig, RecoveryManager
 from repro.spe.engine import Engine
@@ -146,3 +151,39 @@ class TestCheckpointedBatchEquivalence:
             _failover_fingerprint(workload, scheduler, batch_size, fail_at)
             == reference
         )
+
+
+def _distributed_fingerprint(row_cap: int) -> str:
+    """Summary of a two-node split run with 100 ms cross-node channels and
+    one node failure; ``row_cap`` is set on every channel after wiring
+    (``DistributedEngine`` runs at the engine's default cap)."""
+    queries = build_queries("ysb", N_QUERIES, WorkloadParams(seed=SEED))
+    plan = PhysicalPlan.split(queries, 2, segments=2)
+    monitor = InvariantMonitor()
+    coordinator = CheckpointCoordinator(2_000.0)
+    engine = DistributedEngine.with_klink(
+        queries,
+        plan,
+        cores_per_node=2,
+        rpc_latency_ms=100.0,
+        seed=SEED,
+        faults=FaultPlan([NodeFailure(5_000.0, 7_000.0, node=1)]),
+        invariants=monitor,
+        checkpoints=coordinator,
+        recovery=RecoveryManager(RecoveryConfig("standby"), coordinator),
+    )
+    assert engine._delayed_channels
+    for query in engine.queries:
+        for op in query.operators:
+            for channel in op.inputs:
+                channel.batch_size = row_cap
+    metrics = engine.run(DURATION_MS * 2)
+    assert monitor.ok, str(monitor)
+    assert metrics.recoveries == 1
+    return json.dumps(metrics.summary(), sort_keys=True)
+
+
+class TestDistributedRowCap:
+    def test_latency_channel_rows_are_cap_independent(self):
+        reference = _distributed_fingerprint(1)
+        assert _distributed_fingerprint(64) == reference

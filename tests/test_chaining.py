@@ -52,6 +52,52 @@ class TestFusion:
         fused.step(1e9, 0.0)
         assert sink.inputs[0].queued_events == pytest.approx(50.0)
 
+    def test_fused_operator_takes_the_fused_drain(self):
+        fused = fuse_stateless(
+            [FilterOperator("f", 0.01, selectivity=0.5), MapOperator("m", 0.01)]
+        )
+        sink = SinkOperator("s")
+        fused.connect(sink)
+        for channel in (fused.inputs[0], sink.inputs[0]):
+            channel.batch_size = 64
+        assert fused._stateless_row
+        drains = []
+        fused_drain = fused._consume_rows_fused
+
+        def counted(*args):
+            drains.append(args)
+            return fused_drain(*args)
+
+        fused._consume_rows_fused = counted
+        for i in range(4):
+            fused.inputs[0].push(
+                EventBatch(count=100, t_start=float(i), t_end=i + 1.0, delay=0.5),
+                float(i),
+            )
+        # 1.5 ms per 100-event row: the first step ends mid-row
+        assert [fused.step(2.5, 10.0), fused.step(1e9, 11.0)] == [2.5, 3.5]
+        assert len(drains) == 2
+        # the rows and stats the per-row handler produced for this case
+        out = sink.inputs[0]
+        assert len(out) == 1
+        rb = out.peek().record
+        assert list(
+            zip(rb.counts, rb.t_starts, rb.t_ends, rb.delays, rb.enqueued_ats)
+        ) == [
+            (50.0, 0.0, 1.0, 0.5, 10.0),
+            (33.33333333333333, 1.0, 2.0, 0.5, 10.0),
+            (16.666666666666668, 1.0, 2.0, 0.5, 11.0),
+            (50.0, 2.0, 3.0, 0.5, 11.0),
+            (50.0, 3.0, 4.0, 0.5, 11.0),
+        ]
+        stats = fused.stats
+        assert (stats.events_in, stats.events_out, stats.busy_ms) == (
+            400.0, 200.0, 6.0
+        )
+        assert (out.queued_events, out.queued_bytes, out.events_pushed) == (
+            200.0, 20000.0, 200.0
+        )
+
     def test_fusing_stateful_rejected(self):
         w = WindowedAggregate("w", TumblingEventTimeWindows(100.0), 0.01)
         with pytest.raises(ValueError):

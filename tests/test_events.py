@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.spe.events import (
-    EventBatch,
-    LatencyMarker,
-    Watermark,
-    is_control,
-    is_data,
-)
+from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
 
 
 class TestEventBatch:
@@ -28,27 +22,23 @@ class TestEventBatch:
         batch = EventBatch(count=1, t_start=10, t_end=10)
         assert batch.t_start == batch.t_end
 
-    def test_split_fraction_scales_count_only(self):
-        batch = EventBatch(count=100, t_start=0, t_end=50, delay=7.0)
-        head = batch.split_fraction(0.25)
-        assert head.count == 25
-        assert head.t_start == 0 and head.t_end == 50
-        assert head.delay == 7.0
-
-    def test_split_fraction_full_returns_equal_batch(self):
-        batch = EventBatch(count=100, t_start=0, t_end=50)
-        assert batch.split_fraction(1.0).count == 100
-
-    def test_split_fraction_rejects_out_of_range(self):
-        batch = EventBatch(count=10, t_start=0, t_end=1)
-        with pytest.raises(ValueError):
-            batch.split_fraction(0.0)
-        with pytest.raises(ValueError):
-            batch.split_fraction(1.5)
-
     def test_fractional_counts_supported_mid_pipeline(self):
         batch = EventBatch(count=0.5, t_start=0, t_end=1)
         assert batch.count == 0.5
+
+
+class TestRecordBatch:
+    def test_compact_drops_consumed_prefix(self):
+        rb = RecordBatch(10, 1.0, 0.0, 1.0, 0.0, 0.0)
+        for i in range(1, 4):
+            rb.append_row(float(i + 1), 0.0, 1.0, 0.0, float(i))
+        counts = rb.counts
+        rb.head = 3
+        rb.compact()
+        assert rb.head == 0
+        assert rb.counts is counts  # deleted in place
+        assert rb.counts == [4.0] and rb.enqueued_ats == [3.0]
+        assert rb.n_rows == 1 and rb.count == 4.0
 
 
 class TestWatermark:
@@ -70,14 +60,3 @@ class TestLatencyMarker:
     def test_ids_are_unique(self):
         a, b = LatencyMarker(created_at=0.0), LatencyMarker(created_at=0.0)
         assert a.marker_id != b.marker_id
-
-
-class TestKindPredicates:
-    def test_batch_is_data(self):
-        assert is_data(EventBatch(count=1, t_start=0, t_end=1))
-        assert not is_control(EventBatch(count=1, t_start=0, t_end=1))
-
-    def test_watermark_and_marker_are_control(self):
-        assert is_control(Watermark(0.0))
-        assert is_control(LatencyMarker(created_at=0.0))
-        assert not is_data(Watermark(0.0))

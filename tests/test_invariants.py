@@ -88,9 +88,9 @@ class TestSwmOrderingInvariants:
                 super().__init__(name)
                 self.sequence = []
 
-            def _on_batch(self, batch, input_index, now):
-                super()._on_batch(batch, input_index, now)
-                self.sequence.append(("data", batch.t_end))
+            def _on_row(self, rb, index, count, input_index, now):
+                super()._on_row(rb, index, count, input_index, now)
+                self.sequence.append(("data", rb.t_ends[index]))
 
             def _on_watermark(self, wm, input_index, now):
                 super()._on_watermark(wm, input_index, now)

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro.spe.events import EventBatch, Watermark
+from repro.spe.events import EventBatch, RecordBatch, Watermark
 from repro.spe.operators import MapOperator, SinkOperator, WindowedAggregate
 from repro.spe.windows import TumblingEventTimeWindows
 
@@ -34,6 +34,12 @@ class GuardDict(dict):
     copy = _scan
 
 
+def on_row(op, count, t_start, t_end):
+    """Hand ``op`` one payload row on input 0, as a drain would."""
+    rb = RecordBatch(100, count, t_start, t_end, 0.0, 0.0)
+    op._on_row(rb, 0, count, 0, 0.0)
+
+
 def windowed(n_panes=200, size_ms=100.0):
     """A windowed aggregate with ``n_panes`` buffered panes."""
     op = WindowedAggregate(
@@ -41,9 +47,7 @@ def windowed(n_panes=200, size_ms=100.0):
     )
     op.connect(SinkOperator("s"))
     span = n_panes * size_ms
-    op._on_batch(
-        EventBatch(count=float(n_panes), t_start=0.0, t_end=span), 0, 0.0
-    )
+    on_row(op, float(n_panes), 0.0, span)
     assert len(op._pane_ends) == n_panes
     return op
 
@@ -93,7 +97,7 @@ class TestNextDeadlineIsO1:
         op._on_watermark(Watermark(250.0, source_id=0), 0, 0.0)
         heap_len = len(op._pane_heap)
         # Entirely-late batch: dropped, never re-buffered into the heap.
-        op._on_batch(EventBatch(count=5.0, t_start=0.0, t_end=200.0), 0, 0.0)
+        on_row(op, 5.0, 0.0, 200.0)
         assert len(op._pane_heap) == heap_len
         assert op.stats.late_events_dropped == 5.0
 
@@ -134,9 +138,8 @@ class TestQueueMemoization:
         op = MapOperator("m", 0.01)
         op.inputs[0].push(EventBatch(count=3, t_start=0.0, t_end=1.0), 0.0)
         assert op.queued_events == 3.0
-        op.inputs[0].push_front(
-            EventBatch(count=2, t_start=0.0, t_end=1.0), 0.0
-        )
+        returned = RecordBatch(100, 2.0, 0.0, 1.0, 0.0, 0.0)
+        op.inputs[0].push_front(returned, 0.0)
         assert op.queued_events == 5.0
 
     def test_watermarks_do_not_count_as_events(self):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.spe.events import EventBatch, LatencyMarker, Watermark
+from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
 from repro.spe.operators import (
     FilterOperator,
     FlatMapOperator,
@@ -143,7 +143,7 @@ class TestWindowedAggregate:
         feed(w, Watermark(1000.0))
         drain(w)
         records = [sink.inputs[0].pop().record for _ in range(2)]
-        assert isinstance(records[0], EventBatch)  # output precedes SWM
+        assert isinstance(records[0], RecordBatch)  # output precedes SWM
         assert isinstance(records[1], Watermark) and records[1].is_swm
 
     def test_nonfiring_watermark_not_swm(self):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.estimator import SwmEstimate, z_for_confidence
 from repro.core.slack import expected_slack, interval_probability, survival
-from repro.spe.events import EventBatch, Watermark
+from repro.spe.events import EventBatch, RecordBatch, Watermark
 from repro.spe.memory import MemoryConfig, MemoryModel
 from repro.spe.query import SourceSpec
 from repro.spe.streams import Channel
@@ -143,7 +143,7 @@ class TestChannelProperties:
         for _ in range(pops):
             ch.pop()
         expected_events = sum(
-            e.record.count for e in ch if isinstance(e.record, EventBatch)
+            e.record.count for e in ch if isinstance(e.record, RecordBatch)
         )
         assert ch.queued_events == pytest.approx(expected_events, abs=1e-6)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.spe.events import EventBatch, Watermark
+from repro.spe.events import EventBatch, RecordBatch, Watermark
 from repro.spe.operators import SinkOperator
 from repro.spe.reorder import ReorderBuffer
 
@@ -52,10 +52,11 @@ class TestBuffering:
         rb.inputs[0].push(Watermark(300.0), 0.0)
         rb.step(1e9, 0.0)
         released = [
-            e.record for e in list(sink.inputs[0])
-            if isinstance(e.record, EventBatch)
+            t_start for e in list(sink.inputs[0])
+            if isinstance(e.record, RecordBatch)
+            for t_start in e.record.t_starts
         ]
-        assert [b.t_start for b in released] == [0, 200]
+        assert released == [0, 200]
 
     def test_watermark_follows_released_events(self):
         rb, sink = make()
@@ -63,7 +64,7 @@ class TestBuffering:
         rb.inputs[0].push(Watermark(100.0), 0.0)
         rb.step(1e9, 0.0)
         records = [e.record for e in list(sink.inputs[0])]
-        assert isinstance(records[0], EventBatch)
+        assert isinstance(records[0], RecordBatch)
         assert isinstance(records[-1], Watermark)
 
     def test_state_bytes_track_buffered_mass(self):

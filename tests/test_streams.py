@@ -2,12 +2,29 @@
 
 import pytest
 
-from repro.spe.events import EventBatch, LatencyMarker, Watermark
+from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
 from repro.spe.streams import Channel
 
 
 def batch(count=10, t0=0.0, t1=100.0, bpe=100):
     return EventBatch(count=count, t_start=t0, t_end=t1, bytes_per_event=bpe)
+
+
+def rows(record):
+    """The (count, t_start, t_end, delay, bpe, enqueued_at) rows of a
+    queued RecordBatch."""
+    assert type(record) is RecordBatch
+    return [
+        (record.counts[i], record.t_starts[i], record.t_ends[i],
+         record.delays[i], record.bytes_per_event, record.enqueued_ats[i])
+        for i in range(record.head, len(record.counts))
+    ]
+
+
+def assert_flow_balanced(ch):
+    assert ch.events_pushed + ch.events_returned - ch.events_popped == (
+        pytest.approx(ch.queued_events, abs=1e-9)
+    )
 
 
 class TestFifoSemantics:
@@ -17,7 +34,25 @@ class TestFifoSemantics:
         for i, r in enumerate(records):
             ch.push(r, now=float(i))
         popped = [ch.pop().record for _ in range(3)]
-        assert popped == records
+        assert rows(popped[0]) == [(10, 0.0, 100.0, 0.0, 100, 0.0)]
+        assert popped[1] == records[1]
+        assert rows(popped[2]) == [(5, 0.0, 100.0, 0.0, 100, 2.0)]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 64])
+    def test_rows_coalesce_up_to_the_cap(self, batch_size):
+        ch = Channel()
+        ch.batch_size = batch_size
+        for i in range(5):
+            ch.push_row(1.0, 0.0, 1.0, 0.0, 100, float(i))
+        ch.push(Watermark(1.0), 5.0)
+        ch.push_row(1.0, 1.0, 2.0, 0.0, 100, 6.0)
+        payload = [e.record for e in ch if type(e.record) is RecordBatch]
+        assert [len(rows(r)) for r in payload[:-1]] == (
+            [min(batch_size, 5 - k) for k in range(0, 5, batch_size)]
+        )
+        # a control record seals the tail batch
+        assert len(rows(payload[-1])) == 1
+        assert ch.queued_events == 6.0
 
     def test_pop_empty_returns_none(self):
         assert Channel().pop() is None
@@ -79,23 +114,6 @@ class TestIntrospection:
         ch.push(batch(), 17.0)
         assert ch.head_arrival == 17.0
 
-    def test_oldest_event_arrival_skips_watermarks(self):
-        ch = Channel()
-        ch.push(Watermark(0.0), 5.0)
-        ch.push(batch(), 9.0)
-        assert ch.oldest_event_arrival() == 9.0
-
-    def test_oldest_event_arrival_counts_markers(self):
-        ch = Channel()
-        ch.push(LatencyMarker(created_at=0.0), 3.0)
-        assert ch.oldest_event_arrival() == 3.0
-
-    def test_has_watermark(self):
-        ch = Channel()
-        assert not ch.has_watermark()
-        ch.push(Watermark(1.0), 0.0)
-        assert ch.has_watermark()
-
     def test_bool_reflects_emptiness(self):
         ch = Channel()
         assert not ch
@@ -118,8 +136,40 @@ class TestTransferLatency:
         ch.push(batch(count=1), 0.0)
         ch.push(Watermark(5.0), 1.0)
         ch.release(now=20.0)
-        assert isinstance(ch.pop().record, EventBatch)
+        assert isinstance(ch.pop().record, RecordBatch)
         assert isinstance(ch.pop().record, Watermark)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_rows_release_in_fifo_order_at_push_plus_latency(self, batch_size):
+        latency = 10.0
+        ch = Channel(latency_ms=latency)
+        ch.batch_size = batch_size
+        pushed = []  # (record or row, arrival) in push order
+        for step in range(8):
+            now = 4.0 * step
+            ch.push_row(step + 1.0, now, now + 1.0, 0.5, 100, now)
+            pushed.append(((step + 1.0, now, now + 1.0, 0.5, 100), now + latency))
+            if step == 3:
+                wm = Watermark(now)
+                ch.push(wm, now)
+                pushed.append((wm, now + latency))
+            ch.release(now)
+            queued = []
+            for e in ch:
+                if type(e.record) is RecordBatch:
+                    queued.extend((row[:5], row[5]) for row in rows(e.record))
+                else:
+                    queued.append((e.record, e.enqueued_at))
+            # nothing is queued before its push time + latency, and what
+            # is queued keeps push order
+            assert queued == [item for item in pushed if item[1] <= now]
+            assert_flow_balanced(ch)
+        ch.release(1e9)
+        assert not ch._pending
+        assert ch.head_arrival == pushed[0][1]
+        while ch:
+            ch.pop()
+            assert_flow_balanced(ch)
 
     def test_zero_latency_is_immediate(self):
         ch = Channel()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.delays import ConstantDelay
 from repro.spe.engine import Engine
-from repro.spe.events import EventBatch, Watermark
+from repro.spe.events import EventBatch, RecordBatch, Watermark
 from repro.spe.operators import SinkOperator, WindowedAggregate
 from repro.spe.query import Query, SourceBinding, SourceSpec
 from repro.spe.watermarks import (
@@ -71,7 +71,7 @@ class TestGeneratorOperator:
         gen.inputs[0].push(batch(count=5, t1=100), 0.0)
         gen.step(1e9, 0.0)
         records = [e.record for e in list(sink.inputs[0])]
-        assert isinstance(records[0], EventBatch)
+        assert isinstance(records[0], RecordBatch)
         assert isinstance(records[1], Watermark)
         assert records[1].timestamp == 100.0
 
