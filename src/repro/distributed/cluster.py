@@ -130,6 +130,7 @@ class DistributedKlinkScheduler(KlinkScheduler):
         for op in local_windows:
             heap = op._pane_heap
             if heap and heap[0][0] <= watermark:
+                self._overdue.add(query.query_id)  # klink: transient[per-plan branch record read by explain_plan()]
                 return heap[0][0] - now, 0
         # Cost forwarding: every node's published share for the query.
         board = self.board

@@ -2,10 +2,15 @@
 forwarding, and the multi-node engine."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from repro.core.baselines import DefaultScheduler
+from repro.core.klink import KlinkScheduler
+from repro.obs import AuditLog
+from repro.spe.memory import GIB, MemoryConfig
+from repro.workloads import WorkloadParams, build_queries
 from repro.spe.engine import Engine
 from repro.distributed import (
     DistributedEngine,
@@ -249,6 +254,69 @@ class TestDistributedObservability:
             return audit.to_jsonl_str()
 
         assert run() == run()
+
+
+def took_overdue_branch(scheduler, query, ctx):
+    """Whether ``scheduler``'s plan ranked ``query`` from an overdue SWM:
+    the single-node pending-SWM test on the query's source node, and its
+    locally hosted windows against the forwarded watermark elsewhere."""
+    placement = scheduler.physical_plan.placement(query)
+    if placement.source_node == scheduler.node:
+        return KlinkScheduler._pending_swm_slack(query, ctx.now) is not None
+    share = placement.shares.get(scheduler.node)
+    if share is None:
+        return False  # ranked from forwarded values alone
+    estimate = scheduler._shared(query, ctx, placement.source_node)[0]
+    if estimate is None:
+        return False
+    watermark = estimate[0]
+    return any(
+        op._pane_heap and op._pane_heap[0][0] <= watermark
+        for op in share.windowed
+    )
+
+
+class TestDistributedAuditReasons:
+    def test_overdue_reason_follows_each_nodes_branch(self):
+        """On four nodes a decision says ``overdue-swm`` exactly when that
+        node's plan took the overdue branch, not when the query's global
+        state holds an ingested-but-unprocessed SWM."""
+        queries = build_queries(
+            "ysb", 16, WorkloadParams(seed=11, rate_scale=1.25)
+        )
+        plan = PhysicalPlan.split(queries, 4, segments=2)
+        engine = DistributedEngine.with_klink(
+            queries, plan, cores_per_node=1,
+            memory=MemoryConfig(capacity_bytes=0.5 * GIB),
+            rpc_latency_ms=100.0, seed=11, audit=AuditLog(),
+        )
+        seen = Counter()
+        for scheduler in engine.node_schedulers:
+            explain = scheduler.explain_plan
+
+            def checking(ctx, node_plan, scheduler=scheduler, explain=explain):
+                decisions = explain(ctx, node_plan)
+                if scheduler._mm_active:
+                    return decisions
+                for decision, alloc in zip(decisions, node_plan.allocations):
+                    query = alloc.query
+                    took = took_overdue_branch(scheduler, query, ctx)
+                    assert (decision.reason == "overdue-swm") == took
+                    source = plan.source_node(query) == scheduler.node
+                    globally = (
+                        KlinkScheduler._pending_swm_slack(query, ctx.now)
+                        is not None
+                    )
+                    seen[("source" if source else "other", took, globally)] += 1
+                return decisions
+
+            scheduler.explain_plan = checking
+        engine.run(14_000.0)
+        assert seen[("source", True, True)] > 0
+        assert seen[("other", True, True)] > 0
+        # nodes that ranked the query from expected slack while its global
+        # state held an overdue SWM: the case the global test mislabels
+        assert seen[("other", False, True)] > 0
 
 
 class TestDistributedTelemetry:
