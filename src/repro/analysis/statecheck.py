@@ -30,6 +30,9 @@ module checks that contract structurally instead of by runtime luck.
            feeds serialized output (key order does not survive a list).
  KS223     float accumulation into a serialized cursor/deadline field
            (``+=`` drift makes restored state diverge from live state).
+ KS224     in-place rewrite of an append-only ledger (an attribute that
+           ``checkpoint.py`` captures as a ``LedgerView`` prefix) outside
+           the restore helpers: it would change what older snapshots hold.
  KW301     a function dispatched to ``run_many(jobs=N)`` worker
            processes (or cached under the code fingerprint) reads a
            module-level mutable global; spawn workers each get a fresh
@@ -79,6 +82,7 @@ STATE_RULES: Dict[str, str] = {
     "KS221": "json.dumps without sort_keys=True in a canonical-serialization path",
     "KS222": "unordered dict/set iteration materialized into serialized list output",
     "KS223": "float accumulation into a serialized cursor/deadline field",
+    "KS224": "append-only ledger rewritten in place (only append/extend/+= keep snapshot views exact)",
     "KW301": "worker-dispatched function reads a module-level mutable global",
     "KW302": "unpicklable callable (lambda/nested def) dispatched to a worker pool",
 }
@@ -981,6 +985,62 @@ def _check_cursor_drift(
         report.record_suppressed(suppressed)
 
 
+def _ledger_root(node: ast.expr) -> Tuple[str, int]:
+    """``(attr, n)`` for ``x.attr`` under ``n`` subscripts (``attr`` empty
+    when the root is not an attribute)."""
+    depth = 0
+    while isinstance(node, ast.Subscript):
+        node, depth = node.value, depth + 1
+    return (node.attr if isinstance(node, ast.Attribute) else ""), depth
+
+
+def _ledger_attrs(contract_module: _Module) -> Dict[str, int]:
+    """Attributes ``checkpoint.py`` wraps in ``LedgerView``, mapped to how
+    many subscripts down the ledger list sits (1 for a dict of ledgers)."""
+    roots = [
+        _ledger_root(call.args[0])
+        for call in ast.walk(contract_module.tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "LedgerView" and call.args
+    ]
+    return {name: depth for name, depth in roots if name}
+
+
+def _check_ledger_growth(tree: _Tree, contract: _Module, report: Report) -> None:
+    """KS224: subscript stores/deletes, augmented assignment other than
+    ``+=`` and rewriting list methods on a ledger, outside the checkpoint
+    restore helpers. Aliases (``lst = x.attr``) are not followed."""
+    ledgers = _ledger_attrs(contract)
+    restore_fns = {fn for spec in _ENTRY_SPECS for fn in spec.restore_fns}
+    exempt = {id(node) for fn in _function_defs(contract).values()
+              if fn.name in restore_fns for node in ast.walk(fn)}
+    for module in tree.modules:
+        for node in ast.walk(module.tree):
+            hits: List[Tuple[ast.expr, str]] = []
+            targets: List[ast.expr] = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+                if not isinstance(node.op, ast.Add):
+                    hits.append((node.target, "augmented rewrite"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                method = node.func.attr
+                if method in ("sort", "reverse", "clear", "pop", "insert", "remove"):
+                    hits.append((node.func.value, f".{method}()"))
+            hits += [(t.value, "subscript store/del")
+                     for t in targets if isinstance(t, ast.Subscript)]
+            for expr, how in hits:
+                name, depth = _ledger_root(expr)
+                if ledgers.get(name) == depth and id(node) not in exempt:
+                    report.add(
+                        "KS224",
+                        f"ledger {name!r} rewritten in place ({how}): snapshots "
+                        "hold a LedgerView prefix of it; append/extend instead",
+                        file=str(module.path), line=expr.lineno, col=expr.col_offset,
+                    )
+
+
 # -- KW3xx: worker purity ----------------------------------------------------
 
 
@@ -1244,6 +1304,7 @@ def check_paths(
     )
     _check_serialization(tree, report)
     _check_cursor_drift(tree, covered_by_file, report)
+    _check_ledger_growth(tree, contract_module, report)
     _check_worker_purity(tree, report)
     return report
 

@@ -13,10 +13,12 @@ and re-running therefore reproduces the original event counts exactly,
 which is what lets the invariant monitor prove no-loss/no-duplication
 across a failover (see ``docs/RESILIENCE.md``).
 
-Snapshots are plain dicts of JSON-safe builtins under a versioned schema
-(:data:`SCHEMA_VERSION`) and serialize canonically — sorted keys, fixed
-separators — so byte-level comparison of two serialized snapshots is a
-meaningful state-equality check (the property tests rely on this).
+Snapshots are dicts of JSON-safe builtins under a versioned schema
+(:data:`SCHEMA_VERSION`), with the append-only ledgers held as read-only
+:class:`LedgerView` prefixes instead of copies. :func:`serialize` is the
+canonical form — sorted keys, fixed separators, views as lists — so
+byte-level comparison of two serialized snapshots is a meaningful
+state-equality check (the property tests rely on this).
 
 Two restore modes:
 
@@ -35,8 +37,9 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from itertools import islice
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator, List, Optional
 
 from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
 from repro.spe.metrics import RunMetrics, UtilizationSample
@@ -110,6 +113,29 @@ _LEDGER_SCALARS = (
 #: tuple exactly like a list)
 _epoch_row = attrgetter("mu", "chi", "swm_ingest_time", "swm_timestamp")
 _sample_row = attrgetter("time", "memory_bytes", "cpu_fraction", "events_processed")
+
+
+class LedgerView:
+    """Read-only view of the first ``len(items)`` rows of an append-only
+    ledger at capture, optionally through a row codec. A ledger only grows
+    at its end (KS224) and restore rebinds it to a new list, so the prefix
+    a view names stays frozen: it iterates, ``len()``s and compares like a
+    copy taken at capture, without the copy."""
+
+    __slots__ = ("_items", "_length", "_row")
+
+    def __init__(self, items: List[Any], row: Optional[Callable[[Any], Any]] = None):
+        self._items, self._length, self._row = items, len(items), row
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[Any]:
+        rows = islice(self._items, self._length)
+        return rows if self._row is None else map(self._row, rows)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, LedgerView) else other)
 
 
 class CheckpointError(ValueError):
@@ -307,11 +333,10 @@ def _operator_state(op: Operator) -> Dict[str, Any]:
         }
     if isinstance(op, SinkOperator):
         # The ledgers are append-only lists of immutable (at, latency)
-        # tuples: a shallow copy freezes them, and JSON encodes a tuple
-        # exactly like a list.
+        # tuples, and JSON encodes a tuple exactly like a list.
         state["sink"] = {
-            "swm_latencies": list(op.swm_latencies),
-            "marker_latencies": list(op.marker_latencies),
+            "swm_latencies": LedgerView(op.swm_latencies),
+            "marker_latencies": LedgerView(op.marker_latencies),
             "events_delivered": op.events_delivered,
         }
     if isinstance(op, WatermarkGeneratorOperator):
@@ -465,14 +490,14 @@ def _restore_binding(binding: SourceBinding, state: Dict[str, Any]) -> None:
 def _metrics_state(metrics: RunMetrics) -> Dict[str, Any]:
     return {
         "scalars": {name: getattr(metrics, name) for name in _METRIC_SCALARS},
-        "swm_latencies": list(metrics.swm_latencies),
-        "marker_latencies": list(metrics.marker_latencies),
-        "slowdowns": list(metrics.slowdowns),
+        "swm_latencies": LedgerView(metrics.swm_latencies),
+        "marker_latencies": LedgerView(metrics.marker_latencies),
+        "slowdowns": LedgerView(metrics.slowdowns),
         "per_query_swm_latencies": {
-            qid: list(values)
-            for qid, values in metrics.per_query_swm_latencies.items()
+            qid: LedgerView(metrics.per_query_swm_latencies[qid])
+            for qid in metrics.per_query_swm_latencies
         },
-        "samples": list(map(_sample_row, metrics.samples)),
+        "samples": LedgerView(metrics.samples, _sample_row),
         "alert_counts": dict(metrics.alert_counts),
     }
 
@@ -737,11 +762,43 @@ def restore_lineage(tracker: "LineageTracker", state: Dict[str, Any]) -> None:
     tracker.forecast.restore(state["forecast"])
 
 
-def serialize(snapshot: Dict[str, Any]) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, non-finite
-    floats as ``Infinity``/``-Infinity``/``NaN`` literals (round-trip
-    exact in Python's json). Equal states serialize to equal bytes."""
-    return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
+def _materialize(node: object) -> List[Any]:
+    if isinstance(node, LedgerView):
+        return list(node)
+    raise TypeError(f"{type(node).__name__} is not JSON serializable")
+
+
+def serialize(snapshot: Any) -> str:
+    """Canonical JSON text: sorted keys, fixed separators, ledger views
+    as the lists they name, non-finite floats as ``Infinity``/
+    ``-Infinity``/``NaN`` literals (round-trip exact in Python's json).
+    Equal states serialize to equal bytes."""
+    return json.dumps(
+        snapshot, sort_keys=True, separators=(",", ":"), default=_materialize
+    )
+
+
+def _encoded_size(node: Any, depth: int = 2) -> int:
+    """``len(serialize(node))`` without the whole text: sums the canonical
+    encodings of a dict's or list's items down to ``depth`` levels (one
+    top-level entry, then one query, at a time) and of ledger views in
+    row chunks. Deeper nodes, and dicts with a non-``str`` key (json
+    converts and sorts those keys itself), are encoded whole."""
+    if isinstance(node, LedgerView):  # joining k chunks turns k - 1 "][" into ","
+        rows = iter(node)
+        sizes = [len(serialize(c)) for c in iter(lambda: list(islice(rows, 4096)), [])]
+        return sum(sizes) - len(sizes) + 1 if sizes else 2
+    if depth and isinstance(node, dict) and all(isinstance(k, str) for k in node):
+        body = sum(
+            len(serialize(k)) + 1 + _encoded_size(v, depth - 1)
+            for k, v in node.items()
+        )
+    elif depth and isinstance(node, (list, tuple)):
+        body = sum(_encoded_size(item, depth - 1) for item in node)
+    else:
+        return len(serialize(node))
+    # brackets, plus one separator between consecutive items
+    return 2 + body + max(len(node) - 1, 0)
 
 
 def deserialize(text: str) -> Dict[str, Any]:
@@ -845,11 +902,11 @@ class CheckpointCoordinator:
     def finalize(self, engine: "Engine") -> None:
         """Record the size of the newest snapshot in
         ``metrics.checkpoint_bytes_last``. Called once when a run ends:
-        stored snapshots never change after capture, so one serialization
-        here gives the byte count every checkpoint used to pay for."""
+        stored snapshots never change after capture, so one piecewise
+        count here gives the byte count every checkpoint used to pay for."""
         latest = self.store.latest()
         if latest is not None:
-            engine.metrics.checkpoint_bytes_last = len(serialize(latest))
+            engine.metrics.checkpoint_bytes_last = _encoded_size(latest)
 
     def _take(self, engine: "Engine") -> None:
         snapshot = capture(engine)

@@ -55,7 +55,7 @@ def cdf_points(values: Sequence[float], pcts: Iterable[float]) -> List[Tuple[flo
     return [(p, float(v)) for p, v in zip(pct_list, qs)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UtilizationSample:
     """One per-cycle utilization snapshot."""
 

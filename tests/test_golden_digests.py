@@ -61,7 +61,7 @@ from repro.resilience import (
     RecoveryConfig,
     RecoveryManager,
 )
-from repro.resilience.checkpoint import capture, serialize
+from repro.resilience.checkpoint import _encoded_size, capture, serialize
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
 from repro.spe.tracing import CycleTracer
@@ -514,11 +514,20 @@ def test_stored_snapshots_never_change_after_capture():
 
 def test_checkpoint_bytes_last_is_the_latest_snapshot_size():
     """Taken once per run, the byte count still equals the size of the
-    newest snapshot — across a rollback, on both engines."""
+    newest snapshot — across a rollback, on both engines. The count sums
+    sub-tree encodings without building the text, so it is also checked
+    against the canonical text of every snapshot the recovery runs keep."""
     for engine, _ in (ysb_standby_lineage(), dist_klink_standby()):
         latest = engine.checkpoints.store.latest()
         assert engine.metrics.recoveries == 1
         assert engine.metrics.checkpoint_bytes_last == len(serialize(latest))
+    for engine, _ in (
+        ysb_standby_lineage(),
+        dist_klink_standby(),
+        dist4_klink_traced_standby(),
+    ):
+        for snapshot in engine.checkpoints.store._snapshots:
+            assert _encoded_size(snapshot) == len(serialize(snapshot))
 
 
 def _main() -> int:

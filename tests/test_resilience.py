@@ -7,8 +7,10 @@ the original byte-for-byte — and a resumed run must be indistinguishable
 from one that never stopped, for every scheduling policy.
 """
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 from repro.bench.runner import SCHEDULER_NAMES, make_scheduler
 from repro.core.klink import KlinkScheduler
 from repro.core.baselines import DefaultScheduler, RoundRobinScheduler
+from repro.faults import InvariantMonitor
+from repro.obs.audit import AuditLog
 from repro.resilience import (
     SCHEMA_VERSION,
     CheckpointCoordinator,
@@ -29,8 +33,10 @@ from repro.resilience import (
     restore,
     serialize,
 )
+from repro.resilience.checkpoint import LedgerView, _encoded_size, _sample_row
 from repro.spe.engine import Engine
 from repro.spe.memory import MemoryConfig
+from repro.spe.metrics import UtilizationSample
 from repro.workloads import WorkloadParams, build_queries
 
 from tests.helpers import make_join_query, make_simple_query
@@ -418,3 +424,143 @@ class TestReorderBufferCheckpoint:
         assert json.dumps(resumed.metrics.summary(), sort_keys=True) == json.dumps(
             full.metrics.summary(), sort_keys=True
         )
+
+
+# -- ledger views: snapshots reference append-only ledgers by prefix ---------
+
+
+def _recording(coordinator: CheckpointCoordinator):
+    """Every (snapshot, serialized text) pair, taken as the store gets it."""
+    taken = []
+    add = coordinator.store.add
+
+    def recording_add(snapshot, lineage=None):
+        taken.append((snapshot, serialize(snapshot)))
+        add(snapshot, lineage)
+
+    coordinator.store.add = recording_add
+    return taken
+
+
+class TestLedgerViews:
+    def test_view_names_a_frozen_prefix(self):
+        items = [1.0, 2.0]
+        view = LedgerView(items)
+        items.append(3.0)
+        assert len(view) == 2 and list(view) == [1.0, 2.0]
+        assert view == [1.0, 2.0] and view == LedgerView([1.0, 2.0])
+        assert view != [1.0, 2.0, 3.0]
+        assert serialize({"v": view}) == '{"v":[1.0,2.0]}'
+        samples = [UtilizationSample(0.0, 1.0, 0.5, 2.0)]
+        assert list(LedgerView(samples, _sample_row)) == [(0.0, 1.0, 0.5, 2.0)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            samples[0].time = 1.0  # type: ignore[misc]
+        with pytest.raises(TypeError):
+            serialize({"s": {1, 2}})  # other non-JSON values are still refused
+
+    def test_snapshot_ledgers_are_views_and_round_trip_to_lists(self):
+        engine = build_engine()
+        engine.run(3_000.0)
+        snapshot = capture(engine)
+        metrics = snapshot["metrics"]
+        assert isinstance(metrics["swm_latencies"], LedgerView)
+        assert isinstance(metrics["samples"], LedgerView)
+        assert len(metrics["swm_latencies"]) > 0
+        plain = deserialize(serialize(snapshot))["metrics"]
+        assert type(plain["swm_latencies"]) is list
+        assert plain["swm_latencies"] == metrics["swm_latencies"]
+
+    def test_stored_snapshots_keep_capture_bytes_across_rollback(self):
+        engine = build_engine()
+        engine.checkpoints = coordinator = CheckpointCoordinator(500.0, keep=4)
+        taken = _recording(coordinator)
+        engine.run(2_200.0)
+        restore(engine, coordinator.store._snapshots[0], mode="rollback")
+        engine.run(1_000.0)
+        restore(engine, coordinator.store.latest(), mode="rollback")
+        engine.run(1_500.0)
+        assert len(taken) == 10 and len(coordinator.store) == 4
+        assert len(taken[-1][0]["metrics"]["swm_latencies"]) > 0
+        for snapshot, text in taken:
+            assert serialize(snapshot) == text
+
+    @pytest.mark.parametrize("mode", ["resume", "rollback"])
+    def test_view_restore_equals_round_tripped_restore(self, mode):
+        digests = []
+        for round_trip in (False, True):
+            engine = build_engine()
+            engine.run(1_500.0)
+            snapshot = capture(engine)
+            engine.run(1_000.0)  # the live ledgers grow past the views
+            if round_trip:
+                snapshot = deserialize(serialize(snapshot))
+            target = engine if mode == "rollback" else build_engine()
+            restore(target, snapshot, mode=mode)
+            target.run(2_000.0)
+            summary = json.dumps(target.metrics.summary(), sort_keys=True)
+            digests.append((serialize(capture(target)), summary))
+        assert digests[0] == digests[1]
+
+
+class TestEncodedSize:
+    """The end-of-run byte count sums sub-tree encodings; it must equal
+    the length of the whole canonical text exactly."""
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            {},
+            {"a": [], "b": {}, "c": [[]], "d": [{}], "e": LedgerView([])},
+            {"x": {1: 2.0, 3: [4]}, "y": {"n": {0.5: "z", 2: None}}, "z": {True: 1}},
+            {
+                "queries": [{"query_id": "ysb-é-✓", "v": [math.inf, -math.inf, math.nan]}],
+                "ü": {"ünïcode": "☃ \"quoted\"\n"},
+            },
+            {"deep": [[1, [2, {"k": [True, False, None]}]]], "n": -0.0},
+            {
+                "rows": LedgerView([float(i) / 7 for i in range(10_000)]),
+                "per": {"é": LedgerView([(1.0, math.nan)] * 4_097)},
+                "exact": LedgerView([0.5] * 4_096),
+            },
+        ],
+    )
+    def test_crafted_snapshots(self, snapshot):
+        assert _encoded_size(snapshot) == len(serialize(snapshot))
+
+
+def test_capture_retains_no_ledger_history():
+    """Memory guard: a capture's retained bytes follow live state, not
+    elapsed time. The ledgers triple between cycle 300 and cycle 900; a
+    snapshot that copied them would grow with them."""
+    queries = build_queries("ysb", 10, WorkloadParams(seed=11))
+    coordinator = CheckpointCoordinator(10_000.0)
+    engine = Engine(
+        queries,
+        KlinkScheduler(),
+        cores=6,
+        cycle_ms=120.0,
+        memory=MemoryConfig(capacity_bytes=1024 * MB),
+        seed=11,
+        audit=AuditLog(),
+        invariants=InvariantMonitor(),
+        checkpoints=coordinator,
+        recovery=RecoveryManager(RecoveryConfig("standby"), coordinator),
+    )
+
+    def retained() -> int:
+        tracemalloc.start()
+        try:
+            snapshot = capture(engine)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert snapshot["metrics"]["marker_latencies"]
+        return size
+
+    engine.run(300 * 120.0)
+    markers_300, at_300 = len(engine.metrics.marker_latencies), retained()
+    engine.run(600 * 120.0)
+    markers_900, at_900 = len(engine.metrics.marker_latencies), retained()
+    assert engine.metrics.cycles == 900
+    assert markers_900 > 2.5 * markers_300
+    assert at_900 <= 1.25 * at_300, (at_300, at_900)

@@ -497,6 +497,116 @@ class TestCursorDrift:
         assert "KS223" not in codes(report)
 
 
+# -- KS224: append-only ledgers (synthetic) ----------------------------------
+
+LEDGER_CHECKPOINT = CLEAN_CHECKPOINT + """
+
+class LedgerView:
+    def __init__(self, items):
+        self.items = items
+
+
+def _metrics_state(metrics):
+    return {
+        "lat": LedgerView(metrics.latencies),
+        "per_query": {
+            q: LedgerView(metrics.per_query[q]) for q in metrics.per_query
+        },
+        "peak": metrics.peak,
+    }
+
+
+def _restore_metrics(metrics, state, mode):
+    metrics.latencies = list(state["lat"])
+    metrics.latencies[:0] = []  # restore helpers may rebuild a ledger
+    metrics.per_query = {q: list(v) for q, v in state["per_query"].items()}
+    metrics.peak = state["peak"]
+"""
+
+#: growth at the end, rebinding, and edits to things that are not ledgers
+LEDGER_CLEAN = """
+def drain(metrics, q, value):
+    metrics.latencies.append(value)
+    metrics.latencies.extend([value])
+    metrics.latencies += [value]
+    metrics.per_query.setdefault(q, []).append(value)
+    metrics.per_query[q] += [value]
+    metrics.per_query[q] = []
+    metrics.per_query.pop(q)
+    metrics.latencies = sorted(metrics.latencies)
+    metrics.peak[0] = value
+    metrics.other.sort()
+"""
+
+#: one in-place rewrite per line, on both ledger shapes
+LEDGER_REWRITES = """
+def rewrite(metrics, q, value):
+    metrics.latencies.sort()
+    metrics.latencies.reverse()
+    metrics.latencies.clear()
+    metrics.latencies.pop()
+    metrics.latencies.insert(0, value)
+    metrics.latencies.remove(value)
+    metrics.latencies[0] = value
+    metrics.latencies[1:] = []
+    del metrics.latencies[:2]
+    metrics.latencies[0] += value
+    metrics.latencies *= 2
+    metrics.per_query[q].sort()
+    metrics.per_query[q][0] = value
+    del metrics.per_query[q][-1]
+"""
+
+
+class TestLedgerGrowth:
+    def _report(self, tmp_path, body, checkpoint=LEDGER_CHECKPOINT):
+        root = make_pkg(
+            tmp_path, checkpoint=checkpoint, files={"spe/sinks.py": body}
+        )
+        check_paths([root], update_fingerprint=True)
+        return check_paths([root])
+
+    def test_growth_and_rebinding_are_clean(self, tmp_path):
+        report = self._report(tmp_path, LEDGER_CLEAN)
+        assert report.diagnostics == [], report.render_text()
+
+    def test_every_in_place_rewrite_fires_ks224(self, tmp_path):
+        report = self._report(tmp_path, LEDGER_REWRITES)
+        ks224 = [d for d in report.diagnostics if d.code == "KS224"]
+        assert codes(report) == ["KS224"], report.render_text()
+        assert sorted(d.line for d in ks224) == list(range(3, 17))
+        assert "'per_query'" in ks224[-1].message
+
+    def test_ledger_set_comes_from_the_views(self, tmp_path):
+        """Unwrap the views and the same rewrites are no longer ledger
+        edits: the rule keeps no list of its own."""
+        plain = LEDGER_CHECKPOINT.replace(
+            "LedgerView(metrics.latencies)", "list(metrics.latencies)"
+        ).replace(
+            "LedgerView(metrics.per_query[q])", "list(metrics.per_query[q])"
+        )
+        report = self._report(tmp_path, LEDGER_REWRITES, checkpoint=plain)
+        assert "KS224" not in codes(report)
+
+    def test_shipped_sink_ledger_has_teeth(self, tree_copy):
+        operators = tree_copy / "spe" / "operators.py"
+        operators.write_text(
+            operators.read_text()
+            + textwrap.dedent(
+                """
+
+                class SortingSink(SinkOperator):
+                    def tidy(self) -> None:
+                        self.swm_latencies.sort()
+                """
+            )
+        )
+        report = check_paths([tree_copy])
+        ks224 = [d for d in report.diagnostics if d.code == "KS224"]
+        assert len(ks224) == 1, report.render_text()
+        assert "'swm_latencies'" in ks224[0].message
+
+
 # -- KW3xx: worker purity (synthetic) ----------------------------------------
 
 
@@ -691,7 +801,7 @@ class TestDriver:
     def test_state_rules_registry(self):
         assert set(STATE_RULES) == {
             "KS200", "KS201", "KS202", "KS210", "KS211",
-            "KS221", "KS222", "KS223", "KW301", "KW302",
+            "KS221", "KS222", "KS223", "KS224", "KW301", "KW302",
         }
 
     def test_diagnostic_categories(self):
