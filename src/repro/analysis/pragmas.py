@@ -73,11 +73,6 @@ def parse_pragmas(source: str) -> Pragmas:
     return Pragmas(allow=allow, transient=transient)
 
 
-def parse_allow_pragmas(source: str) -> Dict[int, FrozenSet[str]]:
-    """Back-compat helper: line -> allowed rule codes (allow form only)."""
-    return dict(parse_pragmas(source).allow)
-
-
 def apply_suppressions(
     findings: List[Diagnostic],
     pragmas: Pragmas,

@@ -1006,39 +1006,51 @@ def _ledger_attrs(contract_module: _Module) -> Dict[str, int]:
     return {name: depth for name, depth in roots if name}
 
 
+#: methods that rewrite a list/array in place, and those that only grow it
+#: at its end (fine on a ledger, not on one column of a column ledger)
+_REWRITE_METHODS = {"sort", "reverse", "clear", "pop", "insert", "remove", "byteswap"}
+_GROWTH_METHODS = {"append", "extend", "frombytes", "fromlist"}
+
+
 def _check_ledger_growth(tree: _Tree, contract: _Module, report: Report) -> None:
     """KS224: subscript stores/deletes, augmented assignment other than
-    ``+=`` and rewriting list methods on a ledger, outside the checkpoint
-    restore helpers. Aliases (``lst = x.attr``) are not followed."""
+    ``+=`` and rewriting methods on a ledger, and any write through one of
+    its columns (``x.ledger.col``), outside the checkpoint restore helpers.
+    Aliases (``lst = x.attr``) are not followed."""
     ledgers = _ledger_attrs(contract)
     restore_fns = {fn for spec in _ENTRY_SPECS for fn in spec.restore_fns}
     exempt = {id(node) for fn in _function_defs(contract).values()
               if fn.name in restore_fns for node in ast.walk(fn)}
     for module in tree.modules:
         for node in ast.walk(module.tree):
-            hits: List[Tuple[ast.expr, str]] = []
+            # (written expression, how, whether the write only grows it)
+            hits: List[Tuple[ast.expr, str, bool]] = []
             targets: List[ast.expr] = []
             if isinstance(node, (ast.Assign, ast.Delete)):
                 targets = node.targets
             elif isinstance(node, ast.AugAssign):
                 targets = [node.target]
-                if not isinstance(node.op, ast.Add):
-                    hits.append((node.target, "augmented rewrite"))
+                grows = isinstance(node.op, ast.Add)
+                hits.append((node.target, "+=" if grows else "augmented rewrite", grows))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 method = node.func.attr
-                if method in ("sort", "reverse", "clear", "pop", "insert", "remove"):
-                    hits.append((node.func.value, f".{method}()"))
-            hits += [(t.value, "subscript store/del")
+                if method in _REWRITE_METHODS | _GROWTH_METHODS:
+                    hits.append((node.func.value, f".{method}()", method in _GROWTH_METHODS))
+            hits += [(t.value, "subscript store/del", False)
                      for t in targets if isinstance(t, ast.Subscript)]
-            for expr, how in hits:
-                name, depth = _ledger_root(expr)
-                if ledgers.get(name) == depth and id(node) not in exempt:
-                    report.add(
-                        "KS224",
-                        f"ledger {name!r} rewritten in place ({how}): snapshots "
-                        "hold a LedgerView prefix of it; append/extend instead",
-                        file=str(module.path), line=expr.lineno, col=expr.col_offset,
-                    )
+            for expr, how, grows in hits:
+                column, (name, depth) = "", _ledger_root(expr)
+                if ledgers.get(name) != depth and isinstance(expr, ast.Attribute):
+                    column, (name, depth) = expr.attr, _ledger_root(expr.value)
+                if ledgers.get(name) != depth or id(node) in exempt or (grows and not column):
+                    continue
+                what = f"column {column!r} of ledger {name!r}" if column else f"ledger {name!r}"
+                report.add(
+                    "KS224",
+                    f"{what} rewritten in place ({how}): snapshots hold a "
+                    "LedgerView prefix of it; append whole rows instead",
+                    file=str(module.path), line=expr.lineno, col=expr.col_offset,
+                )
 
 
 # -- KW3xx: worker purity ----------------------------------------------------

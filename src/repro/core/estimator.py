@@ -158,8 +158,8 @@ class SwmIngestionEstimator:
             or hist[0] != progress.epoch_index
             or hist[1] != self.history
         ):
-            mus = progress.mu_history()[-self.history:]
-            chis = progress.chi_history()[-self.history:]
+            mus = progress.epochs.mu[-self.history:]
+            chis = progress.epochs.chi[-self.history:]
             hist = (
                 progress.epoch_index,
                 self.history,

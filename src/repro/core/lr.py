@@ -107,11 +107,9 @@ class LinearRegressionEstimator(SwmIngestionEstimator):
         progress = binding.progress
         if progress is None:
             return []
-        lateness = binding.spec.lateness_ms
-        return [
-            e.swm_ingest_time - (e.swm_timestamp + lateness)
-            for e in list(progress.epochs)[-limit:]
-        ]
+        epochs, lateness = progress.epochs, binding.spec.lateness_ms
+        ingests, stamps = epochs.swm_ingest_time[-limit:], epochs.swm_timestamp[-limit:]
+        return [ingest - (stamp + lateness) for ingest, stamp in zip(ingests, stamps)]
 
     def estimate_scalars(
         self,

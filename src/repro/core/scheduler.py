@@ -97,10 +97,6 @@ class SchedulerContext:
     queries: Sequence[Query]
     memory_utilization: float = 0.0
 
-    def active_queries(self) -> List[Query]:
-        """Queries with at least one queued record."""
-        return [q for q in self.queries if q.has_work()]
-
 
 class Scheduler(abc.ABC):
     """Base class for runtime scheduling policies."""

@@ -458,7 +458,8 @@ class InvariantMonitor:
         if len(sink.swm_latencies) == seen:
             return  # no SWM delivered since the last check
         last_ts = self._sink_last_ts.get(key, -math.inf)
-        for at, latency in sink.swm_latencies[seen:]:
+        ledger = sink.swm_latencies
+        for at, latency in zip(ledger.at[seen:], ledger.latency[seen:]):
             if latency < -self.tolerance:
                 self._record(
                     now, "sink-swm-order", sink.name,

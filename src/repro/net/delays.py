@@ -13,6 +13,7 @@ hold by construction.
 from __future__ import annotations
 
 import abc
+from array import array
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class DelayModel(abc.ABC):
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         # Prefetch buffer for sample_amortized(): values already drawn
         # from the generator but not yet handed to a caller.
-        self._draw_buf: list = []
+        self._draw_buf = array("d")
         self._draw_pos = 0
         # Bit-generator state captured immediately before the last
         # prefetch refill; lets checkpoint_rng_state() reconstruct the
@@ -61,7 +62,8 @@ class DelayModel(abc.ABC):
             self._draw_pos = pos + 1
             return buf[pos]
         self._refill_state = self._rng.bit_generator.state
-        self._draw_buf = buf = self.sample_batch(self.AMORTIZE_BLOCK).tolist()
+        # the float64 batch's raw bytes: the same doubles, 8 B each
+        self._draw_buf = buf = array("d", self.sample_batch(self.AMORTIZE_BLOCK).tobytes())
         self._draw_pos = 1
         return buf[0]
 
@@ -91,7 +93,7 @@ class DelayModel(abc.ABC):
     def reseed(self, seed: int) -> None:
         """Reset the random stream (used to make experiment repetitions vary)."""
         self._rng = np.random.default_rng(seed)
-        self._draw_buf = []
+        self._draw_buf = array("d")
         self._draw_pos = 0
         self._refill_state = None
 
@@ -122,7 +124,7 @@ class DelayModel(abc.ABC):
     def restore_rng_state(self, state: dict) -> None:
         """Install a checkpointed logical state; discards any prefetch."""
         self._rng.bit_generator.state = state
-        self._draw_buf = []
+        self._draw_buf = array("d")
         self._draw_pos = 0
         self._refill_state = None
 

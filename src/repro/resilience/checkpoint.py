@@ -36,20 +36,22 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import deque
+from collections.abc import Iterable, Sequence, Sized
 from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterator, List, Optional
 
 from repro.spe.events import EventBatch, LatencyMarker, RecordBatch, Watermark
-from repro.spe.metrics import RunMetrics, UtilizationSample
+from repro.spe.metrics import ColumnLedger, RunMetrics, UtilizationSample
 from repro.spe.operators import (
     CountWindowedAggregate,
     Operator,
     SinkOperator,
     _WindowedOperatorBase,
 )
-from repro.spe.query import EpochStats, PeriodicCursor, Query, SourceBinding
+from repro.spe.query import PeriodicCursor, Query, SourceBinding
 from repro.spe.reorder import ReorderBuffer
 from repro.spe.streams import Channel, _Entry
 from repro.spe.watermarks import (
@@ -108,23 +110,22 @@ _LEDGER_SCALARS = (
 )
 
 
-#: row codecs for the per-epoch and per-cycle ledgers, the longest lists a
-#: snapshot holds: one C-level call per row, yielding tuples (JSON encodes a
-#: tuple exactly like a list)
-_epoch_row = attrgetter("mu", "chi", "swm_ingest_time", "swm_timestamp")
+#: row codec for the per-cycle utilization ledger: one C-level call per
+#: row, yielding tuples (JSON encodes a tuple exactly like a list)
 _sample_row = attrgetter("time", "memory_bytes", "cpu_fraction", "events_processed")
 
 
 class LedgerView:
     """Read-only view of the first ``len(items)`` rows of an append-only
-    ledger at capture, optionally through a row codec. A ledger only grows
-    at its end (KS224) and restore rebinds it to a new list, so the prefix
-    a view names stays frozen: it iterates, ``len()``s and compares like a
-    copy taken at capture, without the copy."""
+    ledger at capture (a list, an ``array('d')`` or a column ledger),
+    optionally through a row codec. A ledger only grows at its end (KS224)
+    and restore rebinds it to a new one, so the prefix a view names stays
+    frozen: it iterates, ``len()``s and compares like a copy taken at
+    capture, without the copy."""
 
     __slots__ = ("_items", "_length", "_row")
 
-    def __init__(self, items: List[Any], row: Optional[Callable[[Any], Any]] = None):
+    def __init__(self, items: Sequence[Any] | ColumnLedger, row: Optional[Callable] = None):
         self._items, self._length, self._row = items, len(items), row
 
     def __len__(self) -> int:
@@ -135,7 +136,9 @@ class LedgerView:
         return rows if self._row is None else map(self._row, rows)
 
     def __eq__(self, other: object) -> bool:
-        return list(self) == (list(other) if isinstance(other, LedgerView) else other)
+        if not isinstance(other, Sized) or not isinstance(other, Iterable):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 class CheckpointError(ValueError):
@@ -332,8 +335,8 @@ def _operator_state(op: Operator) -> Dict[str, Any]:
             "windows_fired": op.windows_fired,
         }
     if isinstance(op, SinkOperator):
-        # The ledgers are append-only lists of immutable (at, latency)
-        # tuples, and JSON encodes a tuple exactly like a list.
+        # The ledgers are append-only (at, latency) column ledgers; a view
+        # iterates their rows as tuples, which JSON encodes like lists.
         state["sink"] = {
             "swm_latencies": LedgerView(op.swm_latencies),
             "marker_latencies": LedgerView(op.marker_latencies),
@@ -388,10 +391,10 @@ def _restore_operator(op: Operator, state: Dict[str, Any]) -> None:
         op.windows_fired = int(count_window["windows_fired"])
     if isinstance(op, SinkOperator):
         sink = state["sink"]
-        op.swm_latencies = [(float(a), float(b)) for a, b in sink["swm_latencies"]]
-        op.marker_latencies = [
-            (float(a), float(b)) for a, b in sink["marker_latencies"]
-        ]
+        op.swm_latencies = ColumnLedger(op.swm_latencies.names, sink["swm_latencies"])
+        op.marker_latencies = ColumnLedger(
+            op.marker_latencies.names, sink["marker_latencies"]
+        )
         op.events_delivered = float(sink["events_delivered"])
     if isinstance(op, WatermarkGeneratorOperator):
         wm_gen = state["wm_gen"]
@@ -439,7 +442,8 @@ def _binding_state(binding: SourceBinding) -> Dict[str, Any]:
     if progress is not None:
         state["progress"] = {
             "epoch_index": progress.epoch_index,
-            "epochs": list(map(_epoch_row, progress.epochs)),
+            # a maxlen ledger drops rows, so it is copied, never viewed
+            "epochs": list(progress.epochs),
             "delay_sum": progress._delay_sum,
             "delay_sq_sum": progress._delay_sq_sum,
             "delay_weight": progress._delay_weight,
@@ -468,9 +472,8 @@ def _restore_binding(binding: SourceBinding, state: Dict[str, Any]) -> None:
     progress_state = state.get("progress")
     if progress is not None and progress_state is not None:
         progress.epoch_index = int(progress_state["epoch_index"])
-        progress.epochs = deque(
-            (EpochStats(*row) for row in progress_state["epochs"]),
-            maxlen=progress.history_limit,
+        progress.epochs = ColumnLedger(
+            progress.epochs.names, progress_state["epochs"], progress.epochs.maxlen
         )
         progress._delay_sum = float(progress_state["delay_sum"])
         progress._delay_sq_sum = float(progress_state["delay_sq_sum"])
@@ -512,11 +515,9 @@ def _restore_metrics(metrics: RunMetrics, state: Dict[str, Any], mode: str) -> N
         for name in _LEDGER_SCALARS:
             setattr(metrics, name, state["scalars"][name])
     for name in _LEDGER_LISTS:
-        setattr(metrics, name, list(state[name]))
-    metrics.per_query_swm_latencies = {
-        qid: list(values)
-        for qid, values in state["per_query_swm_latencies"].items()
-    }
+        setattr(metrics, name, array("d", state[name]))
+    per_query = state["per_query_swm_latencies"]
+    metrics.per_query_swm_latencies = {q: array("d", v) for q, v in per_query.items()}
 
 
 # -- engine-level helpers ---------------------------------------------------

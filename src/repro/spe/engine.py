@@ -31,6 +31,7 @@ events age in the network buffer and latency grows.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -641,44 +642,24 @@ class Engine:
                 used_total += used
         return used_total
 
-    def _run_allocation(self, alloc: Allocation, budget_ms: float) -> float:
-        """Run one query's (or pipeline prefix's) task threads for a slice.
-
-        The scheduled query's operator threads timeshare the granted
-        core-slice; fair sharing with redistribution rounds approximates
-        concurrent pipeline execution, with bottleneck operators absorbing
-        the budget that fast operators leave unused. Records produced
-        upstream in an early round reach downstream operators (and the
-        sink) within the same slice — end-to-end propagation, which is
-        what Klink's prioritization is designed to buy.
-        """
-        return self._fair_share_ops(
-            alloc.runnable_operators(), budget_ms, cap_per_op=self.cycle_ms
-        )
-
     # -- metrics ----------------------------------------------------------------
 
     def _drain_sink_metrics(self) -> None:
         for query in self.queries:
             sink = query.sink
             seen = self._swm_drained[query.query_id]
-            fresh = sink.swm_latencies[seen:]
-            if fresh:
+            if len(sink.swm_latencies) > seen:
+                fresh = sink.swm_latencies.latency[seen:]
                 self._swm_drained[query.query_id] = len(sink.swm_latencies)
+                per_query = self.metrics.per_query_swm_latencies
+                per_query.setdefault(query.query_id, array("d")).extend(fresh)
+                self.metrics.swm_latencies.extend(fresh)
                 ideal = query.pipeline_cost_per_event_ms()
-                lat_list = self.metrics.per_query_swm_latencies.setdefault(
-                    query.query_id, []
-                )
-                for _, latency in fresh:
-                    self.metrics.swm_latencies.append(latency)
-                    lat_list.append(latency)
-                    if ideal > 0:
-                        self.metrics.slowdowns.append(latency / ideal)
-            seen_m = self._marker_drained[query.query_id]
-            fresh_m = sink.marker_latencies[seen_m:]
-            if fresh_m:
-                self._marker_drained[query.query_id] = len(sink.marker_latencies)
-                self.metrics.marker_latencies.extend(lat for _, lat in fresh_m)
+                if ideal > 0:
+                    self.metrics.slowdowns.extend([lat / ideal for lat in fresh])
+            markers, seen_m = sink.marker_latencies, self._marker_drained[query.query_id]
+            self.metrics.marker_latencies.extend(markers.latency[seen_m:])
+            self._marker_drained[query.query_id] = len(markers)
 
     def _sample_utilization(self, cpu_used_ms: float) -> None:
         events_in = sum(s.events_in for s in self._all_op_stats)

@@ -17,8 +17,11 @@ Mirrors Sec. 6.1.2 of the paper:
 from __future__ import annotations
 
 import math
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +58,48 @@ def cdf_points(values: Sequence[float], pcts: Iterable[float]) -> List[Tuple[flo
     return [(p, float(v)) for p, v in zip(pct_list, qs)]
 
 
+class ColumnLedger:
+    """A float ledger stored as one ``array('d')`` per named column.
+
+    ``append(*row)`` adds one value to each column and iteration yields
+    the rows as tuples, so the ledger reads like a list of tuples at 8
+    bytes per value. A reader that wants one field from a cursor on slices
+    its column (``ledger.latency[seen:]``). With ``maxlen`` the oldest row
+    drops on overflow, as in ``deque(maxlen=...)``.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        rows: Iterable[Sequence[float]] = (),
+        maxlen: Optional[int] = None,
+    ) -> None:
+        self.names, self.maxlen = tuple(names), maxlen
+        self._columns = tuple(array("d") for _ in self.names)
+        vars(self).update(zip(self.names, self._columns))
+        kept = list(rows) if maxlen is None else deque(rows, maxlen=maxlen)
+        if kept:  # strict: every row has one value per column
+            by_column = zip(*kept, strict=True)
+            for column, values in zip(self._columns, by_column, strict=True):
+                column.extend(values)
+
+    def append(self, *row: float) -> None:
+        columns = self._columns
+        if len(row) != len(columns):
+            raise ValueError(f"row {row!r} does not match columns {self.names}")
+        for column, value in zip(columns, row):
+            column.append(value)
+        if self.maxlen is not None and len(columns[0]) > self.maxlen:
+            for column in columns:
+                del column[0]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[Tuple[float, ...]]:
+        return zip(*self._columns)
+
+
 @dataclass(frozen=True)
 class UtilizationSample:
     """One per-cycle utilization snapshot."""
@@ -70,10 +115,10 @@ class RunMetrics:
     """Aggregated results of one engine run."""
 
     duration_ms: float = 0.0
-    swm_latencies: List[float] = field(default_factory=list)
-    marker_latencies: List[float] = field(default_factory=list)
-    slowdowns: List[float] = field(default_factory=list)
-    per_query_swm_latencies: Dict[str, List[float]] = field(default_factory=dict)
+    swm_latencies: array = field(default_factory=partial(array, "d"))
+    marker_latencies: array = field(default_factory=partial(array, "d"))
+    slowdowns: array = field(default_factory=partial(array, "d"))
+    per_query_swm_latencies: Dict[str, array] = field(default_factory=dict)
     samples: List[UtilizationSample] = field(default_factory=list)
     total_events_processed: float = 0.0
     total_events_ingested: float = 0.0

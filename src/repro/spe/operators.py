@@ -30,6 +30,7 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.spe.events import LatencyMarker, RecordBatch, Watermark
+from repro.spe.metrics import ColumnLedger
 from repro.spe.streams import _COMPACT_THRESHOLD, Channel, _Entry
 from repro.spe.windows import Pane, WindowAssigner
 
@@ -67,13 +68,6 @@ class OperatorStats:
         if self.events_in <= 0:
             return 1.0
         return self.events_out / self.events_in
-
-    @property
-    def measured_cost_ms(self) -> float:
-        """Observed CPU cost per input event; 0.0 with no data."""
-        if self.events_in <= 0:
-            return 0.0
-        return self.busy_ms / self.events_in
 
 
 class Operator:
@@ -1333,13 +1327,15 @@ class SinkOperator(Operator):
 
     Latency of the stream is the propagation delay of SWMs: for each SWM
     reaching the sink, ``now - swm.timestamp`` (Sec. 6.1.2). Latency
-    markers record source-to-sink propagation of individual probes.
+    markers record source-to-sink propagation of individual probes. Both
+    ledgers hold ``(at, latency)`` rows: the engine time of delivery and
+    the propagation delay.
     """
 
     def __init__(self, name: str, cost_per_event_ms: float = 0.0):
         super().__init__(name, cost_per_event_ms, selectivity=1.0)
-        self.swm_latencies: List[Tuple[float, float]] = []  # (now, latency)
-        self.marker_latencies: List[Tuple[float, float]] = []
+        self.swm_latencies = ColumnLedger(("at", "latency"))
+        self.marker_latencies = ColumnLedger(("at", "latency"))
         self.events_delivered: float = 0.0
 
     def _on_row(
@@ -1354,12 +1350,12 @@ class SinkOperator(Operator):
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
         if wm.is_swm:
-            self.swm_latencies.append((now, now - wm.timestamp))
+            self.swm_latencies.append(now, now - wm.timestamp)
 
     def _dispatch(self, record, channel, budget_ms, now):
         if isinstance(record, LatencyMarker):
             cost = min(self.cost_per_event_ms, budget_ms)
-            self.marker_latencies.append((now, now - record.created_at))
+            self.marker_latencies.append(now, now - record.created_at)
             self.stats.busy_ms += cost
             return cost
         return super()._dispatch(record, channel, budget_ms, now)

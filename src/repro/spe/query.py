@@ -17,9 +17,8 @@ estimator consumes.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.report import Report
 
 from repro.net.delays import DelayModel
+from repro.spe.metrics import ColumnLedger
 from repro.spe.operators import (
     Operator,
     SinkOperator,
@@ -109,14 +109,9 @@ class SourceSpec:
         return (1.0 - self.burst_factor * self.burst_duty) / (1.0 - self.burst_duty)
 
 
-@dataclass
-class EpochStats:
-    """Finalized delay statistics for one epoch (inputs to Eqs. 3-6)."""
-
-    mu: float    # mean network delay over the epoch's events
-    chi: float   # mean squared network delay
-    swm_ingest_time: float  # engine time the epoch's closing SWM arrived
-    swm_timestamp: float    # event-time the closing SWM carried
+#: per-epoch history: mean and mean squared network delay (Eqs. 3-4), and
+#: the engine time and event time of the SWM that closed the epoch
+EPOCH_COLUMNS = ("mu", "chi", "swm_ingest_time", "swm_timestamp")
 
 
 class StreamProgress:
@@ -137,9 +132,8 @@ class StreamProgress:
     ) -> None:
         self.assigner = assigner
         self.watermark_period_ms = watermark_period_ms
-        self.history_limit = history
         self.epoch_index = 0
-        self.epochs: Deque[EpochStats] = deque(maxlen=history)
+        self.epochs = ColumnLedger(EPOCH_COLUMNS, maxlen=history)
         # accumulators for the in-flight epoch
         self._delay_sum = 0.0
         self._delay_sq_sum = 0.0
@@ -153,13 +147,12 @@ class StreamProgress:
         # over the unchanged history would produce.
         self._version = 0  # klink: transient[cache-key counter for the moments memo below]
         self._moments_memo: Optional[Tuple[int, int, float, float]] = None  # klink: transient[memoized (version, history, mu, chi); recomputed on demand]
-        # Epoch-keyed memos: the finalized-epoch history only changes when
+        # Epoch-keyed memo: the finalized-epoch history only changes when
         # an epoch closes, while delay observations arrive every cycle —
         # caching the history-side sums turns the estimator's per-cycle
         # moment computation into O(1). Keys use ``epoch_index`` (total
-        # epochs finalized), which the deque's maxlen eviction preserves.
+        # epochs finalized), which the ledger's maxlen eviction preserves.
         self._hist_sums_memo: Optional[Tuple[int, int, int, float, float]] = None  # klink: transient[memoized (epoch_index, history, n, mu_sum, chi_sum)]
-        self._epoch_mean_memo: Optional[Tuple[int, float, float]] = None  # klink: transient[memoized (epoch_index, mu, chi) for the idle-epoch fallback]
         self.last_watermark_ts = -math.inf
         self.last_swm_ingest_time: Optional[float] = None
         self.next_deadline: Optional[float] = (
@@ -196,10 +189,10 @@ class StreamProgress:
             chi = self._delay_sq_sum / self._delay_weight
         elif self.epochs:
             # No events this epoch (idle stream): carry the last profile.
-            mu, chi = self.epochs[-1].mu, self.epochs[-1].chi
+            mu, chi = self.epochs.mu[-1], self.epochs.chi[-1]
         else:
             mu, chi = 0.0, 0.0
-        self.epochs.append(EpochStats(mu, chi, now, wm_ts))
+        self.epochs.append(mu, chi, now, wm_ts)
         self.epoch_index += 1
         self.last_swm_ingest_time = now
         self._delay_sum = 0.0
@@ -213,7 +206,6 @@ class StreamProgress:
         the current history."""
         self._moments_memo = None  # klink: transient[memo over the captured accumulators]
         self._hist_sums_memo = None  # klink: transient[memo over the captured epoch history]
-        self._epoch_mean_memo = None  # klink: transient[memo over the captured epoch history]
 
     # -- estimator inputs ----------------------------------------------------
 
@@ -234,23 +226,9 @@ class StreamProgress:
                 self._delay_sq_sum / self._delay_weight,
             )
         if self.epochs:
-            # The history-average fallback is fixed until the next epoch
-            # closes; memoize it per epoch_index (same sums, same order).
-            memo = self._epoch_mean_memo
-            if memo is not None and memo[0] == self.epoch_index:
-                return memo[1], memo[2]
             n = len(self.epochs)
-            mu = sum(e.mu for e in self.epochs) / n
-            chi = sum(e.chi for e in self.epochs) / n
-            self._epoch_mean_memo = (self.epoch_index, mu, chi)
-            return mu, chi
+            return sum(self.epochs.mu) / n, sum(self.epochs.chi) / n
         return 0.0, 0.0
-
-    def mu_history(self) -> List[float]:
-        return [e.mu for e in self.epochs]
-
-    def chi_history(self) -> List[float]:
-        return [e.chi for e in self.epochs]
 
 
 class PeriodicCursor:
@@ -350,15 +328,6 @@ class SourceBinding:
     @next_marker_time.setter
     def next_marker_time(self, value: float) -> None:
         self._marker_cursor.reset(value)
-
-    def advance_gen(self) -> float:
-        return self._gen_cursor.advance()
-
-    def advance_watermark(self) -> float:
-        return self._watermark_cursor.advance()
-
-    def advance_marker(self) -> float:
-        return self._marker_cursor.advance()
 
     def bind_progress(
         self, assigner: Optional[WindowAssigner], start_time: float = 0.0

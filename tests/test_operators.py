@@ -298,19 +298,20 @@ class TestSink:
         sink = SinkOperator("s")
         feed(sink, Watermark(1000.0, is_swm=True), now=1500.0)
         sink.step(1.0, now=1500.0)
-        assert sink.swm_latencies == [(1500.0, 500.0)]
+        assert list(sink.swm_latencies) == [(1500.0, 500.0)]
+        assert list(sink.swm_latencies.latency) == [500.0]
 
     def test_ignores_non_swm_watermarks(self):
         sink = SinkOperator("s")
         feed(sink, Watermark(1000.0), now=1500.0)
         sink.step(1.0, now=1500.0)
-        assert sink.swm_latencies == []
+        assert len(sink.swm_latencies) == 0
 
     def test_records_marker_latency(self):
         sink = SinkOperator("s")
         feed(sink, LatencyMarker(created_at=100.0), now=350.0)
         sink.step(1.0, now=350.0)
-        assert sink.marker_latencies == [(350.0, 250.0)]
+        assert list(sink.marker_latencies) == [(350.0, 250.0)]
 
     def test_counts_delivered_events(self):
         sink = SinkOperator("s")

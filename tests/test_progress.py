@@ -68,16 +68,14 @@ class TestDelayStatistics:
         p.observe_delay(10.0)
         p.observe_delay(20.0)
         p.observe_watermark(1000.0, now=1100.0)
-        epoch = p.epochs[-1]
-        assert epoch.mu == pytest.approx(15.0)
-        assert epoch.chi == pytest.approx((100.0 + 400.0) / 2)
+        assert list(p.epochs) == [(15.0, (100.0 + 400.0) / 2, 1100.0, 1000.0)]
 
     def test_weighted_delays(self):
         p = make_progress()
         p.observe_delay(10.0, weight=3.0)
         p.observe_delay(50.0, weight=1.0)
         p.observe_watermark(1000.0, now=1100.0)
-        assert p.epochs[-1].mu == pytest.approx(20.0)
+        assert p.epochs.mu[-1] == pytest.approx(20.0)
 
     def test_accumulators_reset_between_epochs(self):
         p = make_progress()
@@ -85,14 +83,14 @@ class TestDelayStatistics:
         p.observe_watermark(1000.0, now=1100.0)
         p.observe_delay(30.0)
         p.observe_watermark(2000.0, now=2100.0)
-        assert p.epochs[-1].mu == pytest.approx(30.0)
+        assert p.epochs.mu[-1] == pytest.approx(30.0)
 
     def test_empty_epoch_carries_last_profile(self):
         p = make_progress()
         p.observe_delay(10.0)
         p.observe_watermark(1000.0, now=1100.0)
         p.observe_watermark(2000.0, now=2100.0)  # idle epoch, no events
-        assert p.epochs[-1].mu == pytest.approx(10.0)
+        assert p.epochs.mu[-1] == pytest.approx(10.0)
 
     def test_history_bounded_by_h(self):
         p = make_progress(history=3)
@@ -100,7 +98,8 @@ class TestDelayStatistics:
             p.observe_delay(float(i))
             p.observe_watermark((i + 1) * 1000.0, now=(i + 1) * 1000.0 + 50)
         assert len(p.epochs) == 3
-        assert p.mu_history() == [7.0, 8.0, 9.0]
+        assert list(p.epochs.mu) == [7.0, 8.0, 9.0]
+        assert [row[0] for row in p.epochs] == [7.0, 8.0, 9.0]
 
     def test_current_epoch_mean_prefers_fresh_data(self):
         p = make_progress()

@@ -9,6 +9,7 @@ from one that never stopped, for every scheduling policy.
 
 import dataclasses
 import json
+from array import array
 import math
 import tracemalloc
 
@@ -36,7 +37,7 @@ from repro.resilience import (
 from repro.resilience.checkpoint import LedgerView, _encoded_size, _sample_row
 from repro.spe.engine import Engine
 from repro.spe.memory import MemoryConfig
-from repro.spe.metrics import UtilizationSample
+from repro.spe.metrics import ColumnLedger, UtilizationSample
 from repro.workloads import WorkloadParams, build_queries
 
 from tests.helpers import make_join_query, make_simple_query
@@ -457,6 +458,17 @@ class TestLedgerViews:
             samples[0].time = 1.0  # type: ignore[misc]
         with pytest.raises(TypeError):
             serialize({"s": {1, 2}})  # other non-JSON values are still refused
+
+    def test_view_equals_arrays_and_column_ledgers_by_value(self):
+        floats = array("d", [1.0, 2.0])
+        assert LedgerView([1.0, 2.0]) == floats and floats == LedgerView([1.0, 2.0])
+        assert LedgerView(floats) == [1.0, 2.0]
+        assert LedgerView([1.0, 2.0]) != array("d", [1.0])
+        ledger = ColumnLedger(("at", "latency"), [(1.0, 0.5)])
+        assert LedgerView([(1.0, 0.5)]) == ledger and LedgerView(ledger) == [(1.0, 0.5)]
+        ledger.append(2.0, 0.25)
+        assert LedgerView([(1.0, 0.5)]) != ledger
+        assert LedgerView([1.0]) != (x for x in [1.0])  # not sized: never equal
 
     def test_snapshot_ledgers_are_views_and_round_trip_to_lists(self):
         engine = build_engine()

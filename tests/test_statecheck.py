@@ -558,6 +558,34 @@ def rewrite(metrics, q, value):
 """
 
 
+#: column ledgers: whole rows through the ledger, reads of a column, and
+#: column writes on things that are not ledgers
+COLUMN_CLEAN = """
+def drain(metrics, seen, value):
+    metrics.latencies.append(value, value)
+    fresh = metrics.latencies.at[seen:]
+    total = sum(metrics.latencies.latency)
+    metrics.other.at.pop()
+    metrics.other.at[0] = value
+    return fresh, total
+"""
+
+#: one write through a single column per line: each one desynchronizes
+#: the rows or rewrites history
+COLUMN_REWRITES = """
+def rewrite(metrics, value, data):
+    metrics.latencies.at[0] = value
+    del metrics.latencies.latency[-1]
+    metrics.latencies.at.pop()
+    metrics.latencies.latency.remove(value)
+    metrics.latencies.at.insert(0, value)
+    metrics.latencies.latency.reverse()
+    metrics.latencies.at.frombytes(data)
+    metrics.latencies.at.append(value)
+    metrics.latencies.latency += data
+"""
+
+
 class TestLedgerGrowth:
     def _report(self, tmp_path, body, checkpoint=LEDGER_CHECKPOINT):
         root = make_pkg(
@@ -576,6 +604,19 @@ class TestLedgerGrowth:
         assert codes(report) == ["KS224"], report.render_text()
         assert sorted(d.line for d in ks224) == list(range(3, 17))
         assert "'per_query'" in ks224[-1].message
+
+    def test_column_reads_and_whole_rows_are_clean(self, tmp_path):
+        report = self._report(tmp_path, COLUMN_CLEAN)
+        assert report.diagnostics == [], report.render_text()
+
+    def test_every_column_write_fires_ks224(self, tmp_path):
+        report = self._report(tmp_path, COLUMN_REWRITES)
+        ks224 = [d for d in report.diagnostics if d.code == "KS224"]
+        assert codes(report) == ["KS224"], report.render_text()
+        assert sorted(d.line for d in ks224) == list(range(3, 12))
+        assert all("of ledger 'latencies'" in d.message for d in ks224)
+        last = max(ks224, key=lambda d: d.line)
+        assert "column 'latency'" in last.message and "(+=)" in last.message
 
     def test_ledger_set_comes_from_the_views(self, tmp_path):
         """Unwrap the views and the same rewrites are no longer ledger
@@ -605,6 +646,24 @@ class TestLedgerGrowth:
         ks224 = [d for d in report.diagnostics if d.code == "KS224"]
         assert len(ks224) == 1, report.render_text()
         assert "'swm_latencies'" in ks224[0].message
+
+    def test_shipped_sink_columns_have_teeth(self, tree_copy):
+        operators = tree_copy / "spe" / "operators.py"
+        operators.write_text(
+            operators.read_text()
+            + textwrap.dedent(
+                """
+
+                class ClippingSink(SinkOperator):
+                    def clip(self) -> None:
+                        self.marker_latencies.latency[0] = 0.0
+                """
+            )
+        )
+        report = check_paths([tree_copy])
+        ks224 = [d for d in report.diagnostics if d.code == "KS224"]
+        assert len(ks224) == 1, report.render_text()
+        assert "column 'latency' of ledger 'marker_latencies'" in ks224[0].message
 
 
 # -- KW3xx: worker purity (synthetic) ----------------------------------------
