@@ -31,19 +31,34 @@ when the sweeping watermark actually arrives, the logged predictions
 resolve into signed errors, aggregated into calibration statistics
 (mean/percentile error, over-/under-prediction episodes) for the report.
 
-In-flight lineage state of sampled rows survives checkpoint/restore via
-the ``capture_lineage`` / ``restore_lineage`` codec pair in
-:mod:`repro.resilience.checkpoint` (statecheck entry ``lineage``).
+Both logs that grow with run length are columns: the forecast audit's
+resolved errors are ``array('d')`` ledgers and completed records live in
+a :class:`CompletionLog`. In-flight lineage state of sampled rows
+survives checkpoint/restore via the ``capture_lineage`` /
+``restore_lineage`` codec pair in :mod:`repro.resilience.checkpoint`
+(statecheck entry ``lineage``), which references the logs by prefix.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.spe.events import EventBatch, pack_event_time, record_identity_prefix
-from repro.spe.metrics import percentile
+from repro.spe.metrics import ColumnLedger, percentile
 from repro.spe.operators import (
     CountWindowedAggregate,
     Operator,
@@ -70,7 +85,13 @@ RECORD_STATUSES: Tuple[str, ...] = (
     "in-flight",
 )
 
+#: columns of the forecast audit's per-deadline ledgers
+DEADLINE_COLUMNS: Tuple[str, ...] = ("deadline", "error")
+
 _TWO_POW_64 = 1 << 64
+
+#: (kind, operator name or None, start, end) — one link of a span chain
+Span = Tuple[str, Optional[str], float, float]
 
 
 class _Record:
@@ -90,8 +111,7 @@ class _Record:
         self.source_id = source_id
         self.t_end = t_end
         self.absorbed_at = 0.0  # window-absorption time while parked on a pane
-        # (kind, operator name or None, start, end) — contiguous chain
-        self.spans: List[Tuple[str, Optional[str], float, float]] = []
+        self.spans: List[Span] = []  # contiguous chain
 
     def encode(self) -> Dict[str, Any]:
         return {
@@ -169,10 +189,10 @@ class SwmForecastAudit:
             Tuple[str, int], Dict[float, List[Tuple[float, Optional[float]]]]
         ] = {}
         #: (query_id, source_id) -> all resolved per-evaluation errors
-        self._errors: Dict[Tuple[str, int], List[float]] = {}
-        self._naive_errors: Dict[Tuple[str, int], List[float]] = {}
-        #: (query_id, source_id) -> [(deadline, last-evaluation error)]
-        self._deadline_errors: Dict[Tuple[str, int], List[Tuple[float, float]]] = {}
+        self._errors: Dict[Tuple[str, int], array] = {}
+        self._naive_errors: Dict[Tuple[str, int], array] = {}
+        #: (query_id, source_id) -> (deadline, last-evaluation error) rows
+        self._deadline_errors: Dict[Tuple[str, int], ColumnLedger] = {}
 
     # -- wiring --------------------------------------------------------------
 
@@ -224,9 +244,12 @@ class SwmForecastAudit:
         swept = sorted(d for d in pending if d <= wm_timestamp)
         if not swept:
             return
-        errors = self._errors.setdefault(key, [])
-        naive_errors = self._naive_errors.setdefault(key, [])
-        per_deadline = self._deadline_errors.setdefault(key, [])
+        if key not in self._errors:  # the three ledgers share their keys
+            self._errors[key] = array("d")
+            self._naive_errors[key] = array("d")
+            self._deadline_errors[key] = ColumnLedger(DEADLINE_COLUMNS)
+        errors, naive_errors = self._errors[key], self._naive_errors[key]
+        per_deadline = self._deadline_errors[key]
         for deadline in swept:
             evaluations = pending.pop(deadline)
             last_error = 0.0
@@ -235,12 +258,12 @@ class SwmForecastAudit:
                 errors.append(last_error)
                 if naive is not None:
                     naive_errors.append(naive - now)
-            per_deadline.append((deadline, last_error))
+            per_deadline.append(deadline, last_error)
 
     # -- output --------------------------------------------------------------
 
     @staticmethod
-    def _episodes(signed: List[float]) -> Tuple[int, int]:
+    def _episodes(signed: Iterable[float]) -> Tuple[int, int]:
         """(over, under) maximal runs of same-signed consecutive errors."""
         over = under = 0
         current = 0
@@ -259,13 +282,13 @@ class SwmForecastAudit:
         rows: List[Dict[str, Any]] = []
         keys = sorted(set(self._errors) | set(self._pending) | set(self._sources))
         for key in keys:
-            errors = self._errors.get(key, [])
+            errors = self._errors.get(key, array("d"))
             if not errors and not self._pending.get(key):
                 continue
-            naive = self._naive_errors.get(key, [])
+            naive = self._naive_errors.get(key, array("d"))
             abs_errors = [abs(e) for e in errors]
-            by_deadline = self._deadline_errors.get(key, [])
-            over, under = self._episodes([e for _, e in by_deadline])
+            by_deadline = self._deadline_errors.get(key) or ColumnLedger(DEADLINE_COLUMNS)
+            over, under = self._episodes(e for _, e in by_deadline)
             meta = self._sources.get(key, {})
             rows.append(
                 {
@@ -306,47 +329,126 @@ class SwmForecastAudit:
 
     # -- checkpoint codec support (driven by capture/restore_lineage) ---------
 
-    def encode(self) -> Dict[str, Any]:
-        return {
-            "evaluations": self.evaluations,
-            "pending": [
-                [qid, sid, [[d, [list(e) for e in evs]] for d, evs in sorted(by_d.items())]]
-                for (qid, sid), by_d in self._pending.items()
-            ],
-            "errors": [
-                [qid, sid, list(errs)] for (qid, sid), errs in self._errors.items()
-            ],
-            "naive_errors": [
-                [qid, sid, list(errs)]
-                for (qid, sid), errs in self._naive_errors.items()
-            ],
-            "deadline_errors": [
-                [qid, sid, list(rows)]  # rows of immutable tuples
-                for (qid, sid), rows in self._deadline_errors.items()
-            ],
-        }
+    def encode_pending(self) -> List[Any]:
+        """The unresolved predictions, copied: resolution pops them, so a
+        sidecar cannot name a prefix of them as it does the error ledgers."""
+        return [
+            [qid, sid, [[d, [list(e) for e in evs]] for d, evs in sorted(by_d.items())]]
+            for (qid, sid), by_d in self._pending.items()
+        ]
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        self.evaluations = int(state["evaluations"])
+    def restore_pending(self, state: List[Any]) -> None:
         self._pending = {
             (str(qid), int(sid)): {
                 float(d): [(float(m), None if n is None else float(n)) for m, n in evs]
                 for d, evs in by_d
             }
-            for qid, sid, by_d in state["pending"]
+            for qid, sid, by_d in state
         }
-        self._errors = {
-            (str(qid), int(sid)): [float(e) for e in errs]
-            for qid, sid, errs in state["errors"]
-        }
-        self._naive_errors = {
-            (str(qid), int(sid)): [float(e) for e in errs]
-            for qid, sid, errs in state["naive_errors"]
-        }
-        self._deadline_errors = {
-            (str(qid), int(sid)): [(float(d), float(e)) for d, e in rows]
-            for qid, sid, rows in state["deadline_errors"]
-        }
+
+
+class CompletionLog:
+    """Completed sampled records, in completion order, as columns.
+
+    Per record it holds the ``t_end`` and ``completed_at`` floats, the
+    ``rid``, ``query_id`` and ``status`` strings and the ``source_id`` by
+    reference, and ``span_stop``, the end offset of the record's spans in
+    the flat span columns ``span_kind``, ``span_op``, ``span_start`` and
+    ``span_end``. The log only grows at its end, so a checkpoint sidecar
+    names a prefix of it instead of copying it. Iteration rebuilds each
+    record's ``lineage`` trace row as a fresh dict: ``components`` and
+    ``end_to_end_ms`` are recomputed with the float operations that first
+    built them, so the rows are exactly the ones the run completed.
+    """
+
+    def __init__(self, rows: Iterable[Dict[str, Any]] = ()) -> None:
+        self.rid: List[str] = []
+        self.query_id: List[str] = []
+        self.source_id = array("q")
+        self.status: List[str] = []
+        self.t_end = array("d")
+        self.completed_at = array("d")
+        self.span_stop = array("q")
+        self.span_kind: List[str] = []
+        self.span_op: List[Optional[str]] = []
+        self.span_start = array("d")
+        self.span_end = array("d")
+        for row in rows:
+            self.append(
+                str(row["rid"]),
+                str(row["query_id"]),
+                int(row["source_id"]),
+                float(row["t_end"]),
+                str(row["status"]),
+                float(row["completed_at"]),
+                [
+                    (
+                        str(span["kind"]),
+                        None if span["op"] is None else str(span["op"]),
+                        float(span["start"]),
+                        float(span["end"]),
+                    )
+                    for span in row["spans"]
+                ],
+            )
+
+    def append(
+        self,
+        rid: str,
+        query_id: str,
+        source_id: int,
+        t_end: float,
+        status: str,
+        completed_at: float,
+        spans: Iterable[Span],
+    ) -> None:
+        self.rid.append(rid)
+        self.query_id.append(query_id)
+        self.source_id.append(source_id)
+        self.status.append(status)
+        self.t_end.append(t_end)
+        self.completed_at.append(completed_at)
+        for kind, op, start, end in spans:
+            self.span_kind.append(kind)
+            self.span_op.append(op)
+            self.span_start.append(start)
+            self.span_end.append(end)
+        self.span_stop.append(len(self.span_kind))
+
+    def __len__(self) -> int:
+        return len(self.span_stop)
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        start = 0
+        for i, stop in enumerate(self.span_stop):
+            spans = list(
+                zip(
+                    self.span_kind[start:stop],
+                    self.span_op[start:stop],
+                    self.span_start[start:stop],
+                    self.span_end[start:stop],
+                )
+            )
+            start = stop
+            components = {kind: 0.0 for kind in SPAN_KINDS}
+            for kind, _, begin, end in spans:
+                components[kind] += end - begin
+            t_end, completed_at = self.t_end[i], self.completed_at[i]
+            yield {
+                "type": "lineage",
+                "rid": self.rid[i],
+                "query_id": self.query_id[i],
+                "source_id": self.source_id[i],
+                "t_end": t_end,
+                "status": self.status[i],
+                "completed_at": completed_at,
+                "end_to_end_ms": completed_at - t_end,
+                "components": components,
+                "spans": [
+                    {"kind": kind, "op": op, "start": begin, "end": end}
+                    for kind, op, begin, end in spans
+                ],
+            }
 
 
 class LineageTracker:
@@ -387,7 +489,7 @@ class LineageTracker:
         self._inflight_index: Dict[Tuple[str, str], Set[float]] = {}  # klink: transient[index over _inflight keys; restore_lineage rebuilds it]
         #: (query_id, operator name, pane end) -> records parked in the pane
         self._window_wait: Dict[Tuple[str, str, float], List[_Record]] = {}
-        self._completed: List[Dict[str, Any]] = []
+        self._completed = CompletionLog()
         self.rows_sampled = 0
         self.spans_recorded = 0
         self.forecast = SwmForecastAudit()
@@ -590,25 +692,8 @@ class LineageTracker:
     # -- completion ------------------------------------------------------------
 
     def _finish(self, rec: _Record, status: str, now: float) -> None:
-        components = {kind: 0.0 for kind in SPAN_KINDS}
-        for kind, _, start, end in rec.spans:
-            components[kind] += end - start
         self._completed.append(
-            {
-                "type": "lineage",
-                "rid": rec.rid,
-                "query_id": rec.query_id,
-                "source_id": rec.source_id,
-                "t_end": rec.t_end,
-                "status": status,
-                "completed_at": now,
-                "end_to_end_ms": now - rec.t_end,
-                "components": components,
-                "spans": [
-                    {"kind": kind, "op": op, "start": start, "end": end}
-                    for kind, op, start, end in rec.spans
-                ],
-            }
+            rec.rid, rec.query_id, rec.source_id, rec.t_end, status, now, rec.spans
         )
         self.spans_recorded += len(rec.spans)
 
@@ -628,7 +713,8 @@ class LineageTracker:
     # -- output ----------------------------------------------------------------
 
     def lineage_rows(self) -> List[Dict[str, Any]]:
-        """Completed ``lineage`` trace records, in completion order."""
+        """Completed ``lineage`` trace records, in completion order. Each
+        call builds fresh rows: editing one changes nothing else."""
         return list(self._completed)
 
     def swm_forecast_rows(self) -> List[Dict[str, Any]]:
@@ -641,8 +727,8 @@ class LineageTracker:
         lineage-attributable records it wrote (0 until then).
         """
         statuses = {status: 0 for status in RECORD_STATUSES}
-        for row in self._completed:
-            statuses[str(row["status"])] = statuses.get(str(row["status"]), 0) + 1
+        for status in self._completed.status:
+            statuses[status] = statuses.get(status, 0) + 1
         return {
             "type": "lineage_summary",
             "sample_rate": self.sample_rate,

@@ -62,7 +62,7 @@ from repro.spe.watermarks import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.lineage import LineageTracker
+    from repro.obs.lineage import CompletionLog, LineageTracker
     from repro.spe.engine import Engine
 
 #: checkpoint schema version; bumped on any incompatible layout change
@@ -117,15 +117,19 @@ _sample_row = attrgetter("time", "memory_bytes", "cpu_fraction", "events_process
 
 class LedgerView:
     """Read-only view of the first ``len(items)`` rows of an append-only
-    ledger at capture (a list, an ``array('d')`` or a column ledger),
-    optionally through a row codec. A ledger only grows at its end (KS224)
-    and restore rebinds it to a new one, so the prefix a view names stays
-    frozen: it iterates, ``len()``s and compares like a copy taken at
-    capture, without the copy."""
+    ledger at capture (a list, an ``array('d')``, a column ledger or a
+    lineage completion log), optionally through a row codec. A ledger
+    only grows at its end (KS224) and restore rebinds it to a new one, so
+    the prefix a view names stays frozen: it iterates, ``len()``s and
+    compares like a copy taken at capture, without the copy."""
 
     __slots__ = ("_items", "_length", "_row")
 
-    def __init__(self, items: Sequence[Any] | ColumnLedger, row: Optional[Callable] = None):
+    def __init__(
+        self,
+        items: Sequence[Any] | ColumnLedger | "CompletionLog",
+        row: Optional[Callable] = None,
+    ):
         self._items, self._length, self._row = items, len(items), row
 
     def __len__(self) -> int:
@@ -442,8 +446,9 @@ def _binding_state(binding: SourceBinding) -> Dict[str, Any]:
     if progress is not None:
         state["progress"] = {
             "epoch_index": progress.epoch_index,
-            # a maxlen ledger drops rows, so it is copied, never viewed
-            "epochs": list(progress.epochs),
+            # a maxlen ledger drops rows, so the view names a copy of its
+            # columns, never the live ledger
+            "epochs": LedgerView(progress.epochs.copy()),
             "delay_sum": progress._delay_sum,
             "delay_sq_sum": progress._delay_sq_sum,
             "delay_weight": progress._delay_weight,
@@ -721,8 +726,12 @@ def capture_lineage(tracker: "LineageTracker") -> Dict[str, Any]:
     codec pair. The sidecar is deliberately *not* part of the engine
     snapshot: enabling tracing must leave checkpoint bytes identical to
     an untraced run, so the store carries it alongside the snapshot.
-    Dict iterations are sorted so equal states encode identically.
+    The completion log and the resolved forecast ledgers only grow, so
+    the sidecar holds :class:`LedgerView` prefixes of them; in-flight,
+    window-wait and pending state is copied. Dict iterations are sorted
+    (or follow ledger insertion order) so equal states encode identically.
     """
+    forecast = tracker.forecast
     return {
         "inflight": [
             [list(key), [[rec.encode() for rec in group] for group in groups]]
@@ -732,17 +741,33 @@ def capture_lineage(tracker: "LineageTracker") -> Dict[str, Any]:
             [list(key), [rec.encode() for rec in records]]
             for key, records in sorted(tracker._window_wait.items())
         ],
-        # completed rows are never mutated once appended: share them
-        "completed": list(tracker._completed),
+        "completed": LedgerView(tracker._completed),
         "rows_sampled": tracker.rows_sampled,
         "spans_recorded": tracker.spans_recorded,
-        "forecast": tracker.forecast.encode(),
+        "forecast": {
+            "evaluations": forecast.evaluations,
+            "pending": forecast.encode_pending(),
+            "errors": [
+                [qid, sid, LedgerView(forecast._errors[qid, sid])]
+                for qid, sid in forecast._errors
+            ],
+            "naive_errors": [
+                [qid, sid, LedgerView(forecast._naive_errors[qid, sid])]
+                for qid, sid in forecast._naive_errors
+            ],
+            "deadline_errors": [
+                [qid, sid, LedgerView(forecast._deadline_errors[qid, sid])]
+                for qid, sid in forecast._deadline_errors
+            ],
+        },
     }
 
 
 def restore_lineage(tracker: "LineageTracker", state: Dict[str, Any]) -> None:
-    """Apply a sidecar captured by :func:`capture_lineage`."""
-    from repro.obs.lineage import _Record
+    """Apply a sidecar captured by :func:`capture_lineage`. The logs are
+    rebound to fresh ledgers, so views held by stored sidecars keep the
+    prefix they name."""
+    from repro.obs.lineage import DEADLINE_COLUMNS, CompletionLog, _Record
 
     tracker._inflight = {
         (str(k[0]), str(k[1]), float(k[2])): deque(
@@ -757,10 +782,24 @@ def restore_lineage(tracker: "LineageTracker", state: Dict[str, Any]) -> None:
         ]
         for k, records in state["window_wait"]
     }
-    tracker._completed = [dict(row) for row in state["completed"]]
+    tracker._completed = CompletionLog(state["completed"])
     tracker.rows_sampled = int(state["rows_sampled"])
     tracker.spans_recorded = int(state["spans_recorded"])
-    tracker.forecast.restore(state["forecast"])
+    forecast, forecast_state = tracker.forecast, state["forecast"]
+    forecast.evaluations = int(forecast_state["evaluations"])
+    forecast.restore_pending(forecast_state["pending"])
+    forecast._errors = {
+        (str(qid), int(sid)): array("d", errs)
+        for qid, sid, errs in forecast_state["errors"]
+    }
+    forecast._naive_errors = {
+        (str(qid), int(sid)): array("d", errs)
+        for qid, sid, errs in forecast_state["naive_errors"]
+    }
+    forecast._deadline_errors = {
+        (str(qid), int(sid)): ColumnLedger(DEADLINE_COLUMNS, rows)
+        for qid, sid, rows in forecast_state["deadline_errors"]
+    }
 
 
 def _materialize(node: object) -> List[Any]:

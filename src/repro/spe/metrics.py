@@ -93,6 +93,13 @@ class ColumnLedger:
             for column in columns:
                 del column[0]
 
+    def copy(self) -> "ColumnLedger":
+        """A ledger with the same rows and ``maxlen`` and its own columns."""
+        ledger = ColumnLedger(self.names, maxlen=self.maxlen)
+        for column, values in zip(ledger._columns, self._columns):
+            column.extend(values)
+        return ledger
+
     def __len__(self) -> int:
         return len(self._columns[0])
 

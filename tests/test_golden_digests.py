@@ -61,7 +61,12 @@ from repro.resilience import (
     RecoveryConfig,
     RecoveryManager,
 )
-from repro.resilience.checkpoint import _encoded_size, capture, serialize
+from repro.resilience.checkpoint import (
+    _encoded_size,
+    _materialize,
+    capture,
+    serialize,
+)
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
 from repro.spe.tracing import CycleTracer
@@ -76,7 +81,8 @@ def _sha(text: str) -> str:
 
 
 def _json_sha(value: Any) -> str:
-    return _sha(json.dumps(value, sort_keys=True))
+    # lineage sidecars hold ledger views: encode them as the lists they name
+    return _sha(json.dumps(value, sort_keys=True, default=_materialize))
 
 
 def _record_store(coordinator: CheckpointCoordinator) -> List[Tuple[str, str]]:

@@ -17,8 +17,11 @@ The contract under test:
   record fails loudly with file:line context.
 """
 
+import inspect
 import json
 import os
+import tracemalloc
+from array import array
 from collections import deque
 from dataclasses import replace
 from types import SimpleNamespace
@@ -48,9 +51,19 @@ from repro.obs import (
     validate_swm_forecast,
     waterfall,
 )
-from repro.obs.lineage import _Record
-from repro.resilience import capture_lineage, restore_lineage
+from repro.obs.audit import AuditLog
+from repro.obs.lineage import CompletionLog, _Record
+from repro.resilience import (
+    CheckpointCoordinator,
+    RecoveryConfig,
+    RecoveryManager,
+    capture_lineage,
+    deserialize,
+    restore_lineage,
+    serialize,
+)
 from repro.spe.engine import Engine
+from repro.spe.metrics import ColumnLedger
 from repro.workloads import WorkloadParams, build_queries
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -212,8 +225,8 @@ class TestCheckpointCodec:
     def test_capture_restore_round_trip(self):
         tracker = self._populated_tracker()
         state = capture_lineage(tracker)
-        # the codec state must be JSON-serializable (rides the snapshot store)
-        state = json.loads(json.dumps(state))
+        # serialize is the sidecar's canonical form: it writes views as lists
+        state = deserialize(serialize(state))
         fresh = LineageTracker(0.5, seed=2)
         restore_lineage(fresh, state)
         assert capture_lineage(fresh) == capture_lineage(tracker)
@@ -233,6 +246,146 @@ class TestCheckpointCodec:
         assert fresh.rows_sampled == tracker.rows_sampled
         assert fresh.spans_recorded == tracker.spans_recorded
         assert fresh.forecast.evaluations == tracker.forecast.evaluations
+
+    def test_rows_are_fresh_copies(self):
+        """Editing every returned row, down to its components and spans,
+        changes neither the log nor any stored sidecar's bytes."""
+        tracker = LineageTracker(0.05, seed=3)
+        coordinator = CheckpointCoordinator(5_000.0)
+        engine = Engine(
+            build_queries("ysb", 10, WorkloadParams(seed=3)), KlinkScheduler(),
+            cores=4, seed=3, lineage=tracker, checkpoints=coordinator,
+        )
+        engine.run(30_000.0)
+        sidecars = coordinator.store._lineage
+        assert len(sidecars) == 4 and sidecars[-1]["completed"]
+        stored = [serialize(sidecar) for sidecar in sidecars]
+        expected = json.dumps(tracker.lineage_rows(), sort_keys=True)
+        for row in tracker.lineage_rows():
+            row["status"], row["t_end"] = "edited", -1.0
+            for kind in row["components"]:
+                row["components"][kind] = -1.0
+            for span in row["spans"]:
+                span["op"], span["start"] = "edited", -1.0
+            row["spans"].append(dict(row["spans"][0]))
+        assert json.dumps(tracker.lineage_rows(), sort_keys=True) == expected
+        assert [serialize(sidecar) for sidecar in sidecars] == stored
+
+    def test_mid_run_sidecar_keeps_its_bytes(self):
+        """One sidecar serializes to the same bytes at capture, 300 cycles
+        later, after a restart-mode rollback to it (and 100 cycles past
+        that), and once restored from its text into a fresh tracker."""
+        tracker = LineageTracker(0.2, seed=3)
+        scheduler = KlinkScheduler()
+        scheduler.forecast_audit = tracker.forecast
+        coordinator = CheckpointCoordinator(10_000.0)
+        engine = Engine(
+            build_queries("ysb", 6, WorkloadParams(seed=3)), scheduler,
+            cores=2, cycle_ms=20.0, seed=3, batch_size=64,
+            faults=FaultPlan([NodeFailure(16_000.0, 17_500.0, node=0)]),
+            checkpoints=coordinator,
+            recovery=RecoveryManager(RecoveryConfig("restart"), coordinator),
+            lineage=tracker,
+        )
+        while engine.metrics.checkpoints_taken < 2:  # baseline, then 10 s
+            engine.step_cycle()
+        sidecar = coordinator.store.latest_lineage()
+        assert sidecar["completed"] and sidecar["inflight"]
+        assert sidecar["forecast"]["errors"] and sidecar["forecast"]["pending"]
+        text = serialize(sidecar)
+        log = tracker._completed
+        _step(engine, 300)
+        assert len(tracker._completed) > len(sidecar["completed"])
+        assert serialize(sidecar) == text
+        for _ in range(200):
+            if engine.metrics.recoveries:
+                break
+            engine.step_cycle()
+        assert engine.metrics.recoveries == 1
+        assert coordinator.store.latest_lineage() is sidecar
+        assert tracker._completed is not log  # rebound, not rewritten
+        _step(engine, 100)
+        assert serialize(sidecar) == text
+        fresh = LineageTracker(tracker.sample_rate, seed=tracker.seed)
+        restore_lineage(fresh, deserialize(text))
+        assert serialize(capture_lineage(fresh)) == text
+
+    def test_logs_are_columns(self):
+        res = traced(rate=1.0, duration_ms=20_000.0)
+        tracker = res.lineage
+        assert isinstance(tracker._completed, CompletionLog)
+        assert len(tracker._completed) == len(tracker.lineage_rows())
+        forecast = tracker.forecast
+        assert forecast._errors
+        for ledgers in (forecast._errors, forecast._naive_errors):
+            assert all(isinstance(v, array) and v.typecode == "d"
+                       for v in ledgers.values())
+        assert all(isinstance(v, ColumnLedger) and v.names == ("deadline", "error")
+                   for v in forecast._deadline_errors.values())
+
+
+class TestLineageMemory:
+    """Memory guards: the lineage history costs its floats, and a sidecar
+    references it instead of copying it."""
+
+    @staticmethod
+    def _engine(rate, n_queries, **kw):
+        tracker = LineageTracker(rate, seed=11)
+        scheduler = KlinkScheduler()
+        scheduler.forecast_audit = tracker.forecast
+        engine = Engine(
+            build_queries("ysb", n_queries, WorkloadParams(seed=11)), scheduler,
+            cores=6, cycle_ms=120.0, seed=11, lineage=tracker, **kw,
+        )
+        return engine, tracker
+
+    def test_forecast_audit_retains_at_most_20_bytes_per_evaluation(self):
+        """Counts what the audit allocated outside ``on_prediction``: the
+        unresolved predictions (and the tuples CPython keeps on its free
+        list once they resolve) are bounded by one watermark period."""
+        engine, tracker = self._engine(0.0, 6)
+        tracemalloc.start()
+        try:
+            engine.run(60_000.0)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        lines, first = inspect.getsourcelines(SwmForecastAudit.on_prediction)
+        audit_py = snapshot.filter_traces(
+            [tracemalloc.Filter(True, inspect.getsourcefile(SwmForecastAudit))]
+        )
+        retained = sum(
+            stat.size for stat in audit_py.statistics("lineno")
+            if not first <= stat.traceback[0].lineno < first + len(lines)
+        )
+        resolved = sum(map(len, tracker.forecast._errors.values()))
+        assert resolved > 2_000
+        assert retained <= 20 * resolved, (retained, resolved)
+
+    def test_capture_retains_no_lineage_history(self):
+        """The bytes one capture_lineage retains follow in-flight state,
+        not elapsed time (mirrors the engine snapshot's guard)."""
+        engine, tracker = self._engine(
+            0.05, 10, audit=AuditLog(), checkpoints=CheckpointCoordinator(10_000.0)
+        )
+
+        def retained() -> int:
+            tracemalloc.start()
+            try:
+                sidecar = capture_lineage(tracker)
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert sidecar["completed"] and sidecar["forecast"]["errors"]
+            return size
+
+        engine.run(300 * 120.0)
+        history_300, at_300 = tracker.forecast.evaluations, retained()
+        engine.run(600 * 120.0)
+        history_900, at_900 = tracker.forecast.evaluations, retained()
+        assert engine.metrics.cycles == 900
+        assert history_900 > 2.5 * history_300
+        assert at_900 <= 1.25 * at_300, (at_300, at_900)
 
 
 def _traced_engine(rate=1.0):
@@ -308,7 +461,7 @@ class TestDrainsWithTracker:
     def test_restore_rebuilds_index_in_place(self):
         engine, tracker = _traced_engine()
         _step(engine, 40)
-        state = json.loads(json.dumps(capture_lineage(tracker)))
+        state = deserialize(serialize(capture_lineage(tracker)))
         assert state["inflight"]
         _step(engine, 20)
         restore_lineage(tracker, state)

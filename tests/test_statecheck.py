@@ -665,6 +665,43 @@ class TestLedgerGrowth:
         assert len(ks224) == 1, report.render_text()
         assert "column 'latency' of ledger 'marker_latencies'" in ks224[0].message
 
+    def test_shipped_lineage_ledgers_have_teeth(self, tree_copy):
+        """The sidecar views make the forecast ledgers and the completion
+        log ledgers too: rewriting one, or one of its columns, fires."""
+        lineage = tree_copy / "obs" / "lineage.py"
+        lineage.write_text(
+            lineage.read_text()
+            + textwrap.dedent(
+                """
+
+                class TidyAudit(SwmForecastAudit):
+                    def tidy(self, key) -> None:
+                        self._errors[key].sort()
+                        del self._naive_errors[key][0]
+                        self._deadline_errors[key].error[0] = 0.0
+
+
+                class RedactingTracker(LineageTracker):
+                    def redact(self) -> None:
+                        self._completed.status[0] = "redacted"
+                        self._completed.span_end.pop()
+                """
+            )
+        )
+        report = check_paths([tree_copy])
+        ks224 = sorted(
+            (d for d in report.diagnostics if d.code == "KS224"),
+            key=lambda d: d.line,
+        )
+        assert codes(report) == ["KS224"], report.render_text()
+        assert [d.message.split(" rewritten")[0] for d in ks224] == [
+            "ledger '_errors'",
+            "ledger '_naive_errors'",
+            "column 'error' of ledger '_deadline_errors'",
+            "column 'status' of ledger '_completed'",
+            "column 'span_end' of ledger '_completed'",
+        ]
+
 
 # -- KW3xx: worker purity (synthetic) ----------------------------------------
 
