@@ -457,10 +457,12 @@ class LineageTracker:
     Wire one tracker per engine via ``Engine(..., lineage=tracker)``; the
     engine attaches it to every operator. Beside ``_inflight`` the tracker
     keeps a per-operator index of the ``t_end`` keys in flight, which
-    each operator holds as ``lineage_watch``: the drains run their one
-    (fused or inlined) loop whether or not a tracker is attached, and
-    afterwards report to :meth:`on_consumed` only the rows whose key is
-    in that set. All hooks are observers: they
+    each operator holds as ``lineage_watch``: the operator runs its one
+    drain loop whether or not a tracker is attached, and afterwards
+    reports to :meth:`on_consumed` only the rows whose key is in that
+    set. Records still in flight when a run ends are closed only in the
+    rows read (:meth:`finalize`), so a run split into segments traces
+    like one. All hooks are observers: they
     read simulation state but never mutate it, consume no randomness, and
     perform no float arithmetic the simulation could observe — the
     byte-identity contract of PR 8 is preserved by construction (a
@@ -490,6 +492,7 @@ class LineageTracker:
         #: (query_id, operator name, pane end) -> records parked in the pane
         self._window_wait: Dict[Tuple[str, str, float], List[_Record]] = {}
         self._completed = CompletionLog()
+        self._ended_at: Optional[float] = None
         self.rows_sampled = 0
         self.spans_recorded = 0
         self.forecast = SwmForecastAudit()
@@ -698,24 +701,38 @@ class LineageTracker:
         self.spans_recorded += len(rec.spans)
 
     def finalize(self, now: float) -> None:
-        """Close records still in flight at end-of-run."""
-        for key in list(self._window_wait):
-            records = self._window_wait.pop(key)
+        """End of a ``run()`` segment at ``now``: rows read from here on
+        close the records still in flight at that time. The records
+        themselves stay open, so a run split into segments follows them
+        on exactly like one unbroken run."""
+        self._ended_at = now  # klink: transient[end of the latest run segment; every segment end sets it]
+
+    def _open_rows(self) -> CompletionLog:
+        """Records still in flight, closed as ``in-flight`` at the end of
+        the latest run segment (none before the first segment ends)."""
+        log = CompletionLog()
+        now = self._ended_at
+        if now is None:
+            return log
+        for (_, name, _), records in self._window_wait.items():
             for rec in records:
-                rec.spans.append(("window", key[1], rec.absorbed_at, now))
-                self._finish(rec, "in-flight", now)
-        for key in list(self._inflight):
-            for group in self._inflight.pop(key):
+                spans = rec.spans + [("window", name, rec.absorbed_at, now)]
+                log.append(rec.rid, rec.query_id, rec.source_id, rec.t_end,
+                           "in-flight", now, spans)
+        for groups in self._inflight.values():
+            for group in groups:
                 for rec in group:
-                    self._finish(rec, "in-flight", now)
-        self.reindex_inflight()
+                    log.append(rec.rid, rec.query_id, rec.source_id, rec.t_end,
+                               "in-flight", now, rec.spans)
+        return log
 
     # -- output ----------------------------------------------------------------
 
     def lineage_rows(self) -> List[Dict[str, Any]]:
-        """Completed ``lineage`` trace records, in completion order. Each
-        call builds fresh rows: editing one changes nothing else."""
-        return list(self._completed)
+        """Completed ``lineage`` trace records in completion order, then
+        the records still in flight at the end of the run. Each call
+        builds fresh rows: editing one changes nothing else."""
+        return [*self._completed, *self._open_rows()]
 
     def swm_forecast_rows(self) -> List[Dict[str, Any]]:
         return self.forecast.rows()
@@ -726,15 +743,17 @@ class LineageTracker:
         ``trace_bytes`` is filled by the trace writer with the bytes of
         lineage-attributable records it wrote (0 until then).
         """
+        open_rows = self._open_rows()
         statuses = {status: 0 for status in RECORD_STATUSES}
-        for status in self._completed.status:
-            statuses[status] = statuses.get(status, 0) + 1
+        for log in (self._completed, open_rows):
+            for status in log.status:
+                statuses[status] = statuses.get(status, 0) + 1
         return {
             "type": "lineage_summary",
             "sample_rate": self.sample_rate,
             "seed": self.seed,
             "rows_sampled": self.rows_sampled,
-            "span_records": self.spans_recorded,
+            "span_records": self.spans_recorded + len(open_rows.span_kind),
             "statuses": statuses,
             "forecast_evaluations": self.forecast.evaluations,
             "trace_bytes": 0,

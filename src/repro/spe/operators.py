@@ -126,19 +126,6 @@ class Operator:
         self._queues_dirty = True
         self._queued_events_memo = 0.0
         self._queued_bytes_memo = 0.0
-        # True when this class keeps the stateless row handler: _consume_rows
-        # may then fuse row handling and emission into its drain loop (same
-        # expressions, no per-row calls).
-        self._stateless_row = (  # klink: transient[build-time classification derived from the class]
-            type(self)._on_row is Operator._on_row
-        )
-        # Likewise for the windowed pane-assignment handler: when the class
-        # inherits _WindowedOperatorBase._on_row unchanged (windowed
-        # aggregates and joins both do), _consume_rows may inline the pane
-        # bookkeeping into its drain loop with per-drain invariants hoisted.
-        self._windowed_row = (  # klink: transient[build-time classification derived from the class]
-            type(self)._on_row is _WindowedOperatorBase._on_row
-        )
 
     # -- wiring --------------------------------------------------------------
 
@@ -233,7 +220,9 @@ class Operator:
                 if type(entry.record) is RecordBatch:
                     # One row per channel per turn: the budget split
                     # depends on this granularity, not on the row cap.
-                    used += self._consume_row_turn(entry, channel, grant, now)
+                    # The turn is its own budget, so the loop charges
+                    # exactly ``grant`` (0.0 + x == x).
+                    used += self._consume_rows(entry, channel, grant, 0.0, now, 1)
                 else:
                     channel._entries.popleft()
                     used += self._dispatch(entry.record, channel, grant, now)
@@ -263,34 +252,22 @@ class Operator:
         budget_ms: float,
         used: float,
         now: float,
+        max_rows: Optional[int] = None,
     ) -> float:
-        """Drain rows of the head :class:`RecordBatch` within the budget.
+        """Drain rows of the head :class:`RecordBatch` within the budget,
+        at most ``max_rows`` of them; returns the updated ``used``.
 
+        The one row loop of every operator kind: single-input drains and
+        the one-row turns of the multi-input round robin both run it, and
+        each kind's work is its :meth:`_on_row`, called once per row.
         Each row is charged against a grant recomputed as ``budget -
         used``; a row the grant only partly covers has its affordable
         fraction processed and the rest left as the new head row. The
         arithmetic is per row, so every float the scheduler or the
         invariant monitor can observe is byte-identical whatever the
-        channel's row cap. Called for a single-input drain (multi-input
-        round-robin turns use :meth:`_consume_row_turn`). Returns the
-        updated ``used``.
-
-        Stateless and windowed operators run a fused or inlined twin of
-        this loop, traced or not: no drain calls the lineage tracker per
-        row. Each reports its whole-consumed rows once it is done
-        (:meth:`_trace_rows`), which is only work when a tracker is
-        attached.
+        channel's row cap. Rows consumed whole are reported to the
+        lineage tracker once the loop is done (:meth:`_trace_rows`).
         """
-        if self._stateless_row:
-            output = self.output
-            if output is not None and output.latency_ms == 0.0:
-                return self._consume_rows_fused(
-                    entry, channel, budget_ms, used, now, output
-                )
-        elif self._windowed_row:
-            return self._consume_rows_windowed(
-                entry, channel, budget_ms, used, now
-            )
         rb = entry.record
         counts = rb.counts
         n = len(counts)
@@ -313,35 +290,16 @@ class Operator:
         # rows start..stop-1 are consumed whole (stop drops back to a
         # partially consumed row)
         start = i = rb.head
+        end = n if max_rows is None else min(n, i + max_rows)
         stop = n
-        while i < n:
+        while i < end:
             grant = budget_ms - used
             if grant <= _MIN_BUDGET_MS:
                 break
             count = counts[i]
             full_cost = count * cpe * mult
-            if full_cost <= grant or cpe == 0.0:
-                # Pop accounting for the whole row, then process it.
-                q_events -= count
-                q_bytes -= count * bpe
-                popped += count
-                if q_events < 1e-9:
-                    q_events = 0.0
-                if q_bytes < 1e-6:
-                    q_bytes = 0.0
-                ev_in += count
-                busy += full_cost
-                on_row(rb, i, count, input_index, now)
-                used += full_cost
-                i += 1
-                continue
-            # Budget covers only part of the row: process the affordable
-            # fraction and leave the remainder as the new head row (pop
-            # accounting for the row, then the remainder returned).
-            stop = i
-            fraction = grant / full_cost
-            head_count = count * fraction
-            tail_count = count * (1.0 - fraction)
+            # Pop accounting for the whole row, then process what the
+            # grant covers; a partial row's remainder is returned below.
             q_events -= count
             q_bytes -= count * bpe
             popped += count
@@ -349,6 +307,19 @@ class Operator:
                 q_events = 0.0
             if q_bytes < 1e-6:
                 q_bytes = 0.0
+            if full_cost <= grant or cpe == 0.0:
+                ev_in += count
+                busy += full_cost
+                on_row(rb, i, count, input_index, now)
+                used += full_cost
+                i += 1
+                continue
+            # Partial row: process the affordable fraction and leave the
+            # remainder as the new head row.
+            stop = i
+            fraction = grant / full_cost
+            head_count = count * fraction
+            tail_count = count * (1.0 - fraction)
             ev_in += head_count
             busy += grant
             on_row(rb, i, head_count, input_index, now)
@@ -411,428 +382,6 @@ class Operator:
                     self, t_starts[j], t_end, enqueued_ats[j], channel, now
                 )
 
-    def _consume_rows_windowed(
-        self,
-        entry: object,
-        channel: Channel,
-        budget_ms: float,
-        used: float,
-        now: float,
-    ) -> float:
-        """:meth:`_consume_rows` with ``_WindowedOperatorBase._on_row``
-        inlined into the drain loop.
-
-        Same per-row arithmetic in the same order; the drain-constant
-        reads of the row handler are hoisted once per call: the input's
-        watermark clock and the combined event clock only move in
-        ``_on_watermark`` (never during a payload drain), and the pane
-        table / heap objects are stable attributes. ``late_events_dropped``
-        joins the hoisted stats accumulators (left-fold float adds are
-        associative-free, so the running local equals the per-row
-        attribute adds bit-for-bit), and the state-events memo is
-        invalidated once up front — an extra invalidation is unobservable
-        because the memoized recomputation returns the same sum.
-        """
-        rb = entry.record
-        counts = rb.counts
-        n = len(counts)
-        bpe = rb.bytes_per_event
-        cpe = self.cost_per_event_ms
-        mult = self.cost_multiplier
-        stats = self.stats
-        t_starts = rb.t_starts
-        t_ends = rb.t_ends
-        clock = self._input_watermarks[channel._consumer_index]
-        event_clock = self._event_clock
-        panes = self._panes
-        panes_get = panes.get
-        pane_ends = self._pane_ends
-        pane_heap = self._pane_heap
-        heappush = heapq.heappush
-        assign_range_raw = self.assigner.assign_range_raw
-        self._state_events_memo = None  # klink: transient[memo over _panes, which is captured]
-        q_events = channel._queued_events
-        q_bytes = channel._queued_bytes
-        popped = channel.events_popped
-        ev_in = stats.events_in
-        busy = stats.busy_ms
-        late = stats.late_events_dropped
-        start = i = rb.head
-        stop = n
-        while i < n:
-            grant = budget_ms - used
-            if grant <= _MIN_BUDGET_MS:
-                break
-            count = counts[i]
-            full_cost = count * cpe * mult
-            if full_cost <= grant or cpe == 0.0:
-                q_events -= count
-                q_bytes -= count * bpe
-                popped += count
-                if q_events < 1e-9:
-                    q_events = 0.0
-                if q_bytes < 1e-6:
-                    q_bytes = 0.0
-                ev_in += count
-                busy += full_cost
-                c = count
-                used += full_cost
-                i += 1
-            else:
-                # Partial row: the affordable fraction flows into panes,
-                # the remainder becomes the new head row.
-                stop = i
-                fraction = grant / full_cost
-                c = count * fraction
-                tail_count = count * (1.0 - fraction)
-                q_events -= count
-                q_bytes -= count * bpe
-                popped += count
-                if q_events < 1e-9:
-                    q_events = 0.0
-                if q_bytes < 1e-6:
-                    q_bytes = 0.0
-                ev_in += c
-                busy += grant
-                used += grant
-                # -- inlined _on_row body for the head fraction --
-                t_end = t_ends[i]
-                if t_end <= clock:
-                    late += c
-                else:
-                    t_start = t_starts[i]
-                    if t_start < clock < t_end:
-                        keep = (t_end - clock) / (t_end - t_start)
-                        late += c * (1.0 - keep)
-                        c *= keep
-                        t_start = clock
-                    for p_start, p_end, pane_count in assign_range_raw(
-                        t_start, t_end, c
-                    ):
-                        if p_end <= event_clock:
-                            late += pane_count
-                            continue
-                        panes[p_start] = panes_get(p_start, 0.0) + pane_count
-                        if p_start not in pane_ends:
-                            pane_ends[p_start] = p_end
-                            heappush(pane_heap, (p_end, p_start))
-                if tail_count > 0:
-                    q_events += tail_count
-                    q_bytes += tail_count * bpe
-                    channel.events_returned += tail_count
-                    counts[i] = tail_count
-                else:  # pragma: no cover - zero-mass remainder
-                    i += 1
-                break
-            # -- inlined _on_row body (full row) --
-            t_end = t_ends[i - 1]
-            if t_end <= clock:
-                late += c
-                continue
-            t_start = t_starts[i - 1]
-            if t_start < clock < t_end:
-                keep = (t_end - clock) / (t_end - t_start)
-                late += c * (1.0 - keep)
-                c *= keep
-                t_start = clock
-            for p_start, p_end, pane_count in assign_range_raw(
-                t_start, t_end, c
-            ):
-                if p_end <= event_clock:
-                    late += pane_count
-                    continue
-                panes[p_start] = panes_get(p_start, 0.0) + pane_count
-                if p_start not in pane_ends:
-                    pane_ends[p_start] = p_end
-                    heappush(pane_heap, (p_end, p_start))
-        channel._queued_events = q_events
-        channel._queued_bytes = q_bytes
-        channel.events_popped = popped
-        stats.events_in = ev_in
-        stats.busy_ms = busy
-        stats.late_events_dropped = late
-        rb.head = i
-        if i >= n:
-            channel.discard_head()
-        else:
-            entry.enqueued_at = rb.enqueued_ats[i]
-        self._queues_dirty = True
-        if self.lineage_watch:
-            self._trace_rows(rb, start, min(i, stop), channel, now)
-        return used
-
-    def _consume_rows_fused(
-        self,
-        entry: object,
-        channel: Channel,
-        budget_ms: float,
-        used: float,
-        now: float,
-        output: Channel,
-    ) -> float:
-        """:meth:`_consume_rows` with the stateless ``_on_row`` and its
-        :meth:`Channel.push_row` emission fused into the drain loop.
-
-        Same expressions in the same order as the unfused pair — the row
-        handler is known to be ``Operator._on_row`` and the output channel
-        is known to be local, so the per-row calls collapse into
-        straight-line code. The output tail batch is carried across
-        rows (push_row would re-read ``entries[-1]``, which only this loop
-        appends to) and the output accounting is hoisted into locals and
-        written back once, like the input side. Byte-identical by the
-        same argument as :meth:`_consume_rows`.
-        """
-        rb = entry.record
-        counts = rb.counts
-        t_starts = rb.t_starts
-        t_ends = rb.t_ends
-        delays = rb.delays
-        n = len(counts)
-        bpe = rb.bytes_per_event
-        cpe = self.cost_per_event_ms
-        mult = self.cost_multiplier
-        sel = self.selectivity
-        out_bpe = self.out_bytes_per_event
-        stats = self.stats
-        q_events = channel._queued_events
-        q_bytes = channel._queued_bytes
-        popped = channel.events_popped
-        ev_in = stats.events_in
-        busy = stats.busy_ms
-        ev_out = stats.events_out
-        o_entries = output._entries
-        o_cap = output.batch_size
-        oq_events = output._queued_events
-        oq_bytes = output._queued_bytes
-        o_pushed = output.events_pushed
-        tail = o_entries[-1].record if o_entries else None
-        if type(tail) is not RecordBatch or tail.bytes_per_event != out_bpe:
-            tail = None
-        else:
-            # append_row inlined below: the tail's column lists are bound
-            # once per tail (compaction dels in place, so the bindings
-            # survive it; a fresh tail rebinds them).
-            tl_counts = tail.counts
-            tl_t_starts = tail.t_starts
-            tl_t_ends = tail.t_ends
-            tl_delays = tail.delays
-            tl_enqueued = tail.enqueued_ats
-        emitted = False
-        start = i = rb.head
-        stop = n
-        while i < n:
-            grant = budget_ms - used
-            if grant <= _MIN_BUDGET_MS:
-                break
-            count = counts[i]
-            full_cost = count * cpe * mult
-            if full_cost <= grant or cpe == 0.0:
-                q_events -= count
-                q_bytes -= count * bpe
-                popped += count
-                if q_events < 1e-9:
-                    q_events = 0.0
-                if q_bytes < 1e-6:
-                    q_bytes = 0.0
-                ev_in += count
-                busy += full_cost
-                out_count = count * sel
-                if out_count > 0:
-                    ev_out += out_count
-                    if (
-                        tail is not None
-                        and len(tl_counts) - tail.head < o_cap
-                    ):
-                        if tail.head > _COMPACT_THRESHOLD:
-                            tail.compact()
-                        tl_counts.append(out_count)
-                        tl_t_starts.append(t_starts[i])
-                        tl_t_ends.append(t_ends[i])
-                        tl_delays.append(delays[i])
-                        tl_enqueued.append(now)
-                    else:
-                        tail = RecordBatch(
-                            out_bpe, out_count, t_starts[i], t_ends[i],
-                            delays[i], now,
-                        )
-                        tl_counts = tail.counts
-                        tl_t_starts = tail.t_starts
-                        tl_t_ends = tail.t_ends
-                        tl_delays = tail.delays
-                        tl_enqueued = tail.enqueued_ats
-                        o_entries.append(_Entry(tail, now))
-                    oq_events += out_count
-                    oq_bytes += out_count * out_bpe
-                    o_pushed += out_count
-                    emitted = True
-                used += full_cost
-                i += 1
-                continue
-            stop = i
-            fraction = grant / full_cost
-            head_count = count * fraction
-            tail_count = count * (1.0 - fraction)
-            q_events -= count
-            q_bytes -= count * bpe
-            popped += count
-            if q_events < 1e-9:
-                q_events = 0.0
-            if q_bytes < 1e-6:
-                q_bytes = 0.0
-            ev_in += head_count
-            busy += grant
-            out_count = head_count * sel
-            if out_count > 0:
-                ev_out += out_count
-                if tail is not None and len(tail.counts) - tail.head < o_cap:
-                    if tail.head > _COMPACT_THRESHOLD:
-                        tail.compact()
-                    tail.append_row(
-                        out_count, t_starts[i], t_ends[i], delays[i], now
-                    )
-                else:
-                    tail = RecordBatch(
-                        out_bpe, out_count, t_starts[i], t_ends[i], delays[i], now
-                    )
-                    o_entries.append(_Entry(tail, now))
-                oq_events += out_count
-                oq_bytes += out_count * out_bpe
-                o_pushed += out_count
-                emitted = True
-            used += grant
-            if tail_count > 0:
-                q_events += tail_count
-                q_bytes += tail_count * bpe
-                channel.events_returned += tail_count
-                counts[i] = tail_count
-            else:  # pragma: no cover - zero-mass remainder
-                i += 1
-            break
-        channel._queued_events = q_events
-        channel._queued_bytes = q_bytes
-        channel.events_popped = popped
-        stats.events_in = ev_in
-        stats.busy_ms = busy
-        stats.events_out = ev_out
-        output._queued_events = oq_events
-        output._queued_bytes = oq_bytes
-        output.events_pushed = o_pushed
-        if emitted and output._owner is not None:
-            output._owner._queues_dirty = True
-        rb.head = i
-        if i >= n:
-            channel.discard_head()
-        else:
-            entry.enqueued_at = rb.enqueued_ats[i]
-        self._queues_dirty = True
-        if self.lineage_watch:
-            self._trace_rows(rb, start, min(i, stop), channel, now)
-        return used
-
-    def _consume_row_turn(
-        self,
-        entry: object,
-        channel: Channel,
-        grant: float,
-        now: float,
-    ) -> float:
-        """Consume ONE row of the head :class:`RecordBatch` for one
-        round-robin turn of a multi-input operator.
-
-        Same arithmetic as one iteration of :meth:`_consume_rows` with
-        the turn's ``grant`` as the budget. Returns the cost charged this
-        turn.
-        """
-        rb = entry.record
-        counts = rb.counts
-        i = rb.head
-        count = counts[i]
-        cpe = self.cost_per_event_ms
-        full_cost = count * cpe * self.cost_multiplier
-        bpe = rb.bytes_per_event
-        stats = self.stats
-        if full_cost <= grant or cpe == 0.0:
-            channel._queued_events -= count
-            channel._queued_bytes -= count * bpe
-            channel.events_popped += count
-            if channel._queued_events < 1e-9:
-                channel._queued_events = 0.0
-            if channel._queued_bytes < 1e-6:
-                channel._queued_bytes = 0.0
-            stats.events_in += count
-            stats.busy_ms += full_cost
-            if self._windowed_row:
-                # _WindowedOperatorBase._on_row inlined (joins take this
-                # turn path on every row — the handler's statements in
-                # the handler's order, minus the call frame).
-                clock = self._input_watermarks[channel._consumer_index]
-                t_end = rb.t_ends[i]
-                if t_end <= clock:
-                    stats.late_events_dropped += count
-                else:
-                    c = count
-                    t_start = rb.t_starts[i]
-                    if t_start < clock < t_end:
-                        keep = (t_end - clock) / (t_end - t_start)
-                        stats.late_events_dropped += c * (1.0 - keep)
-                        c *= keep
-                        t_start = clock
-                    panes = self._panes
-                    pane_ends = self._pane_ends
-                    event_clock = self._event_clock
-                    self._state_events_memo = None  # klink: transient[memo over _panes, which is captured]
-                    for p_start, p_end, pane_count in self.assigner.assign_range_raw(
-                        t_start, t_end, c
-                    ):
-                        if p_end <= event_clock:
-                            stats.late_events_dropped += pane_count
-                            continue
-                        panes[p_start] = panes.get(p_start, 0.0) + pane_count
-                        if p_start not in pane_ends:
-                            pane_ends[p_start] = p_end
-                            heapq.heappush(self._pane_heap, (p_end, p_start))
-            else:
-                self._on_row(rb, i, count, channel._consumer_index, now)
-            if self.lineage_watch:
-                self._trace_rows(rb, i, i + 1, channel, now)
-            i += 1
-            rb.head = i
-            if i >= len(counts):
-                channel.discard_head()
-            else:
-                entry.enqueued_at = rb.enqueued_ats[i]
-            self._queues_dirty = True
-            return full_cost
-        # Partial row: process the affordable fraction; the remainder
-        # stays as the head row.
-        fraction = grant / full_cost
-        head_count = count * fraction
-        tail_count = count * (1.0 - fraction)
-        channel._queued_events -= count
-        channel._queued_bytes -= count * bpe
-        channel.events_popped += count
-        if channel._queued_events < 1e-9:
-            channel._queued_events = 0.0
-        if channel._queued_bytes < 1e-6:
-            channel._queued_bytes = 0.0
-        stats.events_in += head_count
-        stats.busy_ms += grant
-        self._on_row(rb, i, head_count, channel._consumer_index, now)
-        if tail_count > 0:
-            channel._queued_events += tail_count
-            channel._queued_bytes += tail_count * bpe
-            channel.events_returned += tail_count
-            counts[i] = tail_count
-        else:  # pragma: no cover - zero-mass remainder
-            i += 1
-            rb.head = i
-            if i >= len(counts):
-                channel.discard_head()
-            else:
-                entry.enqueued_at = rb.enqueued_ats[i]
-        self._queues_dirty = True
-        return grant
-
     def _dispatch(
         self,
         record: object,
@@ -867,20 +416,49 @@ class Operator:
     ) -> None:
         """Handle ``count`` events of row ``index`` of ``rb``.
 
-        The stateless handler emits the row scaled by ``selectivity``.
-        Subclasses that keep it get the fused drain
-        (:meth:`_consume_rows_fused`), which inlines exactly this.
+        The stateless handler appends the row, scaled by ``selectivity``,
+        straight to the output channel's tail batch: the same steps as
+        :meth:`_emit_row` and :meth:`Channel.push_row`, without their
+        calls, because this runs once per row of every stateless drain.
+        A cross-node output still goes through ``push_row``.
         """
         out_count = count * self.selectivity
-        if out_count > 0:
-            self._emit_row(
-                out_count,
-                rb.t_starts[index],
-                rb.t_ends[index],
-                rb.delays[index],
-                self.out_bytes_per_event,
-                now,
+        if not out_count > 0:  # a NaN mass emits nothing either
+            return
+        self.stats.events_out += out_count
+        output = self.output
+        if output is None:
+            return
+        t_start = rb.t_starts[index]
+        t_end = rb.t_ends[index]
+        delay = rb.delays[index]
+        bpe = self.out_bytes_per_event
+        if output.latency_ms > 0.0:
+            output.push_row(out_count, t_start, t_end, delay, bpe, now)
+            return
+        entries = output._entries
+        tail = entries[-1].record if entries else None
+        if (
+            type(tail) is RecordBatch
+            and tail.bytes_per_event == bpe
+            and len(tail.counts) - tail.head < output.batch_size
+        ):
+            if tail.head > _COMPACT_THRESHOLD:
+                tail.compact()
+            tail.counts.append(out_count)
+            tail.t_starts.append(t_start)
+            tail.t_ends.append(t_end)
+            tail.delays.append(delay)
+            tail.enqueued_ats.append(now)
+        else:
+            entries.append(
+                _Entry(RecordBatch(bpe, out_count, t_start, t_end, delay, now), now)
             )
+        output._queued_events += out_count
+        output._queued_bytes += out_count * bpe
+        output.events_pushed += out_count
+        if output._owner is not None:
+            output._owner._queues_dirty = True
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
         self._emit(wm, now)

@@ -18,13 +18,19 @@ equality gate that pins that contract:
   the same scenario (tier-1 smoke + chaos matrix);
 * a distributed run whose cross-node channels hold rows in flight: one
   row per entry on every channel gives the same summary as the default
-  cap.
+  cap;
+* a hypothesis property over small configs (workload, scheduler, query
+  count, load, seed) and any cap in 1..1024: summary and audit trail
+  equal the one-row-per-entry run's.
 """
 
 import functools
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.runner import (
     SCHEDULER_NAMES,
@@ -74,6 +80,43 @@ class TestSummaryEquivalence:
     def test_full_matrix(self, workload, scheduler, batch_size):
         reference = summary_fingerprint(workload, scheduler, 1)
         assert summary_fingerprint(workload, scheduler, batch_size) == reference
+
+
+def _run_bytes(config: ExperimentConfig) -> tuple:
+    result = run_experiment(config)
+    return (
+        json.dumps(result.summary, sort_keys=True),
+        result.audit.to_jsonl_str(),
+    )
+
+
+class TestRowCapProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        workload=st.sampled_from(["ysb", "lrb", "nyt"]),
+        scheduler=st.sampled_from(SCHEDULER_NAMES),
+        n_queries=st.integers(1, 4),
+        rate_scale=st.sampled_from([1.0, 10.0, 50.0]),
+        seed=st.integers(0, 2**16),
+        batch_size=st.integers(1, 1024),
+    )
+    def test_any_row_cap_matches_one_row_per_entry(
+        self, workload, scheduler, n_queries, rate_scale, seed, batch_size
+    ):
+        # one core and scaled-up rates: budgets run out mid-row
+        config = ExperimentConfig(
+            workload=workload,
+            scheduler=scheduler,
+            duration_ms=DURATION_MS,
+            n_queries=n_queries,
+            cores=1,
+            rate_scale=rate_scale,
+            seed=seed,
+            audit=True,
+            batch_size=1,
+        )
+        reference = _run_bytes(config)
+        assert _run_bytes(replace(config, batch_size=batch_size)) == reference
 
 
 class TestTraceEquivalence:

@@ -52,7 +52,7 @@ class TestFusion:
         fused.step(1e9, 0.0)
         assert sink.inputs[0].queued_events == pytest.approx(50.0)
 
-    def test_fused_operator_takes_the_fused_drain(self):
+    def test_fused_operator_carries_a_partial_row_across_steps(self):
         fused = fuse_stateless(
             [FilterOperator("f", 0.01, selectivity=0.5), MapOperator("m", 0.01)]
         )
@@ -60,23 +60,21 @@ class TestFusion:
         fused.connect(sink)
         for channel in (fused.inputs[0], sink.inputs[0]):
             channel.batch_size = 64
-        assert fused._stateless_row
-        drains = []
-        fused_drain = fused._consume_rows_fused
-
-        def counted(*args):
-            drains.append(args)
-            return fused_drain(*args)
-
-        fused._consume_rows_fused = counted
         for i in range(4):
             fused.inputs[0].push(
                 EventBatch(count=100, t_start=float(i), t_end=i + 1.0, delay=0.5),
                 float(i),
             )
-        # 1.5 ms per 100-event row: the first step ends mid-row
-        assert [fused.step(2.5, 10.0), fused.step(1e9, 11.0)] == [2.5, 3.5]
-        assert len(drains) == 2
+        # 1.5 ms per 100-event row: the first step ends mid-row, whose
+        # unpaid third is returned to the queue as its new head row
+        src = fused.inputs[0]
+        assert fused.step(2.5, 10.0) == 2.5
+        assert (src.queued_events, src.events_popped, src.events_returned) == (
+            233.33333333333334, 200.0, 33.333333333333336
+        )
+        assert src.head_arrival == 1.0
+        assert fused.step(1e9, 11.0) == 3.5
+        assert (src.queued_events, len(src)) == (0.0, 0)
         # the rows and stats the per-row handler produced for this case
         out = sink.inputs[0]
         assert len(out) == 1

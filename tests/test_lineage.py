@@ -22,7 +22,7 @@ import json
 import os
 import tracemalloc
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -63,6 +63,7 @@ from repro.resilience import (
     serialize,
 )
 from repro.spe.engine import Engine
+from repro.spe.events import RecordBatch
 from repro.spe.metrics import ColumnLedger
 from repro.workloads import WorkloadParams, build_queries
 
@@ -242,6 +243,9 @@ class TestCheckpointCodec:
         tracker = res.lineage
         fresh = LineageTracker(tracker.sample_rate, seed=tracker.seed)
         restore_lineage(fresh, capture_lineage(tracker))
+        # the records still in flight close at the end of the run, which
+        # the engine marks on whichever tracker it runs with
+        fresh.finalize(res.metrics.duration_ms)
         assert fresh.lineage_rows() == tracker.lineage_rows()
         assert fresh.rows_sampled == tracker.rows_sampled
         assert fresh.spans_recorded == tracker.spans_recorded
@@ -314,7 +318,9 @@ class TestCheckpointCodec:
         res = traced(rate=1.0, duration_ms=20_000.0)
         tracker = res.lineage
         assert isinstance(tracker._completed, CompletionLog)
-        assert len(tracker._completed) == len(tracker.lineage_rows())
+        closed = [row for row in tracker.lineage_rows()
+                  if row["status"] != "in-flight"]
+        assert list(tracker._completed) == closed
         forecast = tracker.forecast
         assert forecast._errors
         for ledgers in (forecast._errors, forecast._naive_errors):
@@ -370,12 +376,17 @@ class TestLineageMemory:
         )
 
         def retained() -> int:
+            # the history part alone: records still in flight are copied,
+            # and how many there are at either point is not elapsed time
+            open_records = tracker._inflight, tracker._window_wait
+            tracker._inflight, tracker._window_wait = {}, {}
             tracemalloc.start()
             try:
                 sidecar = capture_lineage(tracker)
                 size = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
+                tracker._inflight, tracker._window_wait = open_records
             assert sidecar["completed"] and sidecar["forecast"]["errors"]
             return size
 
@@ -400,7 +411,6 @@ def _traced_engine(rate=1.0):
 
 
 def _step(engine, cycles):
-    # step_cycle, not run(): run() ends by closing every in-flight record
     for _ in range(cycles):
         engine.step_cycle()
 
@@ -413,35 +423,46 @@ def _index_keys(tracker):
     }
 
 
+def _queued_t_ends(op):
+    return {
+        t_end
+        for channel in op.inputs
+        for queue in (channel._entries, channel._pending)
+        for entry in queue
+        if type(entry.record) is RecordBatch
+        for t_end in entry.record.t_ends[entry.record.head:]
+    }
+
+
 class TestDrainsWithTracker:
-    """Tracing runs the same fused and inlined drains as an untraced run;
-    the tracker's per-operator index decides which rows it hears about."""
+    """Tracing runs the same drain as an untraced run; the tracker's
+    per-operator index decides which rows it hears about."""
 
-    def test_tracker_keeps_fused_and_inlined_drains(self):
+    def test_traced_drain_reports_each_watched_row_once(self):
+        """Every row a drain consumes whole while its key is watched is
+        reported to ``on_consumed`` exactly once: no report repeats, and
+        after every cycle each watched key still names a queued row (a
+        consumed row that went unreported would leave its key behind)."""
         engine, tracker = _traced_engine()
-        drains = {"fused": 0, "windowed": 0}
+        reports = Counter()
+        on_consumed = tracker.on_consumed
 
-        def unfused_row(*args):
-            raise AssertionError("stateless/windowed row took the unfused body")
+        def counted(op, t_start, t_end, enqueued_at, channel, now):
+            reports[(op.name, t_start, t_end, enqueued_at)] += 1
+            return on_consumed(op, t_start, t_end, enqueued_at, channel, now)
 
-        for query in engine.queries:
-            for op in query.operators:
-                out = op.output
-                fused = (
-                    op._stateless_row and out is not None
-                    and out.batch_size > 1 and out.latency_ms == 0.0
-                )
-                if fused or op._windowed_row:
-                    op._on_row = unfused_row
-                for kind, attr in (("fused", "_consume_rows_fused"),
-                                   ("windowed", "_consume_rows_windowed")):
-                    def counted(*args, _fn=getattr(op, attr), _kind=kind):
-                        drains[_kind] += 1
-                        return _fn(*args)
-
-                    setattr(op, attr, counted)
-        engine.run(10_000.0)
-        assert drains["fused"] > 0 and drains["windowed"] > 0
+        tracker.on_consumed = counted
+        kinds = {op.name: type(op).__name__
+                 for query in engine.queries for op in query.operators}
+        for _ in range(120):
+            _step(engine, 1)
+            for query in engine.queries:
+                for op in query.operators:
+                    watch = tracker._inflight_index.get((query.query_id, op.name), ())
+                    assert set(watch) <= _queued_t_ends(op), op.name
+        assert reports and max(reports.values()) == 1
+        reported = {kinds[name] for name, *_ in reports}
+        assert {"FilterOperator", "WindowedAggregate", "SinkOperator"} <= reported
         statuses = {row["status"] for row in tracker.lineage_rows()}
         assert "delivered" in statuses
 
@@ -475,13 +496,52 @@ class TestDrainsWithTracker:
         restore_lineage(fresh, state)
         assert _index_keys(fresh) == set(fresh._inflight) == set(tracker._inflight)
 
-    def test_finalize_empties_index(self):
+    def test_finalize_keeps_records_open(self):
         engine, tracker = _traced_engine()
         _step(engine, 40)
-        assert tracker._inflight
+        keys = _index_keys(tracker)
+        assert tracker._inflight and tracker._window_wait
+        n_open = sum(len(group) for groups in tracker._inflight.values()
+                     for group in groups)
+        n_open += sum(map(len, tracker._window_wait.values()))
         tracker.finalize(engine.clock.now)
-        assert not tracker._inflight
-        assert all(not watch for watch in tracker._inflight_index.values())
+        assert _index_keys(tracker) == keys == set(tracker._inflight)
+        open_rows = [row for row in tracker.lineage_rows()
+                     if row["status"] == "in-flight"]
+        assert len(open_rows) == n_open
+        assert {row["completed_at"] for row in open_rows} == {engine.clock.now}
+        summary = tracker.summary_row()
+        assert summary["statuses"]["in-flight"] == n_open
+        assert summary["span_records"] == sum(
+            len(row["spans"]) for row in tracker.lineage_rows()
+        )
+
+
+class TestSegmentedRuns:
+    def test_split_run_lineage_equals_one_run(self):
+        """Ending a run() segment closes nothing for good: one 20 s run
+        and two 10 s runs read the same lineage rows and summary."""
+
+        def run(segments):
+            tracker = LineageTracker(0.2, seed=4)
+            scheduler = KlinkScheduler()
+            scheduler.forecast_audit = tracker.forecast
+            engine = Engine(
+                build_queries("ysb", 4, WorkloadParams(seed=4)), scheduler,
+                cores=2, cycle_ms=100.0, seed=4, lineage=tracker,
+            )
+            # 100 ms cycles: each 10 s segment ends on a cycle boundary
+            for _ in range(segments):
+                metrics = engine.run(20_000.0 / segments)
+            return (
+                json.dumps(metrics.summary(), sort_keys=True),
+                json.dumps(tracker.lineage_rows(), sort_keys=True),
+                tracker.summary_row(),
+            )
+
+        whole, split = run(1), run(2)
+        assert json.loads(whole[1])
+        assert whole == split
 
 
 def _seed_with_node_failure(duration_ms, query_ids):
