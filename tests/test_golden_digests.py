@@ -22,8 +22,12 @@ defers payload for consecutive backpressured cycles, and bursty sources.
 ``cli-lrb-faults-checkpoints`` is the trace of the fault-injected,
 checkpointed LRB run that ``repro-bench run --workload lrb --scheduler
 Klink --queries 4 --duration 20 --cores 8 --seed 5 --faults 3
---checkpoint-period 5000 --trace T`` writes. Runs marked ``chaos`` run
-outside tier-1 (``pytest -m ""``).
+--checkpoint-period 5000 --trace T`` writes. The ``nyt-*`` runs pin the
+workload with fused stateless chains and sliding windows (summaries under
+backpressure, a trace with every cycle observer across a node failure,
+snapshot bytes), and ``dist-default-share-traced`` pins a distributed
+processor-sharing deployment whose nodes fail one after the other. Runs
+marked ``chaos`` run outside tier-1 (``pytest -m ""``).
 
 Regenerate the fixture only for a deliberate output change::
 
@@ -50,11 +54,12 @@ from repro.bench.runner import (
     run_experiment,
     trace_summary,
 )
+from repro.core.baselines import DefaultScheduler
 from repro.core.klink import KlinkScheduler
 from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import FaultPlan, InvariantMonitor
 from repro.faults.plan import NodeFailure
-from repro.obs import AuditLog, TelemetrySampler, TraceWriter
+from repro.obs import AuditLog, OperatorProfiler, TelemetrySampler, TraceWriter
 from repro.obs.lineage import LineageTracker
 from repro.resilience import (
     CheckpointCoordinator,
@@ -423,6 +428,135 @@ def cli_lrb_faults_checkpoints() -> Dict[str, Any]:
     }
 
 
+# -- NYT and the distributed share mode ----------------------------------------
+
+#: NYT overloaded on one core with a small heap: stateless chains and
+#: sliding windows under backpressure, shedding and late-event drops
+NYT_PARAMS = dict(n_queries=6, cores=1, rate_scale=8.0, memory_gb=0.25, seed=9)
+
+
+@lru_cache(maxsize=None)
+def nyt_summary(scheduler: str) -> Dict[str, Any]:
+    result = run_experiment(
+        ExperimentConfig(
+            workload="nyt", scheduler=scheduler, duration_ms=30_000.0, **NYT_PARAMS
+        )
+    )
+    return {
+        "summary": _json_sha(result.summary),
+        "backpressure_cycles": result.metrics.backpressure_cycles,
+        "events_shed": result.metrics.events_shed,
+    }
+
+
+def _nyt_engine(scheduler: Any, **observers: Any) -> Engine:
+    params = WorkloadParams(seed=NYT_PARAMS["seed"], rate_scale=NYT_PARAMS["rate_scale"])
+    return Engine(
+        build_queries("nyt", NYT_PARAMS["n_queries"], params),
+        scheduler,
+        cores=NYT_PARAMS["cores"],
+        memory=MemoryConfig(capacity_bytes=NYT_PARAMS["memory_gb"] * GIB),
+        seed=NYT_PARAMS["seed"],
+        **observers,
+    )
+
+
+@lru_cache(maxsize=None)
+def nyt_traced_failure() -> Tuple[Engine, Dict[str, Any]]:
+    """Klink on NYT with every cycle observer attached; the node is down
+    from 10 s to 12 s with no recovery, so those cycles skip delivery and
+    trace an empty plan."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        writer = TraceWriter(str(path), meta={"run": "nyt-traced-failure"})
+        sampler = TelemetrySampler()
+        tracer = CycleTracer()
+        profiler = OperatorProfiler()
+        engine = _nyt_engine(
+            KlinkScheduler(),
+            tracer=tracer,
+            audit=AuditLog(stream=writer),
+            profiler=profiler,
+            telemetry=sampler,
+            invariants=InvariantMonitor(),
+            faults=FaultPlan([NodeFailure(10_000.0, 12_000.0, node=0)]),
+        )
+        metrics = engine.run(20_000.0)
+        writer.finalize(
+            operators=[p.to_dict() for p in metrics.operator_profiles],
+            series=sampler.series_rows(),
+            alerts=sampler.alert_rows(),
+            summary=trace_summary(metrics),
+        )
+        trace = path.read_text()
+    return engine, {
+        "summary": _json_sha(metrics.summary()),
+        "trace": _sha(trace),
+        "cycle_tracer": _json_sha(
+            [dataclasses.asdict(record) for record in tracer.rows]
+        ),
+    }
+
+
+@lru_cache(maxsize=None)
+def nyt_snapshot() -> Dict[str, Any]:
+    """Snapshot bytes of an overloaded NYT run: fused chains and sliding
+    windows hold partial rows and open panes."""
+    engine = _nyt_engine(make_scheduler("Default"))
+    engine.run(25_000.0)
+    snapshot = serialize(capture(engine))
+    return {"snapshot": _sha(snapshot), "snapshot_bytes": len(snapshot)}
+
+
+@lru_cache(maxsize=None)
+def dist_default_share_traced() -> Tuple[Engine, Dict[str, Any]]:
+    """Default (processor sharing) on two nodes, every cycle observer
+    attached. Node 0 is down from 4 s to 6 s and node 1 from 5 s to 7 s,
+    with no recovery: blocked queries are deferred, and while both nodes
+    are down no node plans and the tracer records nothing."""
+    queries = build_queries("ysb", 8, WorkloadParams(seed=13))
+    plan = PhysicalPlan.split(queries, 2, segments=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        writer = TraceWriter(str(path), meta={"run": "dist-default-share"})
+        sampler = TelemetrySampler()
+        tracer = CycleTracer()
+        engine = DistributedEngine.with_policy(
+            queries,
+            plan,
+            DefaultScheduler,
+            cores_per_node=2,
+            memory=MemoryConfig(capacity_bytes=0.5 * GIB),
+            rpc_latency_ms=100.0,
+            seed=13,
+            tracer=tracer,
+            audit=AuditLog(stream=writer),
+            profiler=OperatorProfiler(),
+            telemetry=sampler,
+            invariants=InvariantMonitor(),
+            faults=FaultPlan(
+                [
+                    NodeFailure(4_000.0, 6_000.0, node=0),
+                    NodeFailure(5_000.0, 7_000.0, node=1),
+                ]
+            ),
+        )
+        metrics = engine.run(12_000.0)
+        writer.finalize(
+            series=sampler.series_rows(),
+            alerts=sampler.alert_rows(),
+            summary=trace_summary(metrics),
+        )
+        trace = path.read_text()
+    return engine, {
+        "summary": _json_sha(metrics.summary()),
+        "trace": _sha(trace),
+        "cycle_tracer": _json_sha(
+            [dataclasses.asdict(record) for record in tracer.rows]
+        ),
+    }
+
+
 #: every pinned run, by fixture key
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "ysb-standby-lineage": lambda: ysb_standby_lineage()[1],
@@ -440,6 +574,11 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "kernel-bursty-seed5": partial(kernel_bursty, 5),
     "kernel-bursty-seed6": partial(kernel_bursty, 6),
     "cli-lrb-faults-checkpoints": cli_lrb_faults_checkpoints,
+    "nyt-summary-Default": partial(nyt_summary, "Default"),
+    "nyt-summary-Klink": partial(nyt_summary, "Klink"),
+    "nyt-traced-failure-Klink": lambda: nyt_traced_failure()[1],
+    "nyt-snapshot-Default": nyt_snapshot,
+    "dist-default-share-traced": lambda: dist_default_share_traced()[1],
 }
 #: runs outside tier-1
 CHAOS = set()
@@ -506,6 +645,23 @@ def test_kernel_runs_exercise_what_they_pin():
         for q in engine.queries
         for b in q.bindings
     )
+
+
+def test_nyt_and_share_runs_exercise_what_they_pin():
+    for scheduler in ("Default", "Klink"):
+        pinned = nyt_summary(scheduler)
+        assert pinned["backpressure_cycles"] > 0 and pinned["events_shed"] > 0
+    engine, _ = nyt_traced_failure()
+    assert engine.invariants.ok
+    # down cycles still trace (an empty plan) on the single engine
+    assert len(engine.tracer) == engine.metrics.cycles
+    assert any(not row.head_queries for row in engine.tracer.rows)
+    dist, _ = dist_default_share_traced()
+    assert dist.invariants.ok
+    assert {type(s) for s in dist.node_schedulers} == {DefaultScheduler}
+    # cycles with both nodes down plan nothing and trace nothing
+    assert 0 < len(dist.tracer) < dist.metrics.cycles
+    assert {row.plan_mode for row in dist.tracer.rows} == {"share"}
 
 
 def test_stored_snapshots_never_change_after_capture():
