@@ -5,7 +5,7 @@ JOBS ?= 4
 export PYTHONPATH := src
 
 .PHONY: test lint statecheck mypy check-plan check-report check-telemetry \
-	check perf perf-profile bench bench-parallel
+	check bench bench-parallel
 
 test:
 	$(PY) -m pytest -x -q
@@ -53,20 +53,6 @@ check-telemetry:
 		$$dir/bench_a.json
 
 check: lint statecheck check-plan check-report check-telemetry test
-
-# Wall-clock benchmark of the simulator itself; refreshes the checked-in
-# baseline. Timings are host-dependent — regenerate it on the reference
-# runner, not a laptop.
-perf:
-	$(PY) -m repro.cli perf --repeats 3 \
-		--out benchmarks/results/BENCH_perf.json
-	$(PY) -m repro.cli compare --check benchmarks/results/BENCH_perf.json
-
-# Per-phase breakdown of the cycle kernel (generate / deliver /
-# schedule / execute / drain) on the perf grid; diagnostic only, no
-# baseline refresh.
-perf-profile:
-	$(PY) -m repro.cli perf --repeats 1 --profile
 
 # Figure suite, serial vs. fanned out over $(JOBS) worker processes.
 # Both share the persistent cache in .bench_cache/ (REPRO_BENCH_NO_CACHE=1

@@ -102,9 +102,6 @@ DEFAULT_FILE_ALLOWLIST: Dict[str, FrozenSet[str]] = {
     # Tracing annotates rows with host timestamps for log correlation;
     # nothing in the simulation consumes them.
     "spe/tracing.py": frozenset({"KL001", "KL006"}),
-    # The perf harness times real wall-clock execution of the simulator;
-    # its measurements never feed back into simulated state.
-    "bench/perf.py": frozenset({"KL001", "KL006"}),
 }
 
 #: absolute clock reads (KL001): epoch/calendar time
@@ -302,8 +299,8 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
                 "KL006",
                 f"interval timer {path}() measures host time, not "
-                "simulated time; use the engine's VirtualClock (or move "
-                "the measurement to bench/perf.py)",
+                "simulated time; use the engine's VirtualClock (host-time "
+                "measurements belong in perfbench/, outside the simulator)",
             )
 
     def _check_randomness(self, node: ast.Call, path: str) -> None:

@@ -247,15 +247,8 @@ def trace_from_result(result: ExperimentResult) -> Trace:
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, *, phase_profiler: object = None
-) -> ExperimentResult:
-    """Build the workload, run the engine, return metrics.
-
-    ``phase_profiler`` optionally installs a
-    :class:`repro.bench.perf.CyclePhaseProfiler` on the engine — a pure
-    wall-clock observer; simulated output is unaffected.
-    """
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Build the workload, run the engine, return metrics."""
     params = WorkloadParams(
         delay=config.delay, rate_scale=config.rate_scale, seed=config.seed
     )
@@ -325,8 +318,6 @@ def run_experiment(
         batch_size=config.batch_size,
         lineage=lineage,
     )
-    if phase_profiler is not None:
-        engine.phase_profiler = phase_profiler
     metrics = engine.run(config.duration_ms)
     chains = profiler.chain_profiles(queries) if profiler is not None else []
     if writer is not None:

@@ -5,7 +5,6 @@ Usage (installed as ``repro-bench``, or ``python -m repro.cli``)::
     repro-bench run --workload ysb --scheduler Klink --queries 60
     repro-bench sweep --workload lrb --queries 20 40 60 --schedulers Default Klink
     repro-bench sweep --workload ysb --jobs 4 --no-cache
-    repro-bench perf --jobs 4 --out benchmarks/results/BENCH_perf.json
     repro-bench report --workload ysb --scheduler Klink --queries 8 --duration 30
     repro-bench report --trace trace.jsonl --format json
     repro-bench report --trace trace.jsonl --chrome flame.json
@@ -484,40 +483,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import render_perf, run_perf
-    from repro.obs.compare import (
-        compare_snapshots,
-        load_snapshot,
-        render_comparison,
-        write_snapshot,
-    )
-
-    try:
-        snapshot = run_perf(
-            jobs=args.jobs, repeats=args.repeats, profile=args.profile
-        )
-    except ValueError as exc:
-        print(f"[perf] ERROR: {exc}", file=sys.stderr)
-        return 2
-    print(render_perf(snapshot))
-    if args.out:
-        write_snapshot(args.out, snapshot)
-        print(f"[perf] wrote {args.out}", file=sys.stderr)
-    if args.baseline:
-        try:
-            baseline = load_snapshot(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"[perf] ERROR: {exc}", file=sys.stderr)
-            return 2
-        result = compare_snapshots(baseline, snapshot)
-        print(render_comparison(result))
-        # Wall time is machine-dependent; callers decide whether a
-        # regression verdict is binding (CI runs this warn-only).
-        return 0 if result.ok else 1
-    return 0
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimator == "lr":
         estimator = LinearRegressionEstimator()
@@ -717,39 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
              "are byte-identical to a serial run; default 1)",
     )
     sweep_p.set_defaults(func=cmd_sweep)
-
-    perf_p = sub.add_parser(
-        "perf",
-        help="time the simulator itself (wall clock) over a pinned "
-             "YSB/LRB grid and emit a BENCH_perf.json snapshot",
-    )
-    perf_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="also time a parallel pass with N workers and report the "
-             "speedup over serial (default 1: serial only)",
-    )
-    perf_p.add_argument(
-        "--repeats", type=int, default=1, metavar="N",
-        help="time each grid point N times and keep the fastest "
-             "(default 1)",
-    )
-    perf_p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the perf snapshot (BENCH_perf.json format) to PATH",
-    )
-    perf_p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="compare against a baseline perf snapshot; non-zero exit "
-             "on regression (advisory: wall time is machine-dependent)",
-    )
-    perf_p.add_argument(
-        "--profile", action="store_true",
-        help="attach a cycle-phase profiler to every timed run and "
-             "report generate/deliver/schedule/execute/drain wall "
-             "milliseconds per cycle (pure observer: simulated output "
-             "is unchanged)",
-    )
-    perf_p.set_defaults(func=cmd_perf)
 
     est_p = sub.add_parser("estimate", help="SWM estimator accuracy")
     est_p.add_argument("--estimator", default="klink", choices=["klink", "lr"])

@@ -172,7 +172,7 @@ def check_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
     every metric ``compare_snapshots`` reads must be present and of the
     comparable type (numeric values finite or ``null``, counts
     non-negative integers). Extra keys are allowed — emitters may attach
-    detail sections (e.g. the perf harness's ``points``).
+    detail sections.
     """
     problems: List[str] = []
     version = snapshot.get("snapshot_version")

@@ -279,7 +279,13 @@ class TestDrivers:
 
     def test_default_allowlist_covers_tracing(self):
         assert "KL001" in DEFAULT_FILE_ALLOWLIST["spe/tracing.py"]
-        assert "KL006" in DEFAULT_FILE_ALLOWLIST["bench/perf.py"]
+
+    def test_default_allowlist_names_existing_files(self):
+        """A stale entry (its file deleted or moved) would silently
+        allowlist whatever file later takes that path."""
+        package = Path(repro.__file__).parent
+        for suffix in DEFAULT_FILE_ALLOWLIST:
+            assert (package / suffix).is_file(), suffix
 
     def test_rules_table_matches_emitted_codes(self):
         assert set(RULES) == {

@@ -30,6 +30,14 @@ class TestParser:
 
 
 class TestRunCommand:
+    def test_run_no_cache_smoke(self, capsys):
+        code = main([
+            "run", "--workload", "ysb", "--queries", "1",
+            "--duration", "5", "--no-cache",
+        ])
+        assert code == 0
+        assert "ysb" in capsys.readouterr().out
+
     def test_small_run_prints_table(self, capsys):
         rc = main([
             "run", "--workload", "ysb", "--scheduler", "Default",
@@ -89,6 +97,16 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
+    def test_sweep_jobs_no_cache_smoke(self, capsys):
+        code = main([
+            "sweep", "--workload", "ysb", "--queries", "1",
+            "--schedulers", "Default", "FCFS",
+            "--duration", "5", "--jobs", "2", "--no-cache",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Default" in out and "FCFS" in out
+
     def test_sweep_runs_grid(self, capsys):
         rc = main([
             "sweep", "--workload", "ysb", "--queries", "1", "2",

@@ -16,6 +16,7 @@ from repro.obs import (
     TelemetryConfig,
     TelemetrySampler,
     Trace,
+    check_snapshot,
     compare_snapshots,
     load_snapshot,
     render_comparison,
@@ -110,6 +111,24 @@ class TestSnapshot:
         )
         snap = load_input(str(path))
         assert snap["latency_ms"]["mean"] == 5.0
+
+
+class TestCheckSnapshot:
+    def test_flags_structural_problems(self):
+        snapshot = sample_snapshot()
+        assert check_snapshot(snapshot) == []
+        broken = dict(snapshot)
+        del broken["throughput_eps"]
+        assert any("throughput_eps" in p for p in check_snapshot(broken))
+        broken = dict(snapshot)
+        broken["latency_ms"] = {"mean": 1.0}  # missing percentiles
+        assert check_snapshot(broken)
+        broken = dict(snapshot)
+        broken["hottest_operators"] = [{"name": "x", "cpu_ms": None}]
+        assert check_snapshot(broken)
+        broken = dict(snapshot)
+        broken["snapshot_version"] = 99
+        assert any("snapshot_version" in p for p in check_snapshot(broken))
 
 
 class TestCompareSnapshots:
@@ -349,3 +368,21 @@ class TestCompareCli:
 
         trace = self._run_trace(tmp_path)
         assert main(["compare", str(trace), str(trace), str(trace)]) == 2
+
+    def test_check_accepts_valid_snapshot(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "ok.json"
+        write_snapshot(str(path), sample_snapshot())
+        assert main(["compare", "--check", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "[check] OK" in captured.err
+        assert captured.out == ""  # --check suppresses the dump
+
+    def test_check_rejects_invalid_snapshot(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"snapshot_version": 1}))
+        assert main(["compare", "--check", str(path)]) == 1
+        assert "[check]" in capsys.readouterr().err
