@@ -13,18 +13,16 @@ local pending cost upstream (Fig. 5's forwarding arrows).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.klink import KlinkScheduler
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
 from repro.core.slack import expected_slack_scalars, interval_steps_scalars
 from repro.distributed.forwarding import ForwardingBoard, QueryInfo
-from repro.obs.audit import explain_with_fallback
 from repro.distributed.placement import PhysicalPlan
-from repro.spe.engine import Engine
+from repro.spe.engine import Engine, NodeCycle
 from repro.spe.memory import MemoryConfig
 from repro.spe.query import Query
-from repro.spe.streams import Channel
 
 
 class DistributedKlinkScheduler(KlinkScheduler):
@@ -200,7 +198,6 @@ class DistributedEngine(Engine):
             validate=validate,
         )
         # Attach transfer latency to cross-node edges.
-        self._delayed_channels: List[Channel] = []
         for query in self.queries:
             for op in plan.cross_node_edges(query):
                 channel = op.output
@@ -302,30 +299,17 @@ class DistributedEngine(Engine):
             pending_cost_ms=pending,
         )
 
-    # -- cycle override --------------------------------------------------------------
+    # -- the node-aware cycle hook ------------------------------------------------
 
-    def step_cycle(self) -> None:
-        self.clock.advance(self.cycle_ms)
-        # calendar-queue cycle index tracks the clock
-        self._cal_cycle += 1  # klink: transient[relative bucket index; restore refiles buckets against it]
-        now = self.clock.now
-        self._apply_faults(now)
-        down_nodes = frozenset(
-            node
-            for node in range(self.plan.n_nodes)
-            if self.faults is not None and self.faults.node_down(node, now)
-        )
-        if self.recovery is not None:
-            down_nodes = self.recovery.on_cycle(self, down_nodes, now)
-        for channel in self._delayed_channels:
-            if channel._pending:
-                channel.release(now)
-        backpressured = (
-            self.memory.backpressured(self.queries) or self._throttle_requested
-        )
-        if backpressured:
-            self.metrics.backpressure_cycles += 1
-        self._generate_until(now, shed_events=backpressured)
+    @property
+    def n_nodes(self) -> int:
+        return self.plan.n_nodes
+
+    def _run_nodes(
+        self, now: float, backpressured: bool, down_nodes: FrozenSet[int]
+    ) -> Tuple[SchedulerContext, Tuple[NodeCycle, ...]]:
+        """Deliver, publish forwarded information, collect, then let each
+        live node's policy plan and run the node's share of its plan."""
         # Queries whose source node failed cannot ingest: their traffic
         # ages in the network buffer until the node recovers.
         blocked = None
@@ -334,91 +318,14 @@ class DistributedEngine(Engine):
         self._deliver_ingestions(now, backpressured, blocked=blocked)
         self._publish_info(now, down_nodes)
         ctx = self._collect()
-        throttle = False
-        used_total = 0.0
-        overhead_total = 0.0
-        plans = []
-        node_records = []  # (node, scheduler, plan, decisions, used, overhead)
-        for node, scheduler in enumerate(self.node_schedulers):
-            if node in down_nodes:
-                continue  # a failed node runs neither its policy nor its tasks
-            plan = scheduler.plan(ctx)
-            decisions = (
-                explain_with_fallback(scheduler, ctx, plan)
-                if self.audit is not None
-                else []
-            )
-            plans.append(plan)
-            throttle = throttle or plan.throttle_ingestion
-            overhead = plan.overhead_ms + scheduler.overhead_ms(ctx)
-            overhead_total += overhead
-            tax = self.memory.pressure_tax(ctx.memory_utilization)
-            budget = max(
-                0.0, (self.cores_per_node * self.cycle_ms - overhead) * (1.0 - tax)
-            )
-            localized = self._localize(plan, node)
-            used = self._execute_plan(localized, budget)
-            used_total += used
-            node_records.append(
-                (node, scheduler, plan, decisions, used, overhead)
-            )
-        self._throttle_requested = throttle
-        self.metrics.scheduler_overhead_ms += overhead_total
-        self.metrics.busy_cpu_ms += used_total
-        self._drain_sink_metrics()
-        self._sample_utilization(used_total + overhead_total)
-        cycle_index = self.metrics.cycles
-        self.metrics.cycles += 1
-        if self.invariants is not None:
-            self.invariants.on_cycle(
-                self, plans=plans, cpu_used_ms=used_total + overhead_total
-            )
-        if self.tracer is not None and plans:
-            self.tracer.on_cycle(
-                time=now,
-                memory_utilization=ctx.memory_utilization,
-                cpu_used_ms=used_total,
-                overhead_ms=overhead_total,
-                backpressured=backpressured,
-                plan=plans[0],
-            )
-        if self.profiler is not None:
-            self.profiler.on_cycle(self.queries)
-        if self.telemetry is not None:
-            # Per-node series merge: one registry receives every node's
-            # CPU counters (labelled node=<i>); per-query signals are
-            # cluster-global and recorded once. Registry serialization
-            # sorts by series key, so the merged output is independent
-            # of node iteration order.
-            node_cpu = {
-                node: (used, overhead)
-                for node, _, _, _, used, overhead in node_records
-            }
-            self.telemetry.on_cycle(
-                self,
-                now,
-                cpu_used_ms=used_total,
-                overhead_ms=overhead_total,
-                node_cpu=node_cpu,
-            )
-        if self.audit is not None:
-            # one audit record per live node: each node's policy ranked the
-            # full query set independently (decentralized scheduling, Sec. 4)
-            for node, scheduler, plan, decisions, used, overhead in node_records:
-                self.audit.on_cycle(
-                    time=now,
-                    cycle=cycle_index,
-                    scheduler=scheduler,
-                    ctx=ctx,
-                    plan=plan,
-                    backpressured=backpressured,
-                    cpu_used_ms=used,
-                    overhead_ms=overhead,
-                    node=node,
-                    decisions=decisions,
-                )
-        if self.checkpoints is not None:
-            self.checkpoints.maybe_checkpoint(self, now, down_nodes)
+        # A failed node runs neither its policy nor its tasks.
+        nodes = tuple(
+            self._run_node(node, scheduler, ctx, self.cores_per_node)
+            for node, scheduler in enumerate(self.node_schedulers)
+            if node not in down_nodes
+        )
+        self._throttle_requested = any(r.plan.throttle_ingestion for r in nodes)
+        return ctx, nodes
 
     def _on_standby_promotion(self, node: int, now: float) -> None:
         """Re-place the failed node's operators onto a hot standby.

@@ -253,44 +253,32 @@ class AuditLog:
 
     # -- engine-facing hook --------------------------------------------------
 
-    def on_cycle(
-        self,
-        *,
-        time: float,
-        cycle: int,
-        scheduler: Any,
-        ctx: Any,
-        plan: Any,
-        backpressured: bool,
-        cpu_used_ms: float,
-        overhead_ms: float,
-        node: int = 0,
-        decisions: Optional[List[QueryDecision]] = None,
-    ) -> DecisionRecord:
-        """Record one cycle. ``decisions`` lets the engine pass
-        explanations captured at *plan* time (before execution drained
-        the queues the policy ranked on); when omitted, the policy is
-        asked to explain the plan now."""
-        if decisions is None:
-            decisions = explain_with_fallback(scheduler, ctx, plan)
-        record = DecisionRecord(
-            time=time,
-            cycle=cycle,
-            node=node,
-            policy=str(getattr(scheduler, "name", type(scheduler).__name__)),
-            mode=str(plan.mode),
-            backpressured=bool(backpressured),
-            throttled=bool(plan.throttle_ingestion),
-            memory_utilization=float(ctx.memory_utilization),
-            cpu_used_ms=float(cpu_used_ms),
-            overhead_ms=float(overhead_ms),
-            decisions=decisions,
-        )
-        self._rows.append(record)
-        self.records_seen += 1
-        if self.stream is not None:
-            self.stream.write(record.to_dict())
-        return record
+    def on_cycle(self, event: Any) -> None:
+        """Record one row per node that planned this cycle, with the
+        decisions the engine captured at *plan* time (before execution
+        drained the queues the policy ranked on)."""
+        for node in event.nodes:
+            scheduler, plan = node.scheduler, node.plan
+            record = DecisionRecord(
+                time=event.now,
+                cycle=event.cycle,
+                node=node.node,
+                policy=str(getattr(scheduler, "name", type(scheduler).__name__)),
+                mode=str(plan.mode),
+                backpressured=bool(event.backpressured),
+                throttled=bool(plan.throttle_ingestion),
+                memory_utilization=float(event.ctx.memory_utilization),
+                cpu_used_ms=float(node.used),
+                overhead_ms=float(node.overhead),
+                decisions=node.decisions,
+            )
+            self._rows.append(record)
+            self.records_seen += 1
+            if self.stream is not None:
+                self.stream.write(record.to_dict())
+
+    def finalize(self, engine: Any) -> None:
+        """Nothing to close: every row is written as its cycle ends."""
 
     # -- consumption ---------------------------------------------------------
 

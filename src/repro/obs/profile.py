@@ -117,10 +117,10 @@ class OperatorProfiler:
 
     # -- engine-facing hook --------------------------------------------------
 
-    def on_cycle(self, queries: Sequence[Any]) -> None:
+    def on_cycle(self, event: Any) -> None:
         """Update high-water marks from the current queue/state depths."""
         self.cycles_sampled += 1
-        for query in queries:
+        for query in event.engine.queries:
             qid = query.query_id
             mem = 0.0
             for op in query.operators:
@@ -140,6 +140,10 @@ class OperatorProfiler:
                 mem += queued_bytes + state_bytes
             if mem > self._query_mem_hwm.get(qid, 0.0):
                 self._query_mem_hwm[qid] = mem
+
+    def finalize(self, engine: Any) -> None:
+        """Publish the final profiles into the run's metrics."""
+        engine.metrics.operator_profiles = self.profiles(engine.queries)
 
     # -- snapshots -----------------------------------------------------------
 

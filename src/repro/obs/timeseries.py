@@ -402,31 +402,24 @@ class TelemetrySampler:
 
     # -- engine-facing hook --------------------------------------------------
 
-    def on_cycle(
-        self,
-        engine: Any,
-        now: float,
-        *,
-        cpu_used_ms: float,
-        overhead_ms: float,
-        node_cpu: Optional[Mapping[int, Tuple[float, float]]] = None,
-    ) -> None:
+    def on_cycle(self, event: Any) -> None:
         """Per-cycle hook: drain latencies, sample when a period elapses.
 
-        ``node_cpu`` (``{node: (cpu_used_ms, overhead_ms)}``) is passed
-        by :class:`~repro.distributed.cluster.DistributedEngine` so the
-        per-node CPU series can be merged into one registry.
+        On a :class:`~repro.distributed.cluster.DistributedEngine` each
+        planning node's CPU also feeds a ``node_cpu_ms`` counter labelled
+        ``node=<i>``, so the per-node series merge into one registry.
         """
+        engine = event.engine
         self._drain_latencies(engine)
-        if node_cpu is not None:
-            for node in sorted(node_cpu):
-                used, overhead = node_cpu[node]
+        if _decentralized(engine):
+            for record in event.nodes:
                 self.registry.counter(
-                    "node_cpu_ms", {"node": str(node)}
-                ).inc(used + overhead)
+                    "node_cpu_ms", {"node": str(record.node)}
+                ).inc(record.used + record.overhead)
+        now = event.now
         if not self._sample_due(now):
             return
-        self._collect(engine, now, cpu_used_ms, overhead_ms)
+        self._collect(engine, now, event.used, event.overhead)
         self.registry.sample(now)
         self.samples_taken += 1
         self.alerts.evaluate(now, self.registry)
@@ -484,9 +477,8 @@ class TelemetrySampler:
     def _schedulers(engine: Any) -> List[Tuple[Optional[str], Any]]:
         """(node label, scheduler) pairs; one pair per node when
         decentralized, a single unlabelled pair otherwise."""
-        node_schedulers = getattr(engine, "node_schedulers", None)
-        if node_schedulers:
-            return [(str(i), s) for i, s in enumerate(node_schedulers)]
+        if _decentralized(engine):
+            return [(str(i), s) for i, s in enumerate(engine.node_schedulers)]
         return [(None, engine.scheduler)]
 
     def _collect(
@@ -582,12 +574,14 @@ class TelemetrySampler:
 
     # -- finalization --------------------------------------------------------
 
-    def finalize(self, metrics: Any, end_time: float) -> None:
-        """Close open alerts and publish aggregates into ``RunMetrics``."""
+    def finalize(self, engine: Any) -> None:
+        """Close open alerts and publish aggregates into the run's
+        ``RunMetrics``."""
         if self._finalized:
             return
         self._finalized = True
-        self.alerts.finalize(end_time)
+        metrics = engine.metrics
+        self.alerts.finalize(engine.clock.now)
         metrics.deadline_misses = self.deadline_misses
         if self._lag_count > 0:
             metrics.watermark_lag_mean_ms = self._lag_sum / self._lag_count
@@ -604,6 +598,12 @@ class TelemetrySampler:
     def alert_rows(self) -> List[Dict[str, Any]]:
         """``type=alert`` rows (sorted by start/rule/series)."""
         return self.alerts.to_rows()
+
+
+def _decentralized(engine: Any) -> bool:
+    """Does ``engine`` run one scheduler per node (series get ``node``
+    labels)?"""
+    return bool(getattr(engine, "node_schedulers", None))
 
 
 def _percentile(values: Sequence[float], pct: float) -> float:

@@ -66,22 +66,19 @@ class CycleTracer:
 
     # -- engine-facing hook --------------------------------------------------
 
-    def on_cycle(
-        self,
-        *,
-        time: float,
-        memory_utilization: float,
-        cpu_used_ms: float,
-        overhead_ms: float,
-        backpressured: bool,
-        plan,
-    ) -> None:
+    def on_cycle(self, event) -> None:
+        """Record one cycle: the first planning node's plan with the
+        cycle's total CPU. A cycle in which no node planned (every node
+        of a cluster failed) leaves no row."""
+        if not event.nodes:
+            return
+        plan = event.nodes[0].plan
         record = CycleRecord(
-            time=time,
-            memory_utilization=memory_utilization,
-            cpu_used_ms=cpu_used_ms,
-            overhead_ms=overhead_ms,
-            backpressured=backpressured,
+            time=event.now,
+            memory_utilization=event.ctx.memory_utilization,
+            cpu_used_ms=event.used,
+            overhead_ms=event.overhead,
+            backpressured=event.backpressured,
             plan_mode=plan.mode,
             throttled=plan.throttle_ingestion,
             head_queries=[
@@ -92,6 +89,9 @@ class CycleTracer:
         self._rows.append(record)
         if self.stream is not None:
             self.stream.write(self._record_dict(record))
+
+    def finalize(self, engine) -> None:
+        """Nothing to close: every row is written as its cycle ends."""
 
     # -- consumption ---------------------------------------------------------
 

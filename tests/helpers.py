@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Any, Optional, Sequence
+
 from repro.net.delays import ConstantDelay
+from repro.spe.engine import CycleEvent, NodeCycle
 from repro.spe.operators import (
     FilterOperator,
     MapOperator,
@@ -93,3 +96,22 @@ def make_join_query(
     )
 
 
+def cycle_event(
+    engine: Any = None,
+    *,
+    now: Optional[float] = None,
+    cycle: int = 0,
+    ctx: Any = None,
+    backpressured: bool = False,
+    nodes: Sequence[NodeCycle] = (),
+    used: float = 0.0,
+    overhead: float = 0.0,
+) -> CycleEvent:
+    """A :class:`CycleEvent` for driving one observer by hand; ``now``
+    defaults to the engine's clock."""
+    if now is None:
+        now = engine.clock.now if engine is not None else 0.0
+    return CycleEvent(
+        engine, now, cycle, ctx, backpressured, frozenset(), tuple(nodes),
+        used, overhead,
+    )

@@ -19,7 +19,8 @@ from repro.distributed import (
     QueryInfo,
 )
 from repro.distributed.cluster import DistributedKlinkScheduler
-from tests.helpers import make_join_query, make_simple_query
+from repro.spe.engine import NodeCycle
+from tests.helpers import cycle_event, make_join_query, make_simple_query
 
 
 class TestPhysicalPlan:
@@ -393,13 +394,17 @@ class TestDistributedTelemetry:
                 self.memory = self._Memory()
                 self.queries = []
                 self.scheduler = object()
+                self.node_schedulers = [self.scheduler] * 3
 
         def rows(order):
             sampler = TelemetrySampler()
-            node_cpu = {node: (float(node + 1), 0.5) for node in order}
+            nodes = [
+                NodeCycle(node, None, None, [], float(node + 1), 0.5)
+                for node in order
+            ]
             sampler.on_cycle(
-                FakeEngine(), 200.0, cpu_used_ms=6.0, overhead_ms=1.5,
-                node_cpu=node_cpu,
+                cycle_event(FakeEngine(), now=200.0, nodes=nodes, used=6.0,
+                            overhead=1.5)
             )
             return [dumps_line(r) for r in sampler.series_rows()]
 

@@ -20,7 +20,8 @@ from repro.core.scheduler import Allocation, Plan
 from repro.faults import FaultPlan, InvariantError, InvariantMonitor
 from repro.spe.engine import Engine
 
-from tests.helpers import make_join_query, make_simple_query
+from repro.spe.engine import NodeCycle
+from tests.helpers import cycle_event, make_join_query, make_simple_query
 
 
 def run_monitored(scheduler, *, faults=None, duration_ms=8_000.0, **monitor_kwargs):
@@ -119,7 +120,7 @@ class TestDetection:
         # Fabricate events out of thin air, then re-check.
         channel = queries[0].bindings[0].channel
         channel._queued_events += 1_000.0
-        monitor.on_cycle(engine)
+        monitor.on_cycle(cycle_event(engine))
         assert not monitor.ok
         assert any(
             v.invariant == "channel-conservation" for v in monitor.violations
@@ -133,7 +134,7 @@ class TestDetection:
         )
         engine.run(2_000.0)
         queries[0].bindings[0].events_ingested += 500.0  # claim unseen events
-        monitor.on_cycle(engine)
+        monitor.on_cycle(cycle_event(engine))
         assert any(
             v.invariant == "event-conservation" for v in monitor.violations
         )
@@ -147,7 +148,7 @@ class TestDetection:
         engine.run(3_000.0)
         progress = queries[0].bindings[0].progress
         progress.last_watermark_ts -= 10_000.0  # move time backwards
-        monitor.on_cycle(engine)
+        monitor.on_cycle(cycle_event(engine))
         assert any(
             v.invariant == "watermark-monotonicity" for v in monitor.violations
         )
@@ -159,7 +160,7 @@ class TestDetection:
             queries, FCFSScheduler(), cores=2, cycle_ms=100.0, invariants=monitor,
         )
         engine.run(1_000.0)
-        monitor.on_cycle(engine, cpu_used_ms=1e9)
+        monitor.on_cycle(cycle_event(engine, used=1e9))
         assert any(v.invariant == "cpu-budget" for v in monitor.violations)
 
     def test_detects_insane_plan(self):
@@ -174,7 +175,8 @@ class TestDetection:
             [Allocation(query, query.operators), Allocation(query, query.operators)],
             mode="priority",
         )
-        monitor.on_cycle(engine, plans=[bogus])
+        node = NodeCycle(0, engine.scheduler, bogus, [], 0.0, 0.0)
+        monitor.on_cycle(cycle_event(engine, nodes=[node]))
         assert any(v.invariant == "plan-sanity" for v in monitor.violations)
 
     def test_strict_mode_raises(self):
@@ -185,7 +187,7 @@ class TestDetection:
         )
         engine.run(1_000.0)
         with pytest.raises(InvariantError):
-            monitor.on_cycle(engine, cpu_used_ms=1e9)
+            monitor.on_cycle(cycle_event(engine, used=1e9))
 
     def test_max_violations_caps_storage_not_count(self):
         monitor = InvariantMonitor(max_violations=3)

@@ -48,7 +48,8 @@ from repro.spe.memory import MemoryConfig
 from repro.spe.operators import MapOperator, SinkOperator
 from repro.spe.query import Query, SourceBinding, SourceSpec, chain
 from repro.workloads import WorkloadParams, build_queries
-from tests.helpers import make_simple_query
+from repro.spe.engine import NodeCycle
+from tests.helpers import cycle_event, make_simple_query
 
 
 def run_audited(scheduler, *, n_queries=3, duration=6_000.0, seed=1,
@@ -216,11 +217,11 @@ class TestAuditLog:
         ctx = SchedulerContext(now=0.0, cycle_ms=100.0, cores=1, queries=[q])
         throttles = throttles or [False] * len(flags)
         for i, (bp, thr) in enumerate(zip(flags, throttles)):
-            audit.on_cycle(
-                time=float(i * 100), cycle=i, scheduler=Stub(), ctx=ctx,
-                plan=Plan([Allocation(q)], throttle_ingestion=thr),
-                backpressured=bp, cpu_used_ms=0.0, overhead_ms=0.0,
-            )
+            plan = Plan([Allocation(q)], throttle_ingestion=thr)
+            audit.on_cycle(cycle_event(
+                now=float(i * 100), cycle=i, ctx=ctx, backpressured=bp,
+                nodes=[NodeCycle(0, Stub(), plan, [], 0.0, 0.0)],
+            ))
         return audit
 
     def test_mode_episodes_from_flags(self):
@@ -431,11 +432,11 @@ class TestPackedDecisionRecords:
         audit = AuditLog(stream=Lines())
         cases = (awkward, [], awkward[:1], awkward[1:])
         for i, decisions in enumerate(cases):
-            record = audit.on_cycle(
-                time=float(i), cycle=i, scheduler=DefaultScheduler(), ctx=ctx,
-                plan=plan, backpressured=False, cpu_used_ms=0.0,
-                overhead_ms=0.0, decisions=decisions,
+            node = NodeCycle(0, DefaultScheduler(), plan, decisions, 0.0, 0.0)
+            audit.on_cycle(
+                cycle_event(now=float(i), cycle=i, ctx=ctx, nodes=[node])
             )
+            record = audit.last()
             assert_same_decisions(record.decisions, decisions)
             assert decisions_line(record) == decisions_line_of(decisions)
         assert '"score":3,' in lines[0] and '"slack_ms":-0.0,' in lines[0]

@@ -241,10 +241,14 @@ class TestSamplerOnEngine:
         assert first != rows(200.0)  # different config, different series
 
     def test_finalize_is_idempotent(self):
-        sampler, metrics = run_sampled()
+        sampler = TelemetrySampler(TelemetryConfig())
+        engine = Engine([make_simple_query("q0", rate_eps=500.0, seed=1)],
+                        KlinkScheduler(), cores=4, cycle_ms=100.0, seed=1,
+                        telemetry=sampler)
+        metrics = engine.run(6_000.0)
         misses = metrics.deadline_misses
         sampler.deadline_misses += 99  # must not leak through a second call
-        sampler.finalize(metrics, 99_999.0)
+        sampler.finalize(engine)
         assert metrics.deadline_misses == misses
 
     def test_series_rows_validate_against_schema(self):
