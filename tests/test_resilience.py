@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.bench.runner import SCHEDULER_NAMES, make_scheduler
 from repro.core.klink import KlinkScheduler
 from repro.core.baselines import DefaultScheduler, RoundRobinScheduler
+from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.faults import InvariantMonitor
 from repro.obs.audit import AuditLog
 from repro.resilience import (
@@ -45,21 +46,52 @@ from tests.helpers import make_join_query, make_simple_query
 MB = 1024 * 1024
 
 
-def build_engine(scheduler_name: str = "Klink", *, seed: int = 0) -> Engine:
-    """Two heterogeneous queries (bursty tumbling + two-input join) so a
-    checkpoint must cover burst RNG state, join watermark vectors, and
-    per-query progress trackers."""
+def _queries(seed: int) -> list:
     q0 = make_simple_query(
         "q0", rate_eps=4000.0, delay_ms=40.0, burst_factor=3.0, seed=seed
     )
     q1 = make_join_query("q1", delays_ms=(10.0, 60.0))
+    return [q0, q1]
+
+
+def build_engine(
+    scheduler_name: str = "Klink", *, seed: int = 0, audit: bool = False
+) -> Engine:
+    """Two heterogeneous queries (bursty tumbling + two-input join) so a
+    checkpoint must cover burst RNG state, join watermark vectors, and
+    per-query progress trackers."""
     return Engine(
-        [q0, q1],
+        _queries(seed),
         make_scheduler(scheduler_name),
         cores=4,
         cycle_ms=100.0,
         memory=MemoryConfig(capacity_bytes=256 * MB),
         seed=seed,
+        audit=AuditLog() if audit else None,
+    )
+
+
+def build_distributed(
+    scheduler_name: str = "Klink", *, seed: int = 0, audit: bool = False
+) -> DistributedEngine:
+    """The same queries split over two nodes of two cores; Klink runs as
+    the forwarding distributed instance."""
+    queries = _queries(seed)
+    options = dict(
+        cores_per_node=2,
+        cycle_ms=100.0,
+        memory=MemoryConfig(capacity_bytes=256 * MB),
+        seed=seed,
+        audit=AuditLog() if audit else None,
+    )
+    plan = PhysicalPlan.split(queries, 2)
+    if scheduler_name.startswith("Klink"):
+        return DistributedEngine.with_klink(
+            queries, plan,
+            enable_memory_management=scheduler_name == "Klink", **options,
+        )
+    return DistributedEngine.with_policy(
+        queries, plan, lambda: make_scheduler(scheduler_name), **options
     )
 
 
@@ -114,22 +146,27 @@ class TestCheckpointRoundTrip:
 
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_resumed_run_equals_uninterrupted_run(scheduler):
-    """Satellite 1: split + resume == one uninterrupted run, per policy."""
-    full = build_engine(scheduler)
-    full.run(6000.0)
+    """Split + resume == one uninterrupted run, per policy, on both
+    engines; the audit rows before and after the split add up to the
+    uninterrupted run's."""
+    for build in (build_engine, build_distributed):
+        full = build(scheduler, audit=True)
+        full.run(6000.0)
 
-    first = build_engine(scheduler)
-    first.run(2500.0)
-    snapshot = deserialize(serialize(capture(first)))
-    resumed = build_engine(scheduler)
-    restore(resumed, snapshot, mode="resume")
-    resumed.run(6000.0 - resumed.clock.now)
+        first = build(scheduler, audit=True)
+        first.run(2500.0)
+        snapshot = deserialize(serialize(capture(first)))
+        resumed = build(scheduler, audit=True)
+        restore(resumed, snapshot, mode="resume")
+        resumed.run(6000.0 - resumed.clock.now)
 
-    full_summary = json.dumps(full.metrics.summary(), sort_keys=True)
-    resumed_summary = json.dumps(resumed.metrics.summary(), sort_keys=True)
-    assert resumed_summary == full_summary
-    assert resumed.metrics.swm_latencies == full.metrics.swm_latencies
-    assert resumed.metrics.marker_latencies == full.metrics.marker_latencies
+        full_summary = json.dumps(full.metrics.summary(), sort_keys=True)
+        resumed_summary = json.dumps(resumed.metrics.summary(), sort_keys=True)
+        assert resumed_summary == full_summary, build.__name__
+        assert resumed.metrics.swm_latencies == full.metrics.swm_latencies
+        assert resumed.metrics.marker_latencies == full.metrics.marker_latencies
+        audit = first.audit.to_jsonl_str() + resumed.audit.to_jsonl_str()
+        assert audit == full.audit.to_jsonl_str(), build.__name__
 
 
 def _marker_ids(snapshot):
