@@ -1,6 +1,6 @@
 """The stream processing engine substrate (discrete-event simulator)."""
 
-from repro.spe.engine import Engine
+from repro.spe.engine import CycleEvent, Engine, NodeCycle
 from repro.spe.events import EventBatch, LatencyMarker, Watermark
 from repro.spe.memory import GIB, MemoryConfig, MemoryModel
 from repro.spe.metrics import RunMetrics, cdf_points, mean_with_ci, percentile
@@ -35,6 +35,8 @@ from repro.spe.windows import (
 
 __all__ = [
     "Engine",
+    "CycleEvent",
+    "NodeCycle",
     "EventBatch",
     "Watermark",
     "LatencyMarker",
