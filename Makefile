@@ -13,8 +13,9 @@ test:
 lint:
 	$(PY) -m repro.analysis.lint src/repro --ci
 
-# State-contract gate: snapshot coverage, capture/restore symmetry,
-# schema-fingerprint freshness, canonical serialization, worker purity.
+# State-contract gate: declared checkpoint state covers every mutable
+# attribute, schema-fingerprint freshness, canonical serialization,
+# worker purity.
 statecheck:
 	$(PY) -m repro.analysis.statecheck src/repro
 

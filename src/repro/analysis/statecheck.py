@@ -1,26 +1,26 @@
-"""State-contract analyzer: snapshot coverage, schema drift, worker purity.
+"""State-contract analyzer: declared state, schema drift, worker purity.
 
-PR 6 made failover correctness hinge on a hand-maintained contract:
-:mod:`repro.resilience.checkpoint` must capture *every* mutable field of
-the engine, operators, channels, bindings, schedulers, and metric
-ledgers, or a restored run silently diverges from the original. This
-module checks that contract structurally instead of by runtime luck.
+Failover correctness hinges on a checkpoint holding *every* mutable
+field of the engine, operators, channels, bindings, schedulers, metric
+ledgers and lineage tracker, or a restored run silently diverges from
+the original. Each checkpointed class declares its state once, as a
+``CHECKPOINT`` tuple of ``(snapshot key, attribute, codec)`` entries
+that one generic walk (:mod:`repro.spe.state`) captures and restores.
+This module checks the declarations structurally instead of by runtime
+luck.
 
 ========  ==============================================================
  code      rule
 ========  ==============================================================
  KS200     the contract source (``resilience/checkpoint.py``) could not
            be located or parsed under the given paths.
- KS201     snapshot coverage: a checkpointed class mutates ``self.attr``
-           but no capture helper reads it and no restore helper writes
-           it; annotate deliberate omissions with
+ KS201     a class whose ``CHECKPOINT`` declaration (its own or an
+           ancestor's) exists mutates ``self.attr`` that no declaration
+           in its class chain names; annotate deliberate omissions with
            ``# klink: transient[reason]``.
- KS202     capture/restore asymmetry: a field is captured but never
-           mentioned on restore, or written by restore but never
-           captured.
- KS210     the captured field set changed but ``SCHEMA_VERSION`` did
-           not: old snapshots would be mis-applied. Bump the version,
-           then refresh the fingerprint.
+ KS210     a declaration's attribute set changed but ``SCHEMA_VERSION``
+           did not: old snapshots would be mis-applied. Bump the
+           version, then refresh the fingerprint.
  KS211     ``schema_fingerprint.json`` is missing or stale relative to
            the code; regenerate with ``--update-fingerprint``.
  KS221     ``json.dumps``/``json.dump`` without ``sort_keys=True`` in a
@@ -30,9 +30,10 @@ module checks that contract structurally instead of by runtime luck.
            feeds serialized output (key order does not survive a list).
  KS223     float accumulation into a serialized cursor/deadline field
            (``+=`` drift makes restored state diverge from live state).
- KS224     in-place rewrite of an append-only ledger (an attribute that
-           ``checkpoint.py`` captures as a ``LedgerView`` prefix) outside
-           the restore helpers: it would change what older snapshots hold.
+ KS224     in-place rewrite of an append-only ledger (an attribute
+           declared with a ledger codec, which snapshots hold as a
+           ``LedgerView`` prefix): it would change what older snapshots
+           hold.
  KW301     a function dispatched to ``run_many(jobs=N)`` worker
            processes (or cached under the code fingerprint) reads a
            module-level mutable global; spawn workers each get a fresh
@@ -41,20 +42,19 @@ module checks that contract structurally instead of by runtime luck.
            to a multiprocessing pool.
 ========  ==============================================================
 
-The analyzer never imports the code under test: the contract is
-extracted from the AST of ``checkpoint.py`` (which attribute names each
-``_*_state`` / ``_restore_*`` helper touches on its subject, including
-names expanded from module-level tuples such as ``_METRIC_SCALARS``) and
-compared against an AST walk of every checkpointed class. Scheduler
-coverage comes from each class's ``snapshot_state``/``restore_state``
-pair, resolved through single-inheritance bases.
+The analyzer never imports the code under test: declarations are read
+from the literal AST of each class body and compared against an AST
+walk of the attributes the class mutates. Coverage resolves through the
+base chain, as the walk joins declarations along the MRO. A single walk
+cannot capture a field it does not restore, so there is no symmetry
+rule. The fingerprint lists each declaration's attribute names.
 
 Run it as ``python -m repro.analysis.statecheck [paths]``,
 ``repro-bench statecheck``, or merged into the linter with
 ``repro-lint --state``. Exit codes: 0 clean, 1 findings, 2 usage error
 (contract source not found). ``--update-fingerprint`` rewrites
 ``src/repro/resilience/schema_fingerprint.json`` — but still fails with
-KS210 if the field set changed without a ``SCHEMA_VERSION`` bump.
+KS210 if a declaration changed without a ``SCHEMA_VERSION`` bump.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.pragmas import Pragmas, apply_suppressions, parse_pragmas
 from repro.analysis.report import Diagnostic, Report
@@ -75,9 +75,8 @@ from repro.analysis.report import Diagnostic, Report
 #: rule code -> one-line summary (rendered by ``--rules`` and the docs)
 STATE_RULES: Dict[str, str] = {
     "KS200": "contract source resilience/checkpoint.py not found or unparsable",
-    "KS201": "mutable attribute of a checkpointed class is not captured (mark transient[reason] if deliberate)",
-    "KS202": "capture/restore field-set asymmetry in a snapshot helper pair",
-    "KS210": "captured field set changed without a SCHEMA_VERSION bump",
+    "KS201": "mutable attribute of a checkpointed class is not declared (mark transient[reason] if deliberate)",
+    "KS210": "declared field set changed without a SCHEMA_VERSION bump",
     "KS211": "schema_fingerprint.json missing or stale (regenerate with --update-fingerprint)",
     "KS221": "json.dumps without sort_keys=True in a canonical-serialization path",
     "KS222": "unordered dict/set iteration materialized into serialized list output",
@@ -89,11 +88,14 @@ STATE_RULES: Dict[str, str] = {
 
 #: path suffix of the contract source, relative to the package root
 _CONTRACT_SOURCE = "resilience/checkpoint.py"
-#: checked-in fingerprint of the captured field set, next to the source
+#: checked-in fingerprint of the declared field sets, next to the source
 _FINGERPRINT_FILE = "resilience/schema_fingerprint.json"
 
 #: files (by package-relative path) whose json output must be canonical
-_SERIALIZER_FILES = ("resilience/checkpoint.py", "bench/cache.py")
+_SERIALIZER_FILES = ("resilience/checkpoint.py", "spe/state.py", "bench/cache.py")
+
+#: the class attribute that declares checkpoint state
+_DECLARATION = "CHECKPOINT"
 
 #: pool method names whose first argument runs in a worker process
 _POOL_DISPATCH_METHODS = frozenset(
@@ -124,51 +126,6 @@ _CURSOR_NAME = re.compile(
 )
 
 
-# -- contract declaration ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _EntrySpec:
-    """One capture/restore helper pair in ``checkpoint.py`` and the
-    classes whose state it is responsible for."""
-
-    name: str
-    #: function names on the capture side and the restore side
-    capture_fns: Tuple[str, ...]
-    restore_fns: Tuple[str, ...]
-    #: parameter/alias names the helpers access the subject through
-    roots: Tuple[str, ...]
-    #: base class whose transitive subclasses (plus itself) are covered
-    base_class: str
-    #: treat dataclass field declarations as state needing coverage
-    dataclass_fields: bool = False
-
-
-#: the snapshot contract: which helper pair owns which class family
-_ENTRY_SPECS: Tuple[_EntrySpec, ...] = (
-    _EntrySpec("engine", ("capture", "_schedulers"), ("restore", "_schedulers"),
-               ("engine",), "Engine"),
-    _EntrySpec("operator", ("_operator_state",), ("_restore_operator",),
-               ("op",), "Operator"),
-    _EntrySpec("channel", ("_channel_state",), ("_restore_channel",),
-               ("channel",), "Channel"),
-    _EntrySpec("binding", ("_binding_state",), ("_restore_binding",),
-               ("binding",), "SourceBinding"),
-    _EntrySpec("progress", ("_binding_state",), ("_restore_binding",),
-               ("progress",), "StreamProgress"),
-    _EntrySpec("cursor", ("_cursor_state",), ("_restore_cursor",),
-               ("cursor",), "PeriodicCursor"),
-    _EntrySpec("strategy", ("_strategy_state",), ("_restore_strategy",),
-               ("strategy",), "WatermarkStrategy"),
-    _EntrySpec("metrics", ("_metrics_state",), ("_restore_metrics",),
-               ("metrics",), "RunMetrics", dataclass_fields=True),
-    _EntrySpec("board", ("_board_state",), ("_restore_board",),
-               ("board",), "ForwardingBoard"),
-    _EntrySpec("lineage", ("capture_lineage",), ("restore_lineage",),
-               ("tracker",), "LineageTracker"),
-)
-
-
 # -- parsed-module cache -----------------------------------------------------
 
 
@@ -177,10 +134,7 @@ class _Module:
     path: Path
     rel: str
     tree: ast.Module
-    source: str
     pragmas: Pragmas
-    #: module-level constants bound to tuples/lists of string literals
-    str_constants: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     @staticmethod
     def load(path: Path, rel: str) -> Optional["_Module"]:
@@ -189,23 +143,29 @@ class _Module:
             tree = ast.parse(source, filename=str(path))
         except (OSError, SyntaxError):
             return None
-        module = _Module(path, rel, tree, source, parse_pragmas(source))
-        for node in tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, (ast.Tuple, ast.List))
-            ):
-                elements = node.value.elts
-                if elements and all(
-                    isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    for e in elements
-                ):
-                    module.str_constants[node.targets[0].id] = tuple(
-                        e.value for e in elements  # type: ignore[misc]
-                    )
-        return module
+        return _Module(path, rel, tree, parse_pragmas(source))
+
+
+@dataclass
+class _Field:
+    """One ``(key, attribute, codec)`` entry of a declaration."""
+
+    attr: str
+    codec: ast.expr
+
+    @property
+    def ledger_depth(self) -> Optional[int]:
+        """Subscripts down to the ledger for a ledger codec (``LEDGER``:
+        0; a dict of ledgers such as ``keyed_ledgers(...)``: 1), else
+        None."""
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(self.codec)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if any(name.lower().endswith("ledgers") for name in names):
+            return 1
+        return 0 if "LEDGER" in names else None
 
 
 @dataclass
@@ -215,6 +175,28 @@ class _ClassInfo:
     node: ast.ClassDef
     bases: Tuple[str, ...]
     is_dataclass: bool
+
+    @property
+    def declaration(self) -> Optional[List[_Field]]:
+        """The class body's own ``CHECKPOINT`` entries (None without one)."""
+        for node in self.node.body:
+            value: Optional[ast.expr]
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+            elif isinstance(node, ast.AnnAssign):
+                target, value = node.target, node.value
+            else:
+                continue
+            if not (isinstance(target, ast.Name) and target.id == _DECLARATION):
+                continue
+            fields: List[_Field] = []
+            for entry in value.elts if isinstance(value, (ast.Tuple, ast.List)) else ():
+                if isinstance(entry, ast.Tuple) and len(entry.elts) == 3:
+                    _, attr, codec = entry.elts
+                    if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
+                        fields.append(_Field(attr.value, codec))
+            return fields
+        return None
 
 
 class _Tree:
@@ -258,25 +240,9 @@ class _Tree:
                 return module
         return None
 
-    def family(self, base: str) -> List[_ClassInfo]:
-        """``base`` plus every transitive subclass known to the tree."""
-        members: List[_ClassInfo] = []
-        names: Set[str] = {base}
-        changed = True
-        while changed:
-            changed = False
-            for info in self.classes.values():
-                if info.name not in names and any(b in names for b in info.bases):
-                    names.add(info.name)
-                    changed = True
-        for name in sorted(names):
-            if name in self.classes:
-                members.append(self.classes[name])
-        return members
-
     def ancestors(self, name: str) -> List[_ClassInfo]:
-        """``name`` then its base chain, nearest first (single-inheritance
-        resolution over classes known to the tree)."""
+        """``name`` then its base chain, nearest first (resolution over
+        classes known to the tree)."""
         chain: List[_ClassInfo] = []
         seen: Set[str] = set()
         frontier = [name]
@@ -290,134 +256,13 @@ class _Tree:
             frontier.extend(info.bases)
         return chain
 
-
-# -- access extraction (capture/restore helper side) -------------------------
-
-
-@dataclass
-class _AccessSet:
-    """First-level attribute names a helper touches on its subject."""
-
-    reads: Set[str] = field(default_factory=set)
-    writes: Set[str] = field(default_factory=set)
-
-    @property
-    def all(self) -> Set[str]:
-        return self.reads | self.writes
-
-    def merge(self, other: "_AccessSet") -> None:
-        self.reads |= other.reads
-        self.writes |= other.writes
-
-
-class _AccessVisitor(ast.NodeVisitor):
-    """Collect ``root.attr`` accesses plus literal / constant-expanded
-    ``getattr``/``setattr`` calls inside one function body."""
-
-    def __init__(self, roots: FrozenSet[str], constants: Dict[str, Tuple[str, ...]]) -> None:
-        self.roots = roots
-        self.constants = constants
-        self.access = _AccessSet()
-        #: loop variable -> expansion of the constant tuple it ranges over
-        self._loop_vars: Dict[str, Tuple[str, ...]] = {}
-
-    def _bind_loop_var(self, target: ast.expr, source: ast.expr) -> None:
-        if isinstance(target, ast.Name) and isinstance(source, ast.Name):
-            names = self.constants.get(source.id)
-            if names:
-                self._loop_vars[target.id] = names
-
-    def visit_For(self, node: ast.For) -> None:
-        self._bind_loop_var(node.target, node.iter)
-        self.generic_visit(node)
-
-    def _visit_generators(self, generators: List[ast.comprehension]) -> None:
-        for gen in generators:
-            self._bind_loop_var(gen.target, gen.iter)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self._visit_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        self._visit_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self._visit_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self._visit_generators(node.generators)
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and node.value.id in self.roots:
-            if isinstance(node.ctx, ast.Store):
-                self.access.writes.add(node.attr)
-            else:
-                self.access.reads.add(node.attr)
-        self.generic_visit(node)
-
-    def _attr_arg_names(self, arg: ast.expr) -> Tuple[str, ...]:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return (arg.value,)
-        if isinstance(arg, ast.Name):
-            if arg.id in self._loop_vars:
-                return self._loop_vars[arg.id]
-            if arg.id in self.constants:
-                return self.constants[arg.id]
-        return ()
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("getattr", "setattr")
-            and len(node.args) >= 2
-            and isinstance(node.args[0], ast.Name)
-            and node.args[0].id in self.roots
-        ):
-            names = self._attr_arg_names(node.args[1])
-            if node.func.id == "getattr":
-                self.access.reads.update(names)
-            else:
-                self.access.writes.update(names)
-        self.generic_visit(node)
-
-
-def _function_defs(module: _Module) -> Dict[str, ast.FunctionDef]:
-    return {
-        node.name: node
-        for node in module.tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
-
-
-def _extract_access(
-    module: _Module, fn_names: Iterable[str], roots: Iterable[str]
-) -> _AccessSet:
-    functions = _function_defs(module)
-    access = _AccessSet()
-    for fn_name in fn_names:
-        fn = functions.get(fn_name)
-        if fn is None:
-            continue
-        visitor = _AccessVisitor(frozenset(roots), module.str_constants)
-        for stmt in fn.body:
-            visitor.visit(stmt)
-        access.merge(visitor.access)
-    return access
-
-
-def _method_access(info: _ClassInfo, method: str) -> Optional[_AccessSet]:
-    """Self-access set of one method of ``info``; None when not defined."""
-    for node in info.node.body:
-        if isinstance(node, ast.FunctionDef) and node.name == method:
-            visitor = _AccessVisitor(frozenset({"self"}), info.module.str_constants)
-            for stmt in node.body:
-                visitor.visit(stmt)
-            return visitor.access
-    return None
+    def declared(self, info: _ClassInfo) -> Optional[List[_Field]]:
+        """Every field the class chain of ``info`` declares, or None when
+        no class in it declares checkpoint state."""
+        declarations = [a.declaration for a in self.ancestors(info.name)]
+        if all(d is None for d in declarations):
+            return None
+        return [f for d in declarations if d for f in d]
 
 
 # -- mutable-attribute extraction (class side) -------------------------------
@@ -567,140 +412,41 @@ def _is_transient(info: _ClassInfo, attr: _MutableAttr) -> bool:
     return any(info.module.pragmas.is_transient(line) for line in attr.lines)
 
 
-# -- KS201 / KS202: coverage and symmetry ------------------------------------
+# -- KS201: every mutable attribute is declared --------------------------------
 
 
-def _check_entry_coverage(
-    tree: _Tree,
-    contract_module: _Module,
-    spec: _EntrySpec,
-    report: Report,
-) -> Set[str]:
-    """Apply KS201/KS202 for one helper pair; returns the captured set."""
-    capture = _extract_access(contract_module, spec.capture_fns, spec.roots)
-    restore = _extract_access(contract_module, spec.restore_fns, spec.roots)
-
-    # KS202: captured but never mentioned on restore / written by restore
-    # but never captured. Restore-side pure reads (owner back-pointers,
-    # maxlen lookups) are fine.
-    for attr in sorted(capture.all - restore.all):
-        report.add(
-            "KS202",
-            f"{spec.name}: field {attr!r} is captured by "
-            f"{'/'.join(spec.capture_fns)} but never touched by "
-            f"{'/'.join(spec.restore_fns)}",
-            file=str(contract_module.path),
-            where=f"{spec.name}.{attr}",
-        )
-    for attr in sorted(restore.writes - capture.all):
-        report.add(
-            "KS202",
-            f"{spec.name}: field {attr!r} is written by "
-            f"{'/'.join(spec.restore_fns)} but never captured by "
-            f"{'/'.join(spec.capture_fns)}",
-            file=str(contract_module.path),
-            where=f"{spec.name}.{attr}",
-        )
-
-    covered = capture.all | restore.writes
-    # KS201: every mutable attribute of every class in the family must be
-    # captured or explicitly transient.
-    for info in tree.family(spec.base_class):
+def _check_coverage(tree: _Tree, report: Report) -> Dict[str, Set[str]]:
+    """KS201 over every checkpointed class; returns the declared
+    attribute names per module (for KS223)."""
+    declared_by_file: Dict[str, Set[str]] = {}
+    for name in sorted(tree.classes):
+        info = tree.classes[name]
+        fields = tree.declared(info)
+        if fields is None:
+            continue
+        declared = {f.attr for f in fields}
+        declared_by_file.setdefault(info.module.rel, set()).update(declared)
         candidates: Dict[str, _MutableAttr] = dict(_mutable_attrs(info))
-        if spec.dataclass_fields and info.is_dataclass:
-            for name, line in _dataclass_fields(info).items():
-                candidates.setdefault(name, _MutableAttr(name, line, [line], "field"))
-        for name in sorted(candidates):
-            attr = candidates[name]
-            if name in covered:
+        if info.is_dataclass:
+            for field_name, line in _dataclass_fields(info).items():
+                candidates.setdefault(field_name, _MutableAttr(field_name, line, [line], "field"))
+        for attr_name in sorted(candidates):
+            attr = candidates[attr_name]
+            if attr_name in declared:
                 continue
             if _is_transient(info, attr):
                 report.record_suppressed({"KS201": 1})
                 continue
             report.add(
                 "KS201",
-                f"{info.name}.{name} is mutated ({attr.how}) but the "
-                f"checkpoint {spec.name} contract never captures it; "
-                "restored runs will diverge. Capture it in "
-                f"{'/'.join(spec.capture_fns)} or mark the assignment "
-                "# klink: transient[reason]",
-                file=str(info.module.path),
-                line=attr.line,
-            )
-    return covered
-
-
-def _check_scheduler_coverage(tree: _Tree, report: Report) -> Dict[str, Set[str]]:
-    """KS201/KS202 over every ``Scheduler.snapshot_state``/``restore_state``
-    pair; returns per-class snapshot field sets for the fingerprint."""
-    snapshot_sets: Dict[str, Set[str]] = {}
-    for info in tree.family("Scheduler"):
-        snapshot = _method_access(info, "snapshot_state")
-        restore = _method_access(info, "restore_state")
-        # KS202: a class overriding one side of the pair without the other
-        # (base methods inherited for both sides is fine).
-        if (snapshot is None) != (restore is None):
-            defined, missing = (
-                ("snapshot_state", "restore_state")
-                if snapshot is not None
-                else ("restore_state", "snapshot_state")
-            )
-            report.add(
-                "KS202",
-                f"{info.name} defines {defined} without {missing}: the "
-                "checkpoint round-trip is asymmetric",
-                file=str(info.module.path),
-                line=info.node.lineno,
-            )
-        if snapshot is not None and restore is not None:
-            for attr in sorted(snapshot.reads - restore.all):
-                report.add(
-                    "KS202",
-                    f"{info.name}.snapshot_state reads {attr!r} but "
-                    "restore_state never restores it",
-                    file=str(info.module.path),
-                    line=info.node.lineno,
-                )
-            for attr in sorted(restore.writes - snapshot.all):
-                report.add(
-                    "KS202",
-                    f"{info.name}.restore_state writes {attr!r} but "
-                    "snapshot_state never captures it",
-                    file=str(info.module.path),
-                    line=info.node.lineno,
-                )
-        # coverage resolves through the base chain: a subclass inheriting
-        # its parent's snapshot methods is covered by the parent's fields.
-        covered: Set[str] = set()
-        for ancestor in tree.ancestors(info.name):
-            ancestor_snapshot = _method_access(ancestor, "snapshot_state")
-            ancestor_restore = _method_access(ancestor, "restore_state")
-            if ancestor_snapshot is not None:
-                covered |= ancestor_snapshot.all
-                if ancestor_restore is not None:
-                    covered |= ancestor_restore.writes
-                break
-        snapshot_sets[info.name] = set(
-            (snapshot.all | (restore.writes if restore else set()))
-            if snapshot is not None
-            else covered
-        )
-        for name, attr in sorted(_mutable_attrs(info).items()):
-            if name in covered:
-                continue
-            if _is_transient(info, attr):
-                report.record_suppressed({"KS201": 1})
-                continue
-            report.add(
-                "KS201",
-                f"{info.name}.{name} is mutated ({attr.how}) but "
-                "snapshot_state/restore_state never cover it; a restored "
-                "scheduler will diverge. Capture it or mark the "
+                f"{info.name}.{attr_name} is mutated ({attr.how}) but no "
+                f"{_DECLARATION} declaration in its class chain names it; "
+                "restored runs will diverge. Declare it or mark the "
                 "assignment # klink: transient[reason]",
                 file=str(info.module.path),
                 line=attr.line,
             )
-    return snapshot_sets
+    return declared_by_file
 
 
 # -- KS210 / KS211: schema fingerprint ---------------------------------------
@@ -720,18 +466,14 @@ def _schema_version(contract_module: _Module) -> Optional[int]:
     return None
 
 
-def build_contract(
-    tree: _Tree, contract_module: _Module, scheduler_sets: Dict[str, Set[str]]
-) -> Dict[str, List[str]]:
-    """The captured field set per contract entry, suitable for hashing."""
-    contract: Dict[str, List[str]] = {}
-    for spec in _ENTRY_SPECS:
-        capture = _extract_access(contract_module, spec.capture_fns, spec.roots)
-        restore = _extract_access(contract_module, spec.restore_fns, spec.roots)
-        contract[spec.name] = sorted(capture.all | restore.writes)
-    for name, fields in sorted(scheduler_sets.items()):
-        contract[f"scheduler:{name}"] = sorted(fields)
-    return contract
+def build_contract(tree: _Tree) -> Dict[str, List[str]]:
+    """Each declaring class's own declared attribute names, suitable for
+    hashing."""
+    return {
+        name: sorted(f.attr for f in declaration)
+        for name, info in sorted(tree.classes.items())
+        if (declaration := info.declaration) is not None
+    }
 
 
 def contract_fingerprint(schema_version: int, contract: Dict[str, List[str]]) -> str:
@@ -744,11 +486,7 @@ def contract_fingerprint(schema_version: int, contract: Dict[str, List[str]]) ->
 
 
 def _check_fingerprint(
-    tree: _Tree,
-    contract_module: _Module,
-    scheduler_sets: Dict[str, Set[str]],
-    report: Report,
-    update: bool = False,
+    tree: _Tree, contract_module: _Module, report: Report, update: bool = False
 ) -> None:
     version = _schema_version(contract_module)
     if version is None:
@@ -759,7 +497,7 @@ def _check_fingerprint(
             file=str(contract_module.path),
         )
         return
-    contract = build_contract(tree, contract_module, scheduler_sets)
+    contract = build_contract(tree)
     fingerprint = contract_fingerprint(version, contract)
     path = tree.package_root / _FINGERPRINT_FILE
     stored: Optional[Dict[str, object]] = None
@@ -786,7 +524,7 @@ def _check_fingerprint(
         drift = _describe_drift(stored_contract, contract)
         report.add(
             "KS210",
-            "captured field set changed without a SCHEMA_VERSION bump "
+            "declared field set changed without a SCHEMA_VERSION bump "
             f"(still {version}): {drift}. Old snapshots would be "
             "mis-applied — bump SCHEMA_VERSION in checkpoint.py, then "
             "refresh the fingerprint",
@@ -807,7 +545,7 @@ def _check_fingerprint(
             json.dumps(
                 {
                     "comment": (
-                        "Captured-field fingerprint of the checkpoint "
+                        "Declared-field fingerprint of the checkpoint "
                         "contract; regenerated via `python -m "
                         "repro.analysis.statecheck --update-fingerprint` "
                         "after a SCHEMA_VERSION bump."
@@ -939,10 +677,10 @@ def _check_serialization(tree: _Tree, report: Report) -> None:
 
 
 def _check_cursor_drift(
-    tree: _Tree, covered_by_file: Dict[str, Set[str]], report: Report
+    tree: _Tree, declared_by_file: Dict[str, Set[str]], report: Report
 ) -> None:
-    """KS223: ``self.x += non_int`` on a captured, time-like field."""
-    for rel, covered in sorted(covered_by_file.items()):
+    """KS223: ``self.x += non_int`` on a declared, time-like field."""
+    for rel, covered in sorted(declared_by_file.items()):
         module = tree.module_for(rel)
         if module is None:
             continue
@@ -994,16 +732,15 @@ def _ledger_root(node: ast.expr) -> Tuple[str, int]:
     return (node.attr if isinstance(node, ast.Attribute) else ""), depth
 
 
-def _ledger_attrs(contract_module: _Module) -> Dict[str, int]:
-    """Attributes ``checkpoint.py`` wraps in ``LedgerView``, mapped to how
-    many subscripts down the ledger list sits (1 for a dict of ledgers)."""
-    roots = [
-        _ledger_root(call.args[0])
-        for call in ast.walk(contract_module.tree)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-        and call.func.id == "LedgerView" and call.args
-    ]
-    return {name: depth for name, depth in roots if name}
+def _ledger_attrs(tree: _Tree) -> Dict[str, int]:
+    """Attributes declared with a ledger codec, mapped to how many
+    subscripts down the ledger sits (1 for a dict of ledgers)."""
+    return {
+        f.attr: depth
+        for info in tree.classes.values()
+        for f in info.declaration or ()
+        if (depth := f.ledger_depth) is not None
+    }
 
 
 #: methods that rewrite a list/array in place, and those that only grow it
@@ -1012,15 +749,12 @@ _REWRITE_METHODS = {"sort", "reverse", "clear", "pop", "insert", "remove", "byte
 _GROWTH_METHODS = {"append", "extend", "frombytes", "fromlist"}
 
 
-def _check_ledger_growth(tree: _Tree, contract: _Module, report: Report) -> None:
+def _check_ledger_growth(tree: _Tree, report: Report) -> None:
     """KS224: subscript stores/deletes, augmented assignment other than
     ``+=`` and rewriting methods on a ledger, and any write through one of
-    its columns (``x.ledger.col``), outside the checkpoint restore helpers.
+    its columns (``x.ledger.col``). A restore rebinds a ledger instead.
     Aliases (``lst = x.attr``) are not followed."""
-    ledgers = _ledger_attrs(contract)
-    restore_fns = {fn for spec in _ENTRY_SPECS for fn in spec.restore_fns}
-    exempt = {id(node) for fn in _function_defs(contract).values()
-              if fn.name in restore_fns for node in ast.walk(fn)}
+    ledgers = _ledger_attrs(tree)
     for module in tree.modules:
         for node in ast.walk(module.tree):
             # (written expression, how, whether the write only grows it)
@@ -1042,7 +776,7 @@ def _check_ledger_growth(tree: _Tree, contract: _Module, report: Report) -> None
                 column, (name, depth) = "", _ledger_root(expr)
                 if ledgers.get(name) != depth and isinstance(expr, ast.Attribute):
                     column, (name, depth) = expr.attr, _ledger_root(expr.value)
-                if ledgers.get(name) != depth or id(node) in exempt or (grows and not column):
+                if ledgers.get(name) != depth or (grows and not column):
                     continue
                 what = f"column {column!r} of ledger {name!r}" if column else f"ledger {name!r}"
                 report.add(
@@ -1054,6 +788,14 @@ def _check_ledger_growth(tree: _Tree, contract: _Module, report: Report) -> None
 
 
 # -- KW3xx: worker purity ----------------------------------------------------
+
+
+def _function_defs(module: _Module) -> Dict[str, ast.FunctionDef]:
+    return {
+        node.name: node
+        for node in module.tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
 
 
 def _module_mutable_globals(module: _Module) -> Set[str]:
@@ -1305,18 +1047,11 @@ def check_paths(
         )
         return report
 
-    covered_by_file: Dict[str, Set[str]] = {}
-    for spec in _ENTRY_SPECS:
-        covered = _check_entry_coverage(tree, contract_module, spec, report)
-        for info in tree.family(spec.base_class):
-            covered_by_file.setdefault(info.module.rel, set()).update(covered)
-    scheduler_sets = _check_scheduler_coverage(tree, report)
-    _check_fingerprint(
-        tree, contract_module, scheduler_sets, report, update=update_fingerprint
-    )
+    declared_by_file = _check_coverage(tree, report)
+    _check_fingerprint(tree, contract_module, report, update=update_fingerprint)
     _check_serialization(tree, report)
-    _check_cursor_drift(tree, covered_by_file, report)
-    _check_ledger_growth(tree, contract_module, report)
+    _check_cursor_drift(tree, declared_by_file, report)
+    _check_ledger_growth(tree, report)
     _check_worker_purity(tree, report)
     return report
 
@@ -1374,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--update-fingerprint",
         action="store_true",
         help="rewrite resilience/schema_fingerprint.json from the current "
-        "contract (refused with KS210 if the field set changed without a "
+        "declarations (refused with KS210 if a field set changed without a "
         "SCHEMA_VERSION bump)",
     )
     parser.add_argument(

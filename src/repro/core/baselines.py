@@ -18,10 +18,11 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
 from repro.spe.query import Query
+from repro.spe.state import INT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.audit import QueryDecision
@@ -103,6 +104,7 @@ class RoundRobinScheduler(Scheduler):
     """Fixed-quantum rotation over the deployed queries."""
 
     name = "RR"
+    CHECKPOINT = (("cursor", "_cursor", INT),)
 
     def __init__(self) -> None:
         self._cursor = 0
@@ -123,12 +125,6 @@ class RoundRobinScheduler(Scheduler):
 
     def reset(self) -> None:
         self._cursor = 0
-
-    def snapshot_state(self) -> Dict[str, object]:
-        return {"cursor": self._cursor}
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._cursor = int(state["cursor"])  # type: ignore[arg-type]
 
 
 class HighestRateScheduler(Scheduler):

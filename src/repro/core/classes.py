@@ -20,10 +20,15 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.scheduler import Plan, Scheduler, SchedulerContext
+from repro.spe.state import INT_MAP, STATE
 
 
 class ClassBasedScheduler(Scheduler):
     """Strict-priority service classes around an inner scheduling policy."""
+
+    #: class assignments change at runtime (:meth:`assign`), so they are
+    #: checkpoint state, as is the inner policy's own state
+    CHECKPOINT = (("query_classes", "query_classes", INT_MAP), ("inner", "inner", STATE))
 
     def __init__(
         self,
@@ -78,22 +83,6 @@ class ClassBasedScheduler(Scheduler):
             if decision is not None:
                 out.append(replace(decision, rank=rank))
         return out
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Class assignments change at runtime (:meth:`assign`), so they
-        are checkpoint state — as is the inner policy's own state."""
-        return {
-            "query_classes": dict(self.query_classes),
-            "inner": self.inner.snapshot_state(),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        classes = state["query_classes"]
-        assert isinstance(classes, dict)
-        self.query_classes = {str(k): int(v) for k, v in classes.items()}
-        inner = state["inner"]
-        assert isinstance(inner, dict)
-        self.inner.restore_state(inner)
 
     def reset(self) -> None:
         self.inner.reset()

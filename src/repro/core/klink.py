@@ -26,6 +26,7 @@ from repro.core.memory_policy import best_prefix
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
 from repro.core.slack import expected_slack_scalars, interval_steps_scalars
 from repro.spe.query import Query
+from repro.spe.state import BOOL, FLOAT, FLOAT_MAP, INT
 
 
 class KlinkScheduler(Scheduler):
@@ -42,8 +43,20 @@ class KlinkScheduler(Scheduler):
     #: optional SWM-forecast accuracy audit (repro.obs.SwmForecastAudit),
     #: installed by the bench runner when lineage tracing is enabled. A
     #: pure observer of the estimates Klink computes anyway — it is kept
-    #: out of snapshot_state so checkpoint bytes are unchanged by tracing.
+    #: out of the checkpoint so checkpoint bytes are unchanged by tracing.
     forecast_audit: Optional["SwmForecastAudit"] = None
+
+    #: the estimator itself is stateless (it reads StreamProgress, which
+    #: checkpoints with the bindings); only the MM episode machine and
+    #: the diagnostics carry across cycles
+    CHECKPOINT = (
+        ("mm_active", "_mm_active", BOOL),
+        ("mm_entry_util", "_mm_entry_util", FLOAT),
+        ("mm_entry_time", "_mm_entry_time", FLOAT),
+        ("last_slacks", "last_slacks", FLOAT_MAP),
+        ("mm_episodes", "mm_episodes", INT),
+        ("last_overhead_ms", "_last_overhead_ms", FLOAT),
+    )
 
     def __init__(
         self,
@@ -347,26 +360,3 @@ class KlinkScheduler(Scheduler):
         self.last_slacks = {}
         self.mm_episodes = 0
         self._last_overhead_ms = 0.0
-
-    def snapshot_state(self) -> Dict[str, object]:
-        # The estimator itself is stateless (it reads StreamProgress, which
-        # checkpoints with the bindings); only the MM episode machine and
-        # the diagnostics carry across cycles.
-        return {
-            "mm_active": self._mm_active,
-            "mm_entry_util": self._mm_entry_util,
-            "mm_entry_time": self._mm_entry_time,
-            "last_slacks": dict(self.last_slacks),
-            "mm_episodes": self.mm_episodes,
-            "last_overhead_ms": self._last_overhead_ms,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._mm_active = bool(state["mm_active"])
-        self._mm_entry_util = float(state["mm_entry_util"])  # type: ignore[arg-type]
-        self._mm_entry_time = float(state["mm_entry_time"])  # type: ignore[arg-type]
-        self.last_slacks = {
-            str(k): float(v) for k, v in dict(state["last_slacks"]).items()  # type: ignore[call-overload]
-        }
-        self.mm_episodes = int(state["mm_episodes"])  # type: ignore[arg-type]
-        self._last_overhead_ms = float(state["last_overhead_ms"])  # type: ignore[arg-type]

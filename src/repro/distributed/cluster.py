@@ -23,6 +23,7 @@ from repro.distributed.placement import PhysicalPlan
 from repro.spe.engine import Engine, NodeCycle
 from repro.spe.memory import MemoryConfig
 from repro.spe.query import Query
+from repro.spe.state import STATE
 
 
 class DistributedKlinkScheduler(KlinkScheduler):
@@ -149,6 +150,8 @@ class DistributedEngine(Engine):
     :class:`DistributedKlinkScheduler` via :meth:`with_klink` or any
     query-level baseline via :meth:`with_policy`.
     """
+
+    CHECKPOINT = (("board", "board", STATE),)
 
     def __init__(
         self,

@@ -23,6 +23,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.spe.state import Codec
+
 
 @dataclass
 class QueryInfo:
@@ -41,9 +43,26 @@ class QueryInfo:
 
 _NO_PUBLISHERS: List[int] = []
 
+#: the published histories as ``[node, query_id, [[published_at, info],
+#: ...]]`` rows sorted by (node, query_id)
+PUBLISHED = Codec(
+    lambda entries: [
+        [node, query_id, [[at, dict(vars(info))] for at, info in history]]
+        for (node, query_id), history in sorted(entries.items())
+    ],
+    lambda rows, live, mode: {
+        (int(node), str(query_id)): [
+            (float(at), QueryInfo(**info)) for at, info in history
+        ]
+        for node, query_id, history in rows
+    },
+)
+
 
 class ForwardingBoard:
     """RPC-lagged key-value store for inter-node scheduler information."""
+
+    CHECKPOINT = ((None, "_entries", PUBLISHED),)
 
     def __init__(self, rpc_latency_ms: float = 2.0) -> None:
         if rpc_latency_ms < 0:
@@ -52,7 +71,7 @@ class ForwardingBoard:
         # (node, query_id) -> [(published_at, info)] — two most recent kept
         self._entries: Dict[Tuple[int, str], List[Tuple[float, QueryInfo]]] = {}
         # query_id -> ascending nodes holding an entry for it; derived from
-        # _entries and rebuilt by reindex() when a checkpoint restores them.
+        # _entries and rebuilt by after_restore() when a checkpoint restores them.
         self._publishers: Dict[str, List[int]] = {}
         #: What every node but a query's source derives from remote reads
         #: alone, computed by the first such node each cycle: the forwarded
@@ -69,7 +88,7 @@ class ForwardingBoard:
         history = self._entries.get(key)
         if history is None:
             history = self._entries[key] = []
-            insort(self._publishers.setdefault(query_id, []), node)  # klink: transient[derived from _entries; reindex() rebuilds it on restore]
+            insort(self._publishers.setdefault(query_id, []), node)  # klink: transient[derived from _entries; after_restore() rebuilds it]
         history.append((info.published_at, info))
         if len(history) > 2:
             del history[0]
@@ -79,7 +98,7 @@ class ForwardingBoard:
         mutate the returned list)."""
         return self._publishers.get(query_id, _NO_PUBLISHERS)
 
-    def reindex(self) -> None:
+    def after_restore(self) -> None:
         """Re-derive the publisher lists after ``_entries`` was replaced."""
         self.remote_memo.clear()
         publishers: Dict[str, List[int]] = {}

@@ -327,11 +327,12 @@ class AlertEngine:
     # -- finalization / serialization ----------------------------------------
 
     def finalize(self, end_time: float) -> None:
-        """Close alerts still active at end of run."""
+        """End of a run segment: alerts still active end at ``end_time``
+        unless a later sample clears them or a later segment ends. They
+        stay active, so an alert spanning a segment boundary is one
+        alert."""
         for event in self._active.values():
             event.end = end_time
-        self._active.clear()
-        self._pending.clear()
 
     def counts(self) -> Dict[str, int]:
         """``{rule name: events fired}``, sorted by rule name."""

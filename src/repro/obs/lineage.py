@@ -34,15 +34,17 @@ resolve into signed errors, aggregated into calibration statistics
 Both logs that grow with run length are columns: the forecast audit's
 resolved errors are ``array('d')`` ledgers and completed records live in
 a :class:`CompletionLog`. In-flight lineage state of sampled rows
-survives checkpoint/restore via the ``capture_lineage`` /
-``restore_lineage`` codec pair in :mod:`repro.resilience.checkpoint`
-(statecheck entry ``lineage``), which references the logs by prefix.
+survives checkpoint/restore through the declared ``CHECKPOINT`` state of
+the tracker and the audit (:mod:`repro.spe.state`, driven by
+``capture_lineage`` / ``restore_lineage``), which references the logs by
+prefix.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import partial
 from hashlib import blake2b
 from typing import (
     TYPE_CHECKING,
@@ -65,6 +67,7 @@ from repro.spe.operators import (
     SinkOperator,
     _WindowedOperatorBase,
 )
+from repro.spe.state import INT, LEDGER, STATE, Codec, keyed_ledgers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spe.engine import Engine
@@ -144,6 +147,50 @@ class _Record:
         return rec
 
 
+def _flight_key(key: List[Any]) -> Tuple[str, str, float]:
+    return str(key[0]), str(key[1]), float(key[2])
+
+
+#: ``{(query_id, operator, t_end): FIFO of rider groups}``, sorted by key
+INFLIGHT = Codec(
+    lambda inflight: [
+        [list(key), [[rec.encode() for rec in group] for group in groups]]
+        for key, groups in sorted(inflight.items())
+    ],
+    lambda state, live, mode: {
+        _flight_key(key): deque([_Record.decode(r) for r in group] for group in groups)
+        for key, groups in state
+    },
+)
+
+#: ``{(query_id, operator, pane end): parked records}``, sorted by key
+WINDOW_WAIT = Codec(
+    lambda waiting: [
+        [list(key), [rec.encode() for rec in records]]
+        for key, records in sorted(waiting.items())
+    ],
+    lambda state, live, mode: {
+        _flight_key(key): [_Record.decode(r) for r in records] for key, records in state
+    },
+)
+
+#: the unresolved predictions, copied: resolution pops them, so a sidecar
+#: cannot name a prefix of them as it does the error ledgers
+PENDING = Codec(
+    lambda pending: [
+        [qid, sid, [[d, [list(e) for e in evs]] for d, evs in sorted(by_d.items())]]
+        for (qid, sid), by_d in pending.items()
+    ],
+    lambda state, live, mode: {
+        (str(qid), int(sid)): {
+            float(d): [(float(m), None if n is None else float(n)) for m, n in evs]
+            for d, evs in by_d
+        }
+        for qid, sid, by_d in state
+    },
+)
+
+
 class _OpInfo:
     """Static per-operator wiring the tracker resolves once at attach."""
 
@@ -180,6 +227,18 @@ class SwmForecastAudit:
     (``last SWM ingestion + watermark period``).
     """
 
+    CHECKPOINT = (
+        ("evaluations", "evaluations", INT),
+        ("pending", "_pending", PENDING),
+        ("errors", "_errors", keyed_ledgers(partial(array, "d"))),
+        ("naive_errors", "_naive_errors", keyed_ledgers(partial(array, "d"))),
+        (
+            "deadline_errors",
+            "_deadline_errors",
+            keyed_ledgers(partial(ColumnLedger, DEADLINE_COLUMNS)),
+        ),
+    )
+
     def __init__(self) -> None:
         self.evaluations = 0
         #: (query_id, source_id) -> static source metadata
@@ -203,7 +262,7 @@ class SwmForecastAudit:
         watermark_period_ms: float,
         delay_model: Dict[str, Any],
     ) -> None:
-        self._sources[(query_id, source_id)] = {
+        self._sources[(query_id, source_id)] = {  # klink: transient[static source metadata, registered again when a tracker attaches]
             "watermark_period_ms": watermark_period_ms,
             "delay_model": delay_model,
         }
@@ -327,25 +386,6 @@ class SwmForecastAudit:
             )
         return rows
 
-    # -- checkpoint codec support (driven by capture/restore_lineage) ---------
-
-    def encode_pending(self) -> List[Any]:
-        """The unresolved predictions, copied: resolution pops them, so a
-        sidecar cannot name a prefix of them as it does the error ledgers."""
-        return [
-            [qid, sid, [[d, [list(e) for e in evs]] for d, evs in sorted(by_d.items())]]
-            for (qid, sid), by_d in self._pending.items()
-        ]
-
-    def restore_pending(self, state: List[Any]) -> None:
-        self._pending = {
-            (str(qid), int(sid)): {
-                float(d): [(float(m), None if n is None else float(n)) for m, n in evs]
-                for d, evs in by_d
-            }
-            for qid, sid, by_d in state
-        }
-
 
 class CompletionLog:
     """Completed sampled records, in completion order, as columns.
@@ -415,6 +455,10 @@ class CompletionLog:
             self.span_end.append(end)
         self.span_stop.append(len(self.span_kind))
 
+    def with_rows(self, rows: Iterable[Dict[str, Any]]) -> "CompletionLog":
+        """A new log holding ``rows``."""
+        return CompletionLog(rows)
+
     def __len__(self) -> int:
         return len(self.span_stop)
 
@@ -470,6 +514,15 @@ class LineageTracker:
     with tracing on and off).
     """
 
+    CHECKPOINT = (
+        ("inflight", "_inflight", INFLIGHT),
+        ("window_wait", "_window_wait", WINDOW_WAIT),
+        ("completed", "_completed", LEDGER),
+        ("rows_sampled", "rows_sampled", INT),
+        ("spans_recorded", "spans_recorded", INT),
+        ("forecast", "forecast", STATE),
+    )
+
     def __init__(self, sample_rate: float, seed: int = 0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample rate must be in [0, 1]: {sample_rate}")
@@ -488,7 +541,7 @@ class LineageTracker:
         #: (query_id, operator name) -> the t_ends of that operator's
         #: _inflight keys; each set is shared with the operator as its
         #: ``lineage_watch``, so it is only ever updated in place
-        self._inflight_index: Dict[Tuple[str, str], Set[float]] = {}  # klink: transient[index over _inflight keys; restore_lineage rebuilds it]
+        self._inflight_index: Dict[Tuple[str, str], Set[float]] = {}  # klink: transient[index over _inflight keys; after_restore() rebuilds it]
         #: (query_id, operator name, pane end) -> records parked in the pane
         self._window_wait: Dict[Tuple[str, str, float], List[_Record]] = {}
         self._completed = CompletionLog()
@@ -532,7 +585,7 @@ class LineageTracker:
     def _watch(self, query_id: str, name: str) -> Set[float]:
         watch = self._inflight_index.get((query_id, name))
         if watch is None:
-            watch = self._inflight_index[(query_id, name)] = set()  # klink: transient[index over _inflight keys; restore_lineage rebuilds it]
+            watch = self._inflight_index[(query_id, name)] = set()  # klink: transient[index over _inflight keys; after_restore() rebuilds it]
         return watch
 
     def _push_inflight(
@@ -544,7 +597,7 @@ class LineageTracker:
             self._watch(key[0], key[1]).add(key[2])
         groups.append(group)
 
-    def reindex_inflight(self) -> None:
+    def after_restore(self) -> None:
         """Rebuild the in-flight index from ``_inflight`` (after a restore
         replaced it), keeping every operator's watch set object."""
         for watch in self._inflight_index.values():

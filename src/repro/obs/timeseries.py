@@ -395,7 +395,6 @@ class TelemetrySampler:
         self._lag_sum = 0.0
         self._lag_count = 0
         self._lag_max = -math.inf
-        self._finalized = False
         #: (name, labels) -> amount added to a cumulative stat before it
         #: is written to its counter; grows only at a rollback
         self._total_offsets: Dict[Tuple[str, Labels], float] = {}
@@ -575,11 +574,10 @@ class TelemetrySampler:
     # -- finalization --------------------------------------------------------
 
     def finalize(self, engine: Any) -> None:
-        """Close open alerts and publish aggregates into the run's
-        ``RunMetrics``."""
-        if self._finalized:
-            return
-        self._finalized = True
+        """End of a ``run()`` segment: publish the aggregates so far into
+        the run's ``RunMetrics`` and end the open alerts at this time in
+        the rows read from here on. The alerts themselves stay open, so a
+        run split into segments reports like one unbroken run."""
         metrics = engine.metrics
         self.alerts.finalize(engine.clock.now)
         metrics.deadline_misses = self.deadline_misses

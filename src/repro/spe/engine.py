@@ -39,10 +39,11 @@ from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
 from repro.obs.audit import explain_with_fallback
 from repro.spe.events import EventBatch, LatencyMarker, Watermark
 from repro.spe.memory import MemoryConfig, MemoryModel
-from repro.spe.metrics import RunMetrics, UtilizationSample
+from repro.spe.metrics import RunMetrics
 from repro.spe.operators import Operator, SinkOperator
 from repro.spe.query import Query, SourceBinding
 from repro.spe.simtime import VirtualClock
+from repro.spe.state import BOOL, FLOAT, INT, INT_MAP, RNG, STATE
 from repro.spe.streams import DEFAULT_BATCH_SIZE, Channel
 
 #: an in-flight network record: (ingest_time, seq, query, binding, record)
@@ -93,6 +94,19 @@ class Engine:
 
     #: nodes the engine schedules on
     n_nodes = 1
+
+    #: checkpoint state beside the frame ``resilience.checkpoint`` writes
+    #: by hand (clock, network, schedulers, queries)
+    CHECKPOINT = (
+        ("seq", "_seq", INT),
+        ("throttle_requested", "_throttle_requested", BOOL),
+        ("events_in_prev", "_events_in_prev", FLOAT),
+        ("swm_drained", "_swm_drained", INT_MAP),
+        ("marker_drained", "_marker_drained", INT_MAP),
+        ("engine_rng", "_rng", RNG),
+        ("external_bytes", "memory", STATE),
+        ("metrics", "metrics", STATE),
+    )
 
     def __init__(
         self,
@@ -710,12 +724,10 @@ class Engine:
         self._events_in_prev = events_in
         self.metrics.total_events_processed += delta
         self.metrics.samples.append(
-            UtilizationSample(
-                time=self.clock.now,
-                memory_bytes=self.memory.used_bytes(self.queries),
-                cpu_fraction=cpu_used_ms / (self.cores * self.cycle_ms),
-                events_processed=delta,
-            )
+            self.clock.now,
+            self.memory.used_bytes(self.queries),
+            cpu_used_ms / (self.cores * self.cycle_ms),
+            delta,
         )
 
     # -- main loop -----------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.spe.state import FLOAT
+
 GIB = 1024 ** 3
 
 
@@ -84,6 +86,8 @@ class MemoryConfig:
 
 class MemoryModel:
     """Tracks utilization across a set of queries and signals backpressure."""
+
+    CHECKPOINT = ((None, "external_bytes", FLOAT),)
 
     def __init__(self, config: MemoryConfig | None = None) -> None:
         self.config = config or MemoryConfig()

@@ -31,6 +31,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.spe.events import LatencyMarker, RecordBatch, Watermark
 from repro.spe.metrics import ColumnLedger
+from repro.spe.state import (
+    FLOAT, FLOATS, HEAP, INT, LEDGER, RAW, SORTED_PAIRS, STATE, STATES,
+)
 from repro.spe.streams import _COMPACT_THRESHOLD, Channel, _Entry
 from repro.spe.windows import Pane, WindowAssigner
 
@@ -52,6 +55,16 @@ class OperatorStats:
         "late_events_dropped",
         "watermarks_seen",
         "panes_fired",
+    )
+
+    #: captured as the list [events_in, ..., panes_fired]
+    CHECKPOINT = (
+        (None, "events_in", RAW),
+        (None, "events_out", RAW),
+        (None, "busy_ms", RAW),
+        (None, "late_events_dropped", RAW),
+        (None, "watermarks_seen", INT),
+        (None, "panes_fired", INT),
     )
 
     def __init__(self) -> None:
@@ -87,6 +100,12 @@ class Operator:
     #: records a sampled record rides on (the tracker's in-flight index,
     #: updated in place). Only those rows are reported to the tracker.
     lineage_watch: Optional[Set[float]] = None
+
+    CHECKPOINT = (
+        ("stats", "stats", STATE),
+        ("cost_multiplier", "cost_multiplier", FLOAT),
+        ("inputs", "inputs", STATES),
+    )
 
     def __init__(
         self,
@@ -559,6 +578,14 @@ class KeyByOperator(Operator):
 class _WindowedOperatorBase(Operator):
     """Shared pane-state machinery for windowed aggregate and join."""
 
+    CHECKPOINT = (
+        ("window.panes", "_panes", SORTED_PAIRS),
+        ("window.pane_ends", "_pane_ends", SORTED_PAIRS),
+        ("window.pane_heap", "_pane_heap", HEAP),
+        ("window.input_watermarks", "_input_watermarks", FLOATS),
+        ("window.event_clock", "_event_clock", FLOAT),
+    )
+
     def __init__(
         self,
         name: str,
@@ -615,9 +642,9 @@ class _WindowedOperatorBase(Operator):
             memo = self._state_events_memo = sum(self._panes.values())
         return memo
 
-    def _invalidate_state_memo(self) -> None:
-        """Drop the memoized pane mass (e.g. after a restore rebuilt the
-        pane table); the next ``state_events`` read re-sums ``_panes``."""
+    def after_restore(self) -> None:
+        """Drop the memoized pane mass after a restore rebuilt the pane
+        table; the next ``state_events`` read re-sums ``_panes``."""
         self._state_events_memo = None  # klink: transient[memo over _panes, which is captured]
 
     @property
@@ -843,6 +870,11 @@ class CountWindowedAggregate(Operator):
     Fractional batch mass carries over exactly.
     """
 
+    CHECKPOINT = (
+        ("count_window.accumulated", "_accumulated", FLOAT),
+        ("count_window.windows_fired", "windows_fired", INT),
+    )
+
     def __init__(
         self,
         name: str,
@@ -909,6 +941,12 @@ class SinkOperator(Operator):
     ledgers hold ``(at, latency)`` rows: the engine time of delivery and
     the propagation delay.
     """
+
+    CHECKPOINT = (
+        ("sink.swm_latencies", "swm_latencies", LEDGER),
+        ("sink.marker_latencies", "marker_latencies", LEDGER),
+        ("sink.events_delivered", "events_delivered", FLOAT),
+    )
 
     def __init__(self, name: str, cost_per_event_ms: float = 0.0):
         super().__init__(name, cost_per_event_ms, selectivity=1.0)

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.net.delays import DelayModel
 from repro.spe.metrics import ColumnLedger
+from repro.spe.state import ABSENT, BOOL, FLOAT, INT, LEDGER, RAW, RNG, STATE, Codec
 from repro.spe.operators import (
     Operator,
     SinkOperator,
@@ -123,6 +124,17 @@ class StreamProgress:
     from its window assigner — applications never mark SWMs themselves.
     """
 
+    CHECKPOINT = (
+        ("epoch_index", "epoch_index", INT),
+        ("epochs", "epochs", LEDGER),
+        ("delay_sum", "_delay_sum", FLOAT),
+        ("delay_sq_sum", "_delay_sq_sum", FLOAT),
+        ("delay_weight", "_delay_weight", FLOAT),
+        ("last_watermark_ts", "last_watermark_ts", FLOAT),
+        ("last_swm_ingest_time", "last_swm_ingest_time", RAW),
+        ("next_deadline", "next_deadline", RAW),
+    )
+
     def __init__(
         self,
         assigner: Optional[WindowAssigner],
@@ -200,10 +212,10 @@ class StreamProgress:
         self._delay_weight = 0.0
         self._version += 1  # klink: transient[cache-key counter for the moments memo]
 
-    def _invalidate_moments_memo(self) -> None:
-        """Drop the estimator's delay-moments memo (e.g. after a restore
-        rebuilt the accumulators in place); the next read recomputes from
-        the current history."""
+    def after_restore(self) -> None:
+        """Drop the estimator's delay-moments memo after a restore rebuilt
+        the accumulators in place; the next read recomputes from the
+        current history."""
         self._moments_memo = None  # klink: transient[memo over the captured accumulators]
         self._hist_sums_memo = None  # klink: transient[memo over the captured epoch history]
 
@@ -243,6 +255,9 @@ class PeriodicCursor:
 
     __slots__ = ("origin", "period", "step")
 
+    #: captured as the list [origin, period, step]
+    CHECKPOINT = ((None, "origin", FLOAT), (None, "period", FLOAT), (None, "step", INT))
+
     def __init__(self, origin: float, period: float) -> None:
         self.origin = float(origin)
         self.period = float(period)
@@ -263,9 +278,42 @@ class PeriodicCursor:
         self.step = 0
 
 
+def _delay_rng_state(spec: SourceSpec) -> object:
+    # The logical (consumed-draw) state, not the live one: amortized
+    # prefetching may have run the generator ahead of the values handed
+    # out, and snapshot bytes must not depend on that.
+    model = spec.delay_model
+    return ABSENT if getattr(model, "_rng", None) is None else model.checkpoint_rng_state()
+
+
+def _restore_delay_rng(state: dict, spec: SourceSpec, mode: str) -> SourceSpec:
+    # Installs the logical state and discards any prefetched draws; the
+    # resumed stream re-prefetches from here, bit-identically.
+    if getattr(spec.delay_model, "_rng", None) is not None:
+        spec.delay_model.restore_rng_state(state)
+    return spec
+
+
+#: the RNG state of a source's delay model, when the model draws
+DELAY_RNG = Codec(_delay_rng_state, _restore_delay_rng, optional=True)
+
+
 class SourceBinding:
     """Wires a :class:`SourceSpec` into a query and tracks its generation
     and progress state. Generation cursors are owned by the engine."""
+
+    CHECKPOINT = (
+        ("gen_cursor", "_gen_cursor", STATE),
+        ("watermark_cursor", "_watermark_cursor", STATE),
+        ("marker_cursor", "_marker_cursor", STATE),
+        ("events_ingested", "events_ingested", FLOAT),
+        ("watermarks_ingested", "watermarks_ingested", INT),
+        ("rng", "rng", RNG),
+        ("bursting", "bursting", BOOL),
+        ("burst_state_until", "burst_state_until", FLOAT),
+        ("delay_rng", "spec", DELAY_RNG),
+        ("progress", "progress", STATE),
+    )
 
     def __init__(
         self,

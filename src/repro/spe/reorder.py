@@ -21,14 +21,34 @@ the overhead the paper attributes to IOP, measurable with the
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, List
 
 from repro.spe.events import EventBatch, RecordBatch, Watermark
 from repro.spe.operators import Operator
+from repro.spe.state import FLOAT, CheckpointError, Codec, decode_record, encode_record
+
+
+def _decode_batches(state: List[Any], live: Any, mode: str) -> List[EventBatch]:
+    batches = [decode_record(encoded) for encoded in state]
+    for record in batches:
+        if not isinstance(record, EventBatch):  # pragma: no cover - defensive
+            raise CheckpointError(f"reorder buffer holds a non-batch record: {record!r}")
+    return batches  # type: ignore[return-value]
+
+
+#: the buffered batches, each as its record encoding
+BATCHES = Codec(lambda buffer: [encode_record(b) for b in buffer], _decode_batches)
 
 
 class ReorderBuffer(Operator):
     """Buffers and sorts events until watermarks certify completeness."""
+
+    CHECKPOINT = (
+        ("reorder.buffer", "_buffer", BATCHES),
+        ("reorder.buffered_events", "_buffered_events", FLOAT),
+        ("reorder.buffered_bytes", "_buffered_bytes", FLOAT),
+        ("reorder.released_events", "released_events", FLOAT),
+    )
 
     def __init__(
         self,

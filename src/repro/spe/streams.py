@@ -21,6 +21,7 @@ from collections import deque
 from typing import Deque, Iterator, Optional
 
 from repro.spe.events import EventBatch, RecordBatch
+from repro.spe.state import FLOAT, Codec, decode_record, encode_record
 
 #: rows per channel queue entry unless the caller says otherwise; the
 #: engine, ``ExperimentConfig`` and the CLI all read it
@@ -39,6 +40,13 @@ class _Entry:
         self.enqueued_at = enqueued_at
 
 
+#: a queue of entries as ``[[record, enqueued_at], ...]``
+ENTRIES = Codec(
+    lambda queue: [[encode_record(e.record), e.enqueued_at] for e in queue],
+    lambda state, live, mode: deque(_Entry(decode_record(r), at) for r, at in state),
+)
+
+
 class Channel:
     """Bounded-accounting FIFO queue between operators.
 
@@ -48,6 +56,16 @@ class Channel:
     latency has elapsed (the RPC / network hop of a distributed
     deployment, Sec. 4). Pending rows coalesce like queued ones.
     """
+
+    CHECKPOINT = (
+        ("entries", "_entries", ENTRIES),
+        ("pending", "_pending", ENTRIES),
+        ("queued_events", "_queued_events", FLOAT),
+        ("queued_bytes", "_queued_bytes", FLOAT),
+        ("pushed", "events_pushed", FLOAT),
+        ("returned", "events_returned", FLOAT),
+        ("popped", "events_popped", FLOAT),
+    )
 
     def __init__(
         self, name: str = "", latency_ms: float = 0.0, owner: object = None
@@ -74,6 +92,11 @@ class Channel:
         self.events_pushed: float = 0.0
         self.events_returned: float = 0.0
         self.events_popped: float = 0.0
+
+    def after_restore(self) -> None:
+        """The queues were replaced: the owner's queue memo is stale."""
+        if self._owner is not None:
+            self._owner._queues_dirty = True
 
     # -- producer side -----------------------------------------------------
 

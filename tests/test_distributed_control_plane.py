@@ -12,13 +12,12 @@ from repro.faults import FaultPlan
 from repro.faults.plan import NodeFailure
 from repro.resilience import CheckpointCoordinator, RecoveryConfig, RecoveryManager
 from repro.resilience.checkpoint import (
-    _board_state,
-    _restore_board,
     capture,
     deserialize,
     restore,
     serialize,
 )
+from repro.spe.state import capture_state, restore_state
 from repro.spe.memory import GIB, MemoryConfig
 from repro.workloads import WorkloadParams, build_queries
 
@@ -130,10 +129,10 @@ class TestBoardIndex:
         queries = _queries()
         engine = _engine(queries, PhysicalPlan.split(queries, 4, segments=2))
         engine.run(3_000.0)
-        rows = _board_state(engine.board)
+        rows = capture_state(engine.board)
         fresh = ForwardingBoard(100.0)
         fresh.remote_memo[("stale", 0.0, 2.0)] = [None, (1.0, 0)]
-        _restore_board(fresh, rows)
+        restore_state(fresh, rows)
         assert fresh._publishers == _publishers_from_entries(fresh)
         assert fresh._publishers == engine.board._publishers
         assert fresh.remote_memo == {}

@@ -4,7 +4,8 @@ Output is set by the input, not by how the caller slices the run: any
 split of a duration into segments, including lengths that are not whole
 cycles, must give the same summary, audit JSONL and cycle-tracer rows as
 one ``run()`` call — on the single-node engine (with its lineage rows
-too) and on a two-node ``DistributedEngine``.
+too), on a two-node ``DistributedEngine``, and on a telemetry-sampled
+engine (with its series and alert rows).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from repro.core.klink import KlinkScheduler
 from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.obs import AuditLog
+from repro.obs.alerts import DEFAULT_RULE_TEXTS, parse_rules
 from repro.obs.lineage import LineageTracker
+from repro.obs.timeseries import TelemetrySampler
 from repro.spe.engine import Engine
 from repro.spe.tracing import CycleTracer
 from repro.workloads import WorkloadParams, build_queries
@@ -57,9 +60,22 @@ def distributed_engine() -> Engine:
     )
 
 
+def telemetry_engine() -> Engine:
+    """The same queries on two cores, sampled by the telemetry sampler
+    under the default alert rules."""
+    return Engine(
+        build_queries("ysb", 4, WorkloadParams(seed=SEED)),
+        KlinkScheduler(),
+        cores=2,
+        seed=SEED,
+        telemetry=TelemetrySampler(rules=parse_rules(DEFAULT_RULE_TEXTS)),
+    )
+
+
 ENGINES: Dict[str, Callable[[], Engine]] = {
     "single": single_engine,
     "distributed": distributed_engine,
+    "telemetry": telemetry_engine,
 }
 
 
@@ -67,14 +83,18 @@ def outputs(kind: str, segments: Sequence[int]) -> Dict[str, Any]:
     engine = ENGINES[kind]()
     for length in segments:
         engine.run(float(length))
-    result = {
+    result: Dict[str, Any] = {
         "cycles": engine.metrics.cycles,
         "summary": json.dumps(engine.metrics.summary(), sort_keys=True),
-        "audit": engine.audit.to_jsonl_str(),
-        "tracer": [dataclasses.asdict(row) for row in engine.tracer.rows],
     }
+    if engine.audit is not None:
+        result["audit"] = engine.audit.to_jsonl_str()
+        result["tracer"] = [dataclasses.asdict(row) for row in engine.tracer.rows]
     if engine.lineage is not None:
         result["lineage"] = engine.lineage.lineage_rows()
+    if engine.telemetry is not None:
+        result["series"] = engine.telemetry.series_rows()
+        result["alerts"] = engine.telemetry.alert_rows()
     return result
 
 
@@ -101,7 +121,11 @@ def test_any_segmentation_equals_one_call(cuts):
 
 def test_one_call_covers_the_traced_paths():
     single, dist = one_call("single"), one_call("distributed")
+    sampled = one_call("telemetry")
     # the run ends on the first cycle boundary at or past the duration
     assert single["cycles"] == dist["cycles"] == -(-DURATION_MS // 120)
     assert single["lineage"] and single["audit"] and single["tracer"]
     assert dist["audit"].count('"node":1') > 0
+    summary = json.loads(sampled["summary"])
+    assert summary["deadline_misses"] > 0 and summary["alerts_fired"] > 0
+    assert sampled["series"] and sampled["alerts"]

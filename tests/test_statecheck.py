@@ -11,7 +11,8 @@ Two kinds of proof live here:
   the checkpoint contract.
 
 The synthetic-package tests below exercise each rule in isolation
-against a minimal `pkg/resilience/checkpoint.py` layout.
+against a minimal `pkg/resilience/checkpoint.py` layout, with classes
+declaring their checkpoint state in a `CHECKPOINT` tuple.
 """
 
 import json
@@ -51,21 +52,17 @@ import json
 SCHEMA_VERSION = 1
 
 
-def _channel_state(channel):
-    return {"pending": list(channel.pending), "pushed": channel.pushed}
-
-
-def _restore_channel(channel, state):
-    channel.pending = list(state["pending"])
-    channel.pushed = float(state["pushed"])
-
-
 def serialize(snapshot):
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
 """
 
 CLEAN_CHANNEL = """\
 class Channel:
+    CHECKPOINT = (
+        ("pending", "pending", ITEMS),
+        ("pushed", "pushed", FLOAT),
+    )
+
     def __init__(self):
         self.pending = []
         self.pushed = 0.0
@@ -115,10 +112,11 @@ class TestShippedTreeIsClean:
         payload = json.loads((SRC / FINGERPRINT_REL).read_text())
         assert payload["schema_version"] == 4
         assert "fingerprint" in payload
-        # the contract covers every helper-pair entry plus schedulers
-        for entry in ("engine", "operator", "channel", "binding", "metrics"):
-            assert entry in payload["contract"]
-        assert any(k.startswith("scheduler:") for k in payload["contract"])
+        # the contract lists every declaring class, schedulers included
+        contract = payload["contract"]
+        for entry in ("Engine", "Operator", "Channel", "SourceBinding", "RunMetrics"):
+            assert entry in contract
+        assert contract["Scheduler"] == [] and "_cursor" in contract["RoundRobinScheduler"]
 
 
 # -- mutation tests: the analyzer's teeth ------------------------------------
@@ -147,23 +145,17 @@ class TestMutationTeeth:
 
     @staticmethod
     def _widen_channel_contract(tree_copy):
-        """Symmetrically add a new captured+restored channel field."""
-        checkpoint = tree_copy / "resilience" / "checkpoint.py"
-        source = checkpoint.read_text()
-        capture_anchor = '"pushed": channel.events_pushed,'
-        restore_anchor = 'channel.events_pushed = float(state["pushed"])'
-        assert source.count(capture_anchor) == 1
-        assert source.count(restore_anchor) == 1
-        source = source.replace(
-            capture_anchor,
-            capture_anchor + '\n        "sneaky_extra": channel.sneaky_extra,',
+        """Declare a new channel field."""
+        streams = tree_copy / "spe" / "streams.py"
+        source = streams.read_text()
+        anchor = '("pushed", "events_pushed", FLOAT),'
+        assert source.count(anchor) == 1
+        streams.write_text(
+            source.replace(
+                anchor, anchor + '\n        ("sneaky_extra", "sneaky_extra", FLOAT),'
+            )
         )
-        source = source.replace(
-            restore_anchor,
-            restore_anchor + '\n    channel.sneaky_extra = state["sneaky_extra"]',
-        )
-        checkpoint.write_text(source)
-        return checkpoint
+        return tree_copy / "resilience" / "checkpoint.py"
 
     def test_field_set_change_without_version_bump_fires_ks210(self, tree_copy):
         """Teeth (b): widen the captured field set while SCHEMA_VERSION
@@ -201,10 +193,10 @@ class TestMutationTeeth:
         assert report.diagnostics == [], report.render_text()
         payload = json.loads((tree_copy / FINGERPRINT_REL).read_text())
         assert payload["schema_version"] == 5
-        assert "sneaky_extra" in payload["contract"]["channel"]
+        assert "sneaky_extra" in payload["contract"]["Channel"]
 
 
-# -- KS201/KS202: coverage and symmetry (synthetic) --------------------------
+# -- KS201: every mutable attribute is declared (synthetic) ------------------
 
 
 class TestCoverageRules:
@@ -251,98 +243,64 @@ class TestCoverageRules:
             for d in report.diagnostics
         )
 
-    def test_captured_but_never_restored_fires_ks202(self, tmp_path):
-        checkpoint = CLEAN_CHECKPOINT.replace(
-            '"pushed": channel.pushed}',
-            '"pushed": channel.pushed, "extra": channel.extra}',
-        )
-        root = make_pkg(tmp_path, checkpoint=checkpoint)
-        report = check_paths([root])
-        ks202 = [d for d in report.diagnostics if d.code == "KS202"]
-        assert len(ks202) == 1
-        assert "'extra'" in ks202[0].message
-        assert "never touched" in ks202[0].message
-
-    def test_restored_but_never_captured_fires_ks202(self, tmp_path):
-        checkpoint = CLEAN_CHECKPOINT.replace(
-            'channel.pushed = float(state["pushed"])',
-            'channel.pushed = float(state["pushed"])\n    channel.ghost = 0.0',
-        )
-        root = make_pkg(tmp_path, checkpoint=checkpoint)
-        report = check_paths([root])
-        ks202 = [d for d in report.diagnostics if d.code == "KS202"]
-        assert len(ks202) == 1
-        assert "'ghost'" in ks202[0].message
-        assert "never captured" in ks202[0].message
-
     def test_dataclass_fields_need_coverage(self, tmp_path):
-        checkpoint = CLEAN_CHECKPOINT + textwrap.dedent(
-            """
-
-            def _metrics_state(metrics):
-                return {"cycles": metrics.cycles}
-
-
-            def _restore_metrics(metrics, state):
-                metrics.cycles = int(state["cycles"])
-            """
-        )
         metrics = """
             from dataclasses import dataclass, field
 
             @dataclass
             class RunMetrics:
+                CHECKPOINT = (("cycles", "cycles", INT),)
+
                 cycles: int = 0
                 swm_latencies: list = field(default_factory=list)
         """
-        root = make_pkg(
-            tmp_path, checkpoint=checkpoint, files={"spe/metrics.py": metrics}
-        )
+        root = make_pkg(tmp_path, files={"spe/metrics.py": metrics})
         report = check_paths([root])
-        assert any(
-            d.code == "KS201" and "RunMetrics.swm_latencies" in d.message
-            for d in report.diagnostics
-        )
+        ks201 = [d for d in report.diagnostics if d.code == "KS201"]
+        assert [d.message.split(" is ")[0] for d in ks201] == ["RunMetrics.swm_latencies"]
 
-    def test_getattr_loop_over_constant_tuple_counts_as_coverage(self, tmp_path):
-        checkpoint = CLEAN_CHECKPOINT + textwrap.dedent(
-            """
-
-            _SCALARS = ("cycles", "events")
-
-
-            def _metrics_state(metrics):
-                return {name: getattr(metrics, name) for name in _SCALARS}
-
-
-            def _restore_metrics(metrics, state):
-                for name in _SCALARS:
-                    setattr(metrics, name, state[name])
-            """
-        )
-        metrics = """
-            from dataclasses import dataclass
-
-            @dataclass
-            class RunMetrics:
-                cycles: int = 0
-                events: float = 0.0
+    def test_undeclared_classes_are_not_checkpointed(self, tmp_path):
+        """Only classes whose chain declares state are checked: a class
+        that declares nothing may mutate freely."""
+        plain = """
+            class Scratch:
+                def poke(self):
+                    self.value = 1
         """
-        root = make_pkg(
-            tmp_path, checkpoint=checkpoint, files={"spe/metrics.py": metrics}
-        )
+        root = make_pkg(tmp_path, files={"spe/scratch.py": plain})
+        check_paths([root], update_fingerprint=True)
         report = check_paths([root])
-        assert "KS201" not in codes(report), report.render_text()
+        assert report.diagnostics == [], report.render_text()
 
+    def test_ancestor_declaration_covers_inherited_fields(self, tmp_path):
+        channel = CLEAN_CHANNEL + textwrap.dedent(
+            """
+
+            class CountingChannel(Channel):
+                CHECKPOINT = (("drops", "drops", INT),)
+
+                def drop(self):
+                    self.drops += 1
+                    self.pushed += 1.0
+            """
+        )
+        root = make_pkg(tmp_path, files={"spe/streams.py": channel})
+        check_paths([root], update_fingerprint=True)
+        report = check_paths([root])
+        assert report.diagnostics == [], report.render_text()
+        payload = json.loads((root / FINGERPRINT_REL).read_text())
+        assert payload["contract"] == {
+            "Channel": ["pending", "pushed"],
+            "CountingChannel": ["drops"],
+        }
 
 class TestSchedulerRules:
     SCHED = """
         class Scheduler:
-            def snapshot_state(self):
-                return {"quantum": self.quantum}
+            CHECKPOINT = (("quantum", "quantum", FLOAT),)
 
-            def restore_state(self, state):
-                self.quantum = float(state["quantum"])
+            def tick(self):
+                self.quantum += 1.0
 
 
         class FancyScheduler(Scheduler):
@@ -357,32 +315,6 @@ class TestSchedulerRules:
             d.code == "KS201" and "FancyScheduler.assignments" in d.message
             for d in report.diagnostics
         )
-
-    ONE_SIDED = """
-        class Scheduler:
-            def snapshot_state(self):
-                return {"quantum": self.quantum}
-
-            def restore_state(self, state):
-                self.quantum = float(state["quantum"])
-
-
-        class FancyScheduler(Scheduler):
-            def assign(self, q):
-                self.assignments = {q: 1}
-
-            def snapshot_state(self):
-                return {"assignments": dict(self.assignments)}
-    """
-
-    def test_one_sided_override_fires_ks202(self, tmp_path):
-        root = make_pkg(tmp_path, files={"core/sched.py": self.ONE_SIDED})
-        report = check_paths([root])
-        assert any(
-            d.code == "KS202" and "without restore_state" in d.message
-            for d in report.diagnostics
-        )
-
 
 # -- KS22x: canonical serialization (synthetic) ------------------------------
 
@@ -470,21 +402,14 @@ class TestSerializationRules:
 
 class TestCursorDrift:
     def _pkg(self, tmp_path, step):
-        checkpoint = CLEAN_CHECKPOINT.replace(
-            '"pushed": channel.pushed}',
-            '"pushed": channel.pushed, "emit_time": channel.emit_time}',
-        ).replace(
-            'channel.pushed = float(state["pushed"])',
-            'channel.pushed = float(state["pushed"])\n'
-            '    channel.emit_time = float(state["emit_time"])',
-        )
         channel = CLEAN_CHANNEL.replace(
+            '("pushed", "pushed", FLOAT),',
+            '("pushed", "pushed", FLOAT),\n        ("emit", "emit_time", FLOAT),',
+        ).replace(
             "self.pushed = 0.0",
             "self.pushed = 0.0\n        self.emit_time = 0.0",
         ) + ("\n    def advance(self, dt):\n        self.emit_time += %s\n" % step)
-        return make_pkg(
-            tmp_path, checkpoint=checkpoint, files={"spe/streams.py": channel}
-        )
+        return make_pkg(tmp_path, files={"spe/streams.py": channel})
 
     def test_float_accumulation_into_cursor_fires_ks223(self, tmp_path):
         report = check_paths([self._pkg(tmp_path, "dt")])
@@ -499,28 +424,13 @@ class TestCursorDrift:
 
 # -- KS224: append-only ledgers (synthetic) ----------------------------------
 
-LEDGER_CHECKPOINT = CLEAN_CHECKPOINT + """
-
-class LedgerView:
-    def __init__(self, items):
-        self.items = items
-
-
-def _metrics_state(metrics):
-    return {
-        "lat": LedgerView(metrics.latencies),
-        "per_query": {
-            q: LedgerView(metrics.per_query[q]) for q in metrics.per_query
-        },
-        "peak": metrics.peak,
-    }
-
-
-def _restore_metrics(metrics, state, mode):
-    metrics.latencies = list(state["lat"])
-    metrics.latencies[:0] = []  # restore helpers may rebuild a ledger
-    metrics.per_query = {q: list(v) for q, v in state["per_query"].items()}
-    metrics.peak = state["peak"]
+LEDGER_METRICS = """
+class Metrics:
+    CHECKPOINT = (
+        ("lat", "latencies", LEDGER),
+        ("per_query", "per_query", ledgers(list)),
+        ("peak", "peak", RAW),
+    )
 """
 
 #: growth at the end, rebinding, and edits to things that are not ledgers
@@ -587,9 +497,9 @@ def rewrite(metrics, value, data):
 
 
 class TestLedgerGrowth:
-    def _report(self, tmp_path, body, checkpoint=LEDGER_CHECKPOINT):
+    def _report(self, tmp_path, body, metrics=LEDGER_METRICS):
         root = make_pkg(
-            tmp_path, checkpoint=checkpoint, files={"spe/sinks.py": body}
+            tmp_path, files={"spe/metrics.py": metrics, "spe/sinks.py": body}
         )
         check_paths([root], update_fingerprint=True)
         return check_paths([root])
@@ -619,14 +529,13 @@ class TestLedgerGrowth:
         assert "column 'latency'" in last.message and "(+=)" in last.message
 
     def test_ledger_set_comes_from_the_views(self, tmp_path):
-        """Unwrap the views and the same rewrites are no longer ledger
-        edits: the rule keeps no list of its own."""
-        plain = LEDGER_CHECKPOINT.replace(
-            "LedgerView(metrics.latencies)", "list(metrics.latencies)"
-        ).replace(
-            "LedgerView(metrics.per_query[q])", "list(metrics.per_query[q])"
+        """Declare the fields with codecs that copy instead of taking a
+        view and the same rewrites are no longer ledger edits: the rule
+        keeps no list of its own."""
+        plain = LEDGER_METRICS.replace("LEDGER)", "FLOATS)").replace(
+            "ledgers(list)", "MAP"
         )
-        report = self._report(tmp_path, LEDGER_REWRITES, checkpoint=plain)
+        report = self._report(tmp_path, LEDGER_REWRITES, metrics=plain)
         assert "KS224" not in codes(report)
 
     def test_shipped_sink_ledger_has_teeth(self, tree_copy):
@@ -833,6 +742,20 @@ class TestFingerprintFlow:
         assert codes(report) == ["KS211"]
         assert "--update-fingerprint" in messages(report)
 
+    def test_declaration_edit_without_version_bump_fires_ks210(self, tmp_path):
+        root = make_pkg(tmp_path, files={"spe/streams.py": CLEAN_CHANNEL})
+        check_paths([root], update_fingerprint=True)
+        streams = root / "spe" / "streams.py"
+        streams.write_text(
+            streams.read_text().replace(
+                '("pushed", "pushed", FLOAT),',
+                '("pushed", "pushed", FLOAT),\n        ("dropped", "dropped", FLOAT),',
+            )
+        )
+        report = check_paths([root])
+        assert codes(report) == ["KS210"]
+        assert "Channel added ['dropped']" in messages(report)
+
     def test_update_writes_a_stable_canonical_file(self, tmp_path):
         root = make_pkg(tmp_path, files={"spe/streams.py": CLEAN_CHANNEL})
         check_paths([root], update_fingerprint=True)
@@ -840,7 +763,7 @@ class TestFingerprintFlow:
         first = path.read_text()
         payload = json.loads(first)
         assert payload["schema_version"] == 1
-        assert payload["contract"]["channel"] == ["pending", "pushed"]
+        assert payload["contract"] == {"Channel": ["pending", "pushed"]}
         # regeneration is idempotent (sorted keys, fixed layout)
         check_paths([root], update_fingerprint=True)
         assert path.read_text() == first
@@ -896,7 +819,7 @@ class TestDriver:
 
     def test_state_rules_registry(self):
         assert set(STATE_RULES) == {
-            "KS200", "KS201", "KS202", "KS210", "KS211",
+            "KS200", "KS201", "KS210", "KS211",
             "KS221", "KS222", "KS223", "KS224", "KW301", "KW302",
         }
 
