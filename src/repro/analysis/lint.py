@@ -10,8 +10,7 @@ constructs that silently break it:
  code      rule
 ========  ==============================================================
  KL001     absolute wall-clock access (``time.time``, ``datetime.now``,
-           ...) — simulation code must use the virtual clock. Allowed
-           in ``spe/tracing.py`` (observability).
+           ...) — simulation code must use the virtual clock.
  KL002     unseeded randomness: the ``random`` module,
            ``numpy.random`` module-level sampling/seeding functions,
            and seedless generator constructors
@@ -98,11 +97,7 @@ RULE_SCOPES: Dict[str, str] = {
 }
 
 #: files (matched by path suffix) with rules that are allowed inside them
-DEFAULT_FILE_ALLOWLIST: Dict[str, FrozenSet[str]] = {
-    # Tracing annotates rows with host timestamps for log correlation;
-    # nothing in the simulation consumes them.
-    "spe/tracing.py": frozenset({"KL001", "KL006"}),
-}
+DEFAULT_FILE_ALLOWLIST: Dict[str, FrozenSet[str]] = {}
 
 #: absolute clock reads (KL001): epoch/calendar time
 _ABSOLUTE_CLOCK_CALLS = frozenset(
@@ -292,7 +287,7 @@ class _LintVisitor(ast.NodeVisitor):
                 node,
                 "KL001",
                 f"wall-clock call {path}() in simulation code; use the "
-                "engine's VirtualClock (or move it to spe/tracing.py)",
+                "engine's VirtualClock",
             )
         elif path in _MONOTONIC_CLOCK_CALLS:
             self._flag(

@@ -18,9 +18,9 @@ luck.
            ancestor's) exists mutates ``self.attr`` that no declaration
            in its class chain names; annotate deliberate omissions with
            ``# klink: transient[reason]``.
- KS210     a declaration's attribute set changed but ``SCHEMA_VERSION``
-           did not: old snapshots would be mis-applied. Bump the
-           version, then refresh the fingerprint.
+ KS210     a declared field (snapshot key, attribute or codec) changed
+           but ``SCHEMA_VERSION`` did not: old snapshots would be
+           mis-applied. Bump the version, then refresh the fingerprint.
  KS211     ``schema_fingerprint.json`` is missing or stale relative to
            the code; regenerate with ``--update-fingerprint``.
  KS221     ``json.dumps``/``json.dump`` without ``sort_keys=True`` in a
@@ -47,7 +47,9 @@ from the literal AST of each class body and compared against an AST
 walk of the attributes the class mutates. Coverage resolves through the
 base chain, as the walk joins declarations along the MRO. A single walk
 cannot capture a field it does not restore, so there is no symmetry
-rule. The fingerprint lists each declaration's attribute names.
+rule. The fingerprint lists each declared field as ``key=attr:codec``,
+the codec being its expression's source text, so a renamed snapshot key
+or a swapped codec changes it as a new attribute does.
 
 Run it as ``python -m repro.analysis.statecheck [paths]``,
 ``repro-bench statecheck``, or merged into the linter with
@@ -76,7 +78,7 @@ from repro.analysis.report import Diagnostic, Report
 STATE_RULES: Dict[str, str] = {
     "KS200": "contract source resilience/checkpoint.py not found or unparsable",
     "KS201": "mutable attribute of a checkpointed class is not declared (mark transient[reason] if deliberate)",
-    "KS210": "declared field set changed without a SCHEMA_VERSION bump",
+    "KS210": "declared fields (key, attribute, codec) changed without a SCHEMA_VERSION bump",
     "KS211": "schema_fingerprint.json missing or stale (regenerate with --update-fingerprint)",
     "KS221": "json.dumps without sort_keys=True in a canonical-serialization path",
     "KS222": "unordered dict/set iteration materialized into serialized list output",
@@ -150,8 +152,14 @@ class _Module:
 class _Field:
     """One ``(key, attribute, codec)`` entry of a declaration."""
 
+    key: str
     attr: str
     codec: ast.expr
+
+    @property
+    def fingerprint(self) -> str:
+        """``key=attr:codec``, the codec as its expression's source."""
+        return f"{self.key}={self.attr}:{ast.unparse(self.codec)}"
 
     @property
     def ledger_depth(self) -> Optional[int]:
@@ -192,9 +200,10 @@ class _ClassInfo:
             fields: List[_Field] = []
             for entry in value.elts if isinstance(value, (ast.Tuple, ast.List)) else ():
                 if isinstance(entry, ast.Tuple) and len(entry.elts) == 3:
-                    _, attr, codec = entry.elts
+                    key, attr, codec = entry.elts
                     if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
-                        fields.append(_Field(attr.value, codec))
+                        key_text = key.value if isinstance(key, ast.Constant) else ast.unparse(key)
+                        fields.append(_Field(str(key_text), attr.value, codec))
             return fields
         return None
 
@@ -467,10 +476,10 @@ def _schema_version(contract_module: _Module) -> Optional[int]:
 
 
 def build_contract(tree: _Tree) -> Dict[str, List[str]]:
-    """Each declaring class's own declared attribute names, suitable for
-    hashing."""
+    """Each declaring class's own declared fields as ``key=attr:codec``
+    strings, suitable for hashing."""
     return {
-        name: sorted(f.attr for f in declaration)
+        name: sorted(f.fingerprint for f in declaration)
         for name, info in sorted(tree.classes.items())
         if (declaration := info.declaration) is not None
     }
@@ -524,7 +533,7 @@ def _check_fingerprint(
         drift = _describe_drift(stored_contract, contract)
         report.add(
             "KS210",
-            "declared field set changed without a SCHEMA_VERSION bump "
+            "declared fields changed without a SCHEMA_VERSION bump "
             f"(still {version}): {drift}. Old snapshots would be "
             "mis-applied — bump SCHEMA_VERSION in checkpoint.py, then "
             "refresh the fingerprint",

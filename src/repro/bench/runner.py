@@ -50,9 +50,7 @@ from repro.obs import (
     TelemetrySampler,
     Trace,
     TraceWriter,
-    parse_rules,
 )
-from repro.obs.alerts import DEFAULT_RULE_TEXTS
 from repro.resilience import (
     CheckpointCoordinator,
     RecoveryConfig,
@@ -133,7 +131,6 @@ class ExperimentConfig:
     telemetry: bool = False  # attach a TelemetrySampler
     telemetry_period_ms: float = 200.0  # virtual-clock sample period
     deadline_slo_ms: float = 1000.0  # latency above this = deadline miss
-    alert_rules: Tuple[str, ...] = DEFAULT_RULE_TEXTS  # rule texts (hashable)
     # resilience (repro.resilience): periodic checkpointing and the
     # recovery strategy for node failures (None keeps legacy semantics)
     checkpoint_period_ms: Optional[float] = None
@@ -225,7 +222,7 @@ def trace_from_result(result: ExperimentResult) -> Trace:
 
     Requires the experiment to have run with ``audit=True``; operator
     and chain sections are filled when ``profile=True`` was also set,
-    series/alert sections when ``telemetry=True``.
+    the series section when ``telemetry=True``.
     """
     if result.audit is None:
         raise ValueError(
@@ -239,7 +236,6 @@ def trace_from_result(result: ExperimentResult) -> Trace:
         operators=[p.to_dict() for p in result.metrics.operator_profiles],
         chains=[c.to_dict() for c in result.chain_profiles],
         series=sampler.series_rows() if sampler is not None else [],
-        alerts=sampler.alert_rows() if sampler is not None else [],
         lineage=tracker.lineage_rows() if tracker is not None else [],
         swm_forecast=tracker.swm_forecast_rows() if tracker is not None else [],
         lineage_summary=tracker.summary_row() if tracker is not None else {},
@@ -282,8 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             TelemetryConfig(
                 period_ms=config.telemetry_period_ms,
                 deadline_slo_ms=config.deadline_slo_ms,
-            ),
-            rules=parse_rules(config.alert_rules),
+            )
         )
     lineage = None
     if config.lineage_sample_rate > 0.0:
@@ -325,7 +320,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             operators=[p.to_dict() for p in metrics.operator_profiles],
             chains=[c.to_dict() for c in chains],
             series=sampler.series_rows() if sampler is not None else (),
-            alerts=sampler.alert_rows() if sampler is not None else (),
             lineage=lineage.lineage_rows() if lineage is not None else (),
             swm_forecast=(
                 lineage.swm_forecast_rows() if lineage is not None else ()

@@ -152,7 +152,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--telemetry", action="store_true",
         help="attach a virtual-clock telemetry sampler (queue depth, "
              "watermark lag, slack, SWM-delay moments, memory-mode "
-             "occupancy, latency series + SLO alert rules)",
+             "occupancy, latency series, deadline misses)",
     )
     parser.add_argument(
         "--telemetry-period", type=float, default=200.0, metavar="MS",
@@ -162,12 +162,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--slo-ms", type=float, default=1000.0, metavar="MS",
         help="end-to-end latency SLO; latencies above it count as "
              "deadline misses (default 1000)",
-    )
-    parser.add_argument(
-        "--alert", action="append", default=None, metavar="RULE",
-        help="alert rule, e.g. 'latency_recent_p99_ms > 1000 for 5s' or "
-             "'queue_depth growing for 10 samples'; repeatable "
-             "(default: the built-in SLO rule set)",
     )
     parser.add_argument(
         "--checkpoint-period", type=float, default=None, metavar="MS",
@@ -219,26 +213,11 @@ def _configure_cli_cache(args: argparse.Namespace) -> None:
 
 def _telemetry_fields(args: argparse.Namespace) -> dict:
     """ExperimentConfig kwargs shared by run/sweep telemetry flags."""
-    fields = {
+    return {
         "telemetry": args.telemetry,
         "telemetry_period_ms": args.telemetry_period,
         "deadline_slo_ms": args.slo_ms,
     }
-    if args.alert:
-        fields["alert_rules"] = tuple(args.alert)
-    return fields
-
-
-def _report_alerts(results: List) -> None:
-    """Print fired-alert summaries for telemetry-sampled runs."""
-    for res in results:
-        sampler = res.telemetry
-        if sampler is None or not sampler.alerts.events:
-            continue
-        label = f"{res.config.scheduler}/n={res.config.n_queries}"
-        counts = sampler.alerts.counts()
-        body = ", ".join(f"{rule}={n}" for rule, n in counts.items())
-        print(f"[alerts {label}] {len(sampler.alerts.events)} fired: {body}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -280,7 +259,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _print_rows(rows)
     if args.csv:
         _write_csv(args.csv, rows)
-    _report_alerts([res])
     return _report_monitors([res])
 
 
@@ -315,7 +293,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _print_rows(rows)
     if args.csv:
         _write_csv(args.csv, rows)
-    _report_alerts(results)
     return _report_monitors(results)
 
 
@@ -324,7 +301,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.report import render_waterfall
     from repro.obs.schema import (
         SchemaError,
-        validate_alert,
         validate_cycle,
         validate_lineage,
         validate_lineage_summary,
@@ -387,8 +363,6 @@ def cmd_report(args: argparse.Namespace) -> int:
                 validate_operator(jsonify(row))
             for row in trace.series:
                 validate_series(jsonify(row))
-            for row in trace.alerts:
-                validate_alert(jsonify(row))
             for row in trace.lineage:
                 validate_lineage(jsonify(row))
             for row in trace.swm_forecast:
@@ -401,8 +375,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(
             f"[schema] OK: report + {len(trace.cycles)} cycle, "
             f"{len(trace.operators)} operator, {len(trace.series)} series, "
-            f"{len(trace.alerts)} alert, and {len(trace.lineage)} "
-            "lineage records",
+            f"and {len(trace.lineage)} lineage records",
             file=sys.stderr,
         )
     if args.chrome:
@@ -470,7 +443,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         latency_pct=args.latency_threshold,
         throughput_pct=args.throughput_threshold,
         operator_cpu_pct=args.operator_cpu_threshold,
-        max_new_alerts=args.max_new_alerts,
         max_new_deadline_misses=args.max_new_deadline_misses,
     )
     result = compare_snapshots(snapshots[0], current, thresholds)
@@ -657,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=25.0, metavar="PCT",
                            help="allowed per-operator CPU growth in %% "
                                 "(default 25)")
-    compare_p.add_argument("--max-new-alerts", type=int, default=0,
-                           help="allowed alert-count increase (default 0)")
     compare_p.add_argument("--max-new-deadline-misses", type=int, default=0,
                            help="allowed deadline-miss increase (default 0)")
     compare_p.add_argument("--format", default="text",

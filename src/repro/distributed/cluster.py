@@ -164,7 +164,6 @@ class DistributedEngine(Engine):
         memory: MemoryConfig | None = None,
         seed: int = 0,
         rpc_latency_ms: float = 2.0,
-        tracer=None,
         audit=None,
         profiler=None,
         faults=None,
@@ -190,7 +189,6 @@ class DistributedEngine(Engine):
             cycle_ms=cycle_ms,
             memory=memory,
             seed=seed,
-            tracer=tracer,
             audit=audit,
             profiler=profiler,
             faults=faults,

@@ -7,17 +7,15 @@ The subsystem that lets a run *prove* its claims:
   every policy in :mod:`repro.core` implements;
 * :mod:`repro.obs.profile` — per-operator and per-chain profiling
   (simulated CPU-ms, events in/out, queue/state high-water marks);
-* :mod:`repro.obs.export` — bounded-memory streaming JSONL/CSV writers
+* :mod:`repro.obs.export` — the bounded-memory streaming JSONL writer
   and the run-trace container format;
 * :mod:`repro.obs.report` — ``repro-bench report``'s builder/renderer;
 * :mod:`repro.obs.schema` — documented schemas + validators (CI-checked);
 * :mod:`repro.obs.timeseries` — in-run telemetry: Counter/Gauge/Histogram
   registry sampled on the virtual clock into bounded ring-buffer series;
-* :mod:`repro.obs.alerts` — declarative SLO/alert rules evaluated over
-  the telemetry series during the run;
 * :mod:`repro.obs.flame` — Chrome trace-event (Perfetto) flame-chart
-  export of cycles, operator spans, alerts, counter tracks, and lineage
-  waterfalls;
+  export of cycles, operator spans, recoveries, counter tracks, and
+  lineage waterfalls;
 * :mod:`repro.obs.lineage` — deterministic sampled per-record causal
   tracing (latency-waterfall attribution) and the SWM-forecast
   accuracy audit;
@@ -46,7 +44,6 @@ from repro.obs.audit import (
     explain_with_fallback,
 )
 from repro.obs.export import (
-    CsvWriter,
     JsonlWriter,
     SCHEMA_VERSION,
     Trace,
@@ -66,7 +63,6 @@ from repro.obs.report import (
 from repro.obs.schema import (
     REPORT_SCHEMA,
     SchemaError,
-    validate_alert,
     validate_cycle,
     validate_lineage,
     validate_lineage_summary,
@@ -74,15 +70,6 @@ from repro.obs.schema import (
     validate_report,
     validate_series,
     validate_swm_forecast,
-)
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertEvent,
-    AlertRule,
-    AlertRuleError,
-    DEFAULT_RULE_TEXTS,
-    parse_rule,
-    parse_rules,
 )
 from repro.obs.compare import (
     CompareThresholds,
@@ -127,7 +114,6 @@ __all__ = [
     "ChainProfile",
     "OperatorProfiler",
     "JsonlWriter",
-    "CsvWriter",
     "TraceWriter",
     "Trace",
     "read_trace",
@@ -145,7 +131,6 @@ __all__ = [
     "validate_cycle",
     "validate_operator",
     "validate_series",
-    "validate_alert",
     "validate_lineage",
     "validate_swm_forecast",
     "validate_lineage_summary",
@@ -161,13 +146,6 @@ __all__ = [
     "MetricsRegistry",
     "TelemetryConfig",
     "TelemetrySampler",
-    "AlertRule",
-    "AlertRuleError",
-    "AlertEvent",
-    "AlertEngine",
-    "DEFAULT_RULE_TEXTS",
-    "parse_rule",
-    "parse_rules",
     "chrome_trace_events",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -14,8 +14,8 @@ the distributed engine); the log asks the active policy to *explain*
 its plan through the :class:`DecisionExplainer` protocol — every policy
 in :mod:`repro.core` implements ``explain_plan`` — and stores one
 :class:`DecisionRecord` with the decisions packed into columns. Memory
-is bounded: records live in a ``deque(maxlen=max_rows)`` (the
-``CycleTracer`` approach), and an optional ``stream`` (any object with a
+is bounded: records live in a ``deque(maxlen=max_rows)``, and an
+optional ``stream`` (any object with a
 ``write(dict)`` method, e.g. a :class:`~repro.obs.export.TraceWriter`)
 receives every record as it is produced for unbounded-duration runs.
 """

@@ -2,15 +2,14 @@
 
 A *telemetry snapshot* (``BENCH_<workload>.json``) is the compact,
 diff-able summary of one benchmarked run: latency percentiles,
-throughput, deadline misses, watermark lag, alert counts, and the
-hottest operators. ``repro-bench compare`` emits snapshots from traces
+throughput, deadline misses, watermark lag, and the hottest operators. ``repro-bench compare`` emits snapshots from traces
 and diffs two of them (either may be given as a raw ``.jsonl`` trace or
 an already-emitted snapshot) against configurable thresholds, exiting
 nonzero on regression — the CI gate every future performance PR is
 judged with.
 
 Comparison semantics: *higher is worse* for latency, deadline misses,
-alerts, and per-operator CPU; *lower is worse* for throughput. A metric
+and per-operator CPU; *lower is worse* for throughput. A metric
 that is absent, ``null``, or NaN (the value an empty input produces,
 e.g. the mean latency of a run that completed no windows) on either
 side diffs as **missing**: the delta is emitted with ``limit ==
@@ -30,8 +29,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.export import Trace, jsonify, read_trace
 
-#: version of the BENCH_*.json snapshot format
-SNAPSHOT_VERSION = 1
+#: version of the BENCH_*.json snapshot format (v2 dropped ``alerts``)
+SNAPSHOT_VERSION = 2
 
 #: meta keys copied verbatim into the snapshot identity block
 _IDENTITY_KEYS = (
@@ -61,10 +60,6 @@ def snapshot_from_trace(trace: Trace, *, top_k: int = 5) -> Dict[str, Any]:
         raise ValueError(f"top-k must be >= 1: {top_k}")
     summary = trace.summary
     cdf = summary.get("latency_cdf", [])
-    alerts_by_rule: Dict[str, int] = {}
-    for row in trace.alerts:
-        rule = str(row.get("rule", "?"))
-        alerts_by_rule[rule] = alerts_by_rule.get(rule, 0) + 1
     hottest = sorted(
         trace.operators,
         key=lambda op: (-float(op.get("cpu_ms", 0.0)), str(op.get("name", ""))),
@@ -89,10 +84,6 @@ def snapshot_from_trace(trace: Trace, *, top_k: int = 5) -> Dict[str, Any]:
             "watermark_lag_ms": {
                 "mean": summary.get("mean_watermark_lag_ms"),
                 "max": summary.get("max_watermark_lag_ms"),
-            },
-            "alerts": {
-                "total": sum(alerts_by_rule.values()),
-                "by_rule": dict(sorted(alerts_by_rule.items())),
             },
             "series_count": len(trace.series),
             "hottest_operators": [
@@ -214,25 +205,6 @@ def check_snapshot(snapshot: Mapping[str, Any]) -> List[str]:
                     f"watermark_lag_ms.{key}: not a finite number or "
                     f"null: {lag.get(key)!r}"
                 )
-    alerts = snapshot.get("alerts")
-    if not isinstance(alerts, Mapping):
-        problems.append("alerts: missing or not an object")
-    else:
-        if not _count_ok(alerts.get("total")):
-            problems.append(
-                f"alerts.total: not a non-negative integer: "
-                f"{alerts.get('total')!r}"
-            )
-        by_rule = alerts.get("by_rule")
-        if not isinstance(by_rule, Mapping):
-            problems.append("alerts.by_rule: missing or not an object")
-        else:
-            for rule, count in by_rule.items():
-                if not _count_ok(count):
-                    problems.append(
-                        f"alerts.by_rule[{rule!r}]: not a non-negative "
-                        f"integer: {count!r}"
-                    )
     if not _count_ok(snapshot.get("series_count")):
         problems.append(
             "series_count: not a non-negative integer: "
@@ -267,7 +239,6 @@ class CompareThresholds:
     latency_pct: float = 10.0          # allowed latency increase
     throughput_pct: float = 10.0       # allowed throughput decrease
     operator_cpu_pct: float = 25.0     # allowed per-operator CPU growth
-    max_new_alerts: int = 0            # allowed alert-count increase
     max_new_deadline_misses: int = 0   # allowed deadline-miss increase
     abs_floor_ms: float = 1.0          # ignore latency deltas below this
 
@@ -425,12 +396,6 @@ def compare_snapshots(
         baseline.get("deadline_misses"),
         current.get("deadline_misses"),
         max_increase=t.max_new_deadline_misses,
-    )
-    add(
-        "alerts.total",
-        _nested(baseline, "alerts", "total"),
-        _nested(current, "alerts", "total"),
-        max_increase=t.max_new_alerts,
     )
     add(
         "watermark_lag_ms.max",

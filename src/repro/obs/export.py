@@ -1,33 +1,34 @@
 """Streaming trace exporters with bounded memory.
 
-The in-memory side of observability (``AuditLog``, ``CycleTracer``)
-keeps a bounded ``deque`` of recent rows; these writers are the
-unbounded-duration counterpart: rows are serialized to disk as they are
-produced, so a multi-hour simulated run can be traced without the trace
-ever living in memory.
+The in-memory side of observability (``AuditLog``) keeps a bounded
+``deque`` of recent rows; these writers are the unbounded-duration
+counterpart: rows are serialized to disk as they are produced, so a
+multi-hour simulated run can be traced without the trace ever living in
+memory.
 
-Two low-level writers (:class:`JsonlWriter`, :class:`CsvWriter`) plus
-the *run trace* container format used by ``repro-bench report``:
+A low-level :class:`JsonlWriter` plus the *run trace* container format
+used by ``repro-bench report``: one JSONL file, one record per line,
+discriminated by a ``type`` field::
 
-one JSONL file, one record per line, discriminated by a ``type`` field::
-
-    {"type": "meta", "schema_version": 3, "workload": "ysb", ...}
+    {"type": "meta", "schema_version": 4, "workload": "ysb", ...}
     {"type": "cycle", "time": 120.0, "decisions": [...], ...}   # repeated
     {"type": "operator", "query_id": "ysb-0", "name": ..., ...} # repeated
     {"type": "chain", "query_id": "ysb-0", ...}                 # repeated
     {"type": "series", "name": "queue_depth", "points": [...]}  # repeated, v2+
-    {"type": "alert", "rule": "slo-latency", "start": ..., ...} # repeated, v2+
     {"type": "lineage", "rid": ..., "components": ..., ...}     # repeated, v3+
     {"type": "swm_forecast", "query_id": ..., ...}              # repeated, v3+
     {"type": "lineage_summary", "rows_sampled": ..., ...}       # v3+
     {"type": "summary", "mean_latency_ms": ..., "latency_cdf": [...]}
 
-Schema version 2 added the telemetry ``series`` and ``alert`` sections;
-version 3 (this layout) adds the event-lineage sections (``lineage``,
+The ``cycle`` records are the audit's rows: one per planning node per
+scheduling cycle, so a distributed run writes several rows with the same
+``cycle`` index. Schema version 2 added the telemetry ``series`` and
+``alert`` sections; version 3 the event-lineage sections (``lineage``,
 ``swm_forecast``, ``lineage_summary``), written only when lineage
-tracing is enabled. Version-1 and version-2 traces contain none of the
-newer sections and still parse through :func:`read_trace` with those
-sections empty.
+tracing is enabled; version 4 (this layout) removed the ``alert``
+section and the summary's ``alerts_fired`` key. Older traces still parse
+through :func:`read_trace`: the sections they lack stay empty, and the
+``alert`` lines of v2 and v3 traces are skipped.
 
 Serialization is deterministic: dictionaries are written in insertion
 order with fixed separators, and non-finite floats are mapped to
@@ -37,16 +38,16 @@ produce byte-identical traces.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Sequence
 
 #: version of the trace/report container format (bump on breaking change);
-#: v2 added the telemetry ``series``/``alert`` record types (PR 4); v3 the
-#: lineage ``lineage``/``swm_forecast``/``lineage_summary`` record types
-SCHEMA_VERSION = 3
+#: v2 added the telemetry ``series``/``alert`` record types; v3 the
+#: lineage ``lineage``/``swm_forecast``/``lineage_summary`` record types;
+#: v4 removed the ``alert`` record type
+SCHEMA_VERSION = 4
 
 
 def jsonify(value: Any) -> Any:
@@ -106,44 +107,6 @@ class JsonlWriter:
         self.close()
 
 
-class CsvWriter:
-    """Appends fixed-schema CSV rows to a file as they arrive."""
-
-    def __init__(self, path: str, fields: Sequence[str], flush_every: int = 256) -> None:
-        if not fields:
-            raise ValueError("CSV writer needs at least one field")
-        if flush_every < 1:
-            raise ValueError(f"flush interval must be >= 1: {flush_every}")
-        self.path = path
-        self.fields = list(fields)
-        self.flush_every = flush_every
-        self.rows_written = 0
-        self._fh: Optional[IO[str]] = open(path, "w", newline="", encoding="utf-8")
-        self._writer = csv.DictWriter(
-            self._fh, fieldnames=self.fields, extrasaction="ignore"
-        )
-        self._writer.writeheader()
-
-    def write(self, row: Mapping[str, Any]) -> None:
-        if self._fh is None:
-            raise ValueError(f"writer already closed: {self.path}")
-        self._writer.writerow({k: row.get(k, "") for k in self.fields})
-        self.rows_written += 1
-        if self.rows_written % self.flush_every == 0:
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "CsvWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
 @dataclass
 class Trace:
     """A parsed (or in-memory) run trace: the input of report building."""
@@ -154,7 +117,6 @@ class Trace:
     chains: List[Dict[str, Any]] = field(default_factory=list)
     #: telemetry sections (schema v2+; empty for v1 traces)
     series: List[Dict[str, Any]] = field(default_factory=list)
-    alerts: List[Dict[str, Any]] = field(default_factory=list)
     #: event-lineage sections (schema v3+; empty unless tracing was on)
     lineage: List[Dict[str, Any]] = field(default_factory=list)
     swm_forecast: List[Dict[str, Any]] = field(default_factory=list)
@@ -194,7 +156,6 @@ class TraceWriter:
         operators: Sequence[Mapping[str, Any]] = (),
         chains: Sequence[Mapping[str, Any]] = (),
         series: Sequence[Mapping[str, Any]] = (),
-        alerts: Sequence[Mapping[str, Any]] = (),
         lineage: Sequence[Mapping[str, Any]] = (),
         swm_forecast: Sequence[Mapping[str, Any]] = (),
         lineage_summary: Optional[Mapping[str, Any]] = None,
@@ -219,10 +180,6 @@ class TraceWriter:
             self._writer.write(tagged)
         for row in series:
             tagged = {"type": "series"}
-            tagged.update(row)
-            self._writer.write(tagged)
-        for row in alerts:
-            tagged = {"type": "alert"}
             tagged.update(row)
             self._writer.write(tagged)
         lineage_bytes = 0
@@ -275,8 +232,8 @@ def read_trace(path: str) -> Trace:
                 trace.chains.append(row)
             elif kind == "series":
                 trace.series.append(row)
-            elif kind == "alert":
-                trace.alerts.append(row)
+            elif kind == "alert" and trace.schema_version < 4:
+                continue  # the alert section was removed in v4
             elif kind == "lineage":
                 for key in ("rid", "status", "components", "spans"):
                     if key not in row:

@@ -14,8 +14,6 @@ Mapping of simulation concepts onto trace-event rows:
 * **operator execution** (``pid 1``, one ``tid`` per query) — one
   ``X`` span per operator, laid out sequentially within its query so
   the pipeline reads as a flame chart of simulated CPU-ms;
-* **alerts** (``pid 0``) — an ``i`` instant event per fired alert at
-  its start time;
 * **telemetry series** (``pid 2``) — ``C`` counter events per sampled
   point, which Perfetto renders as stairstep tracks.
 
@@ -27,7 +25,7 @@ exporter in :mod:`repro.obs`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.obs.export import Trace, dumps_line, jsonify
 from repro.obs.lineage import SPAN_KINDS
@@ -139,28 +137,6 @@ def _operator_events(
             }
         )
         offsets[qid] += max(cpu_ms, 0.0)
-    return events
-
-
-def _alert_events(alerts: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    events: List[Dict[str, Any]] = []
-    for row in alerts:
-        events.append(
-            {
-                "name": f"alert:{row.get('rule', '?')}",
-                "cat": "alert",
-                "ph": _PHASE_INSTANT,
-                "ts": _us(float(row.get("start", 0.0))),
-                "pid": PID_SCHEDULER,
-                "tid": 0,
-                "s": "p",  # process-scoped instant (draws a full-height line)
-                "args": {
-                    "series": row.get("series"),
-                    "value": row.get("value"),
-                    "end": row.get("end"),
-                },
-            }
-        )
     return events
 
 
@@ -315,7 +291,6 @@ def chrome_trace_events(
         )
     events += _cycle_events(trace.cycles, cycle_ms)
     events += _operator_events(trace.operators)
-    events += _alert_events(trace.alerts)
     events += _resilience_events(trace.summary or {})
     events += _lineage_events(trace.lineage)
     if include_series:
@@ -399,21 +374,3 @@ def write_chrome_trace(
         fh.write("\n")
     return payload
 
-
-def trace_from_tracer(
-    rows: Sequence[Mapping[str, Any]],
-    *,
-    cycle_ms: float,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> Trace:
-    """Wrap bare :class:`~repro.spe.tracing.CycleTracer` rows in a Trace
-    so lightweight (tracer-only) runs can still export a flame chart."""
-    head: Dict[str, Any] = {"cycle_ms": cycle_ms}
-    if meta:
-        head.update(meta)
-    cycles: List[Dict[str, Any]] = []
-    for row in rows:
-        cycle = dict(row)
-        cycle.setdefault("mode", cycle.pop("plan_mode", "priority"))
-        cycles.append(cycle)
-    return Trace(meta=head, cycles=cycles)

@@ -7,7 +7,12 @@
 * **latency CDF points** — the paper's primary figure axis (Fig. 6b);
 * **decision timeline** — cycles, per-reason and per-mode decision
   counts, which queries the policy favoured, and the
-  backpressure/throttle (memory-mode) episodes with their time spans;
+  backpressure/throttle (memory-mode) episodes with their time spans.
+  A distributed run writes one ``cycle`` row per planning node, so rows
+  are folded by their ``cycle`` index: cycle counts, the time span and
+  the episodes count each cycle once (it throttles, or is in memory
+  mode, if any node's plan is), while mode, reason and head counts stay
+  per node plan;
 * **hottest operators** — top-k by simulated CPU-ms, with queue/state
   high-water marks;
 * **chains** — per-query pipeline aggregates.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.export import SCHEMA_VERSION, Trace, dumps_line
 from repro.obs.lineage import SPAN_KINDS, waterfall as build_waterfall
@@ -44,19 +49,51 @@ class Episode:
         }
 
 
-def _episodes(
-    cycles: Sequence[Dict[str, Any]],
-    kind: str,
-    flag: Callable[[Dict[str, Any]], Any],
-) -> List[Episode]:
-    """Contiguous spans over cycle records where ``flag(cycle)`` holds."""
+class _Cycle(NamedTuple):
+    """One scheduling cycle, folded over its planning nodes' rows."""
+
+    time: float
+    backpressure: bool
+    throttle: bool
+    memory_mode: bool
+
+
+def _fold_cycles(rows: Sequence[Dict[str, Any]]) -> List[_Cycle]:
+    """One :class:`_Cycle` per run of consecutive rows sharing a ``cycle``
+    index: a condition holds for the cycle if it holds on any node."""
+    cycles: List[_Cycle] = []
+    index: Any = None
+    for row in rows:
+        cycle = _Cycle(
+            float(row.get("time", 0.0)),
+            bool(row.get("backpressured")),
+            bool(row.get("throttled")),
+            _is_memory_mode(row),
+        )
+        if cycles and index is not None and row.get("cycle") == index:
+            last = cycles[-1]
+            cycles[-1] = _Cycle(
+                last.time,
+                last.backpressure or cycle.backpressure,
+                last.throttle or cycle.throttle,
+                last.memory_mode or cycle.memory_mode,
+            )
+        else:
+            cycles.append(cycle)
+        index = row.get("cycle")
+    return cycles
+
+
+def _episodes(cycles: Sequence[_Cycle], kind: str) -> List[Episode]:
+    """Contiguous spans of cycles in which condition ``kind`` holds."""
     episodes: List[Episode] = []
     start: Optional[float] = None
     prev_time = 0.0
     count = 0
-    for row in cycles:
-        active = bool(flag(row))
-        t = float(row.get("time", 0.0))
+    field_name = kind.replace("-", "_")
+    for cycle in cycles:
+        active = getattr(cycle, field_name)
+        t = cycle.time
         if active and start is None:
             start, count = t, 1
         elif active:
@@ -71,7 +108,7 @@ def _episodes(
 
 
 def _is_memory_mode(row: Dict[str, Any]) -> bool:
-    """A cycle counts as memory-mode when any decision reason says so."""
+    """A node's row counts as memory-mode when any decision reason says so."""
     return any(
         str(d.get("reason", "")).startswith("memory-")
         for d in row.get("decisions", ())
@@ -89,7 +126,6 @@ class RunReport:
     hottest_operators: List[Dict[str, Any]] = field(default_factory=list)
     chains: List[Dict[str, Any]] = field(default_factory=list)
     episodes: List[Episode] = field(default_factory=list)
-    alerts: Dict[str, Any] = field(default_factory=dict)
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: lineage sections (schema v3+); None / empty when tracing was off
     waterfall: Optional[Dict[str, Any]] = None
@@ -106,7 +142,6 @@ class RunReport:
             "hottest_operators": self.hottest_operators,
             "chains": self.chains,
             "episodes": [e.to_dict() for e in self.episodes],
-            "alerts": self.alerts,
             "telemetry": self.telemetry,
             "waterfall": self.waterfall,
             "swm_forecast": self.swm_forecast,
@@ -121,19 +156,12 @@ def build_report(trace: Trace, top_k: int = 10) -> RunReport:
     """Assemble a :class:`RunReport` from a parsed trace."""
     if top_k < 1:
         raise ValueError(f"top-k must be >= 1: {top_k}")
-    cycles = trace.cycles
     reason_counts: Counter[str] = Counter()
     head_reason_counts: Counter[str] = Counter()
     head_query_counts: Counter[str] = Counter()
     mode_counts: Counter[str] = Counter()
-    backpressure_cycles = 0
-    throttle_cycles = 0
-    for row in cycles:
+    for row in trace.cycles:
         mode_counts[str(row.get("mode", "priority"))] += 1
-        if row.get("backpressured"):
-            backpressure_cycles += 1
-        if row.get("throttled"):
-            throttle_cycles += 1
         decisions = row.get("decisions", ())
         for d in decisions:
             reason_counts[str(d.get("reason", "?"))] += 1
@@ -141,13 +169,14 @@ def build_report(trace: Trace, top_k: int = 10) -> RunReport:
             head = decisions[0]
             head_reason_counts[str(head.get("reason", "?"))] += 1
             head_query_counts[str(head.get("query_id", "?"))] += 1
-    episodes = (
-        _episodes(cycles, "backpressure", lambda r: r.get("backpressured"))
-        + _episodes(cycles, "throttle", lambda r: r.get("throttled"))
-        + _episodes(cycles, "memory-mode", _is_memory_mode)
-    )
+    cycles = _fold_cycles(trace.cycles)
+    episodes = [
+        episode
+        for kind in ("backpressure", "throttle", "memory-mode")
+        for episode in _episodes(cycles, kind)
+    ]
     episodes.sort(key=lambda e: (e.start, e.kind))
-    times = [float(r.get("time", 0.0)) for r in cycles]
+    times = [cycle.time for cycle in cycles]
     timeline: Dict[str, Any] = {
         "cycles": len(cycles),
         "time_start": min(times) if times else 0.0,
@@ -156,8 +185,8 @@ def build_report(trace: Trace, top_k: int = 10) -> RunReport:
         "reason_counts": dict(sorted(reason_counts.items())),
         "head_reason_counts": dict(sorted(head_reason_counts.items())),
         "head_query_counts": dict(sorted(head_query_counts.items())),
-        "backpressure_cycles": backpressure_cycles,
-        "throttle_cycles": throttle_cycles,
+        "backpressure_cycles": sum(c.backpressure for c in cycles),
+        "throttle_cycles": sum(c.throttle for c in cycles),
         "distinct_head_queries": len(head_query_counts),
     }
     hottest = sorted(
@@ -169,14 +198,6 @@ def build_report(trace: Trace, top_k: int = 10) -> RunReport:
     cdf: List[Tuple[float, Optional[float]]] = [
         (float(p), None if v is None else float(v)) for p, v in raw_cdf
     ]
-    alert_counts: Counter[str] = Counter(
-        str(row.get("rule", "?")) for row in trace.alerts
-    )
-    alerts: Dict[str, Any] = {
-        "total": len(trace.alerts),
-        "by_rule": dict(sorted(alert_counts.items())),
-        "events": [dict(row) for row in trace.alerts],
-    }
     telemetry: Dict[str, Any] = {
         "series": len(trace.series),
         "points": sum(len(s.get("points", ())) for s in trace.series),
@@ -190,7 +211,6 @@ def build_report(trace: Trace, top_k: int = 10) -> RunReport:
         hottest_operators=[dict(op) for op in hottest],
         chains=[dict(ch) for ch in trace.chains],
         episodes=episodes,
-        alerts=alerts,
         telemetry=telemetry,
         waterfall=build_waterfall(trace.lineage) if trace.lineage else None,
         swm_forecast=[dict(row) for row in trace.swm_forecast],
@@ -325,21 +345,6 @@ def render_text(report: RunReport) -> str:
             lines.append(
                 f"  {ep.kind:12s} [{ep.start:,.0f}, {ep.end:,.0f}] ms "
                 f"({ep.cycles} cycles)"
-            )
-    if report.alerts.get("total"):
-        lines.append("-- alerts --")
-        by_rule = report.alerts.get("by_rule", {})
-        lines.append(
-            f"  {report.alerts['total']} fired: "
-            + ", ".join(f"{rule}={n}" for rule, n in by_rule.items())
-        )
-        for event in report.alerts.get("events", [])[:8]:
-            end = event.get("end")
-            end_text = "open" if end is None else f"{float(end):,.0f}"
-            lines.append(
-                f"  {str(event.get('rule', '?')):24s} "
-                f"[{float(event.get('start', 0.0)):,.0f}, {end_text}] ms "
-                f"on {event.get('series', '?')}"
             )
     if report.telemetry.get("series"):
         tele = report.telemetry

@@ -48,7 +48,8 @@ DECISION_SCHEMA: Dict[str, Spec] = {
     "queued_events": NUMBER,
 }
 
-#: one scheduling cycle of the audit trail (trace ``type=cycle`` rows)
+#: one planning node's row of a scheduling cycle in the audit trail
+#: (trace ``type=cycle`` rows; a distributed cycle writes one per node)
 CYCLE_SCHEMA: Dict[str, Spec] = {
     "time": NUMBER,
     "cycle": (int,),
@@ -109,16 +110,6 @@ SERIES_SCHEMA: Dict[str, Spec] = {
     "period_ms": NUMBER,
     "points": ListSpec(ListSpec(OPT_NUMBER, min_items=2)),
     "dropped": (int,),
-}
-
-#: one fired alert (trace ``type=alert`` rows, schema v2+)
-ALERT_SCHEMA: Dict[str, Spec] = {
-    "rule": (str,),
-    "series": (str,),
-    "kind": (str,),
-    "start": NUMBER,
-    "end": OPT_NUMBER,
-    "value": OPT_NUMBER,
 }
 
 #: one span of a lineage record's causal chain (schema v3+)
@@ -183,13 +174,6 @@ WATERFALL_SCHEMA: Dict[str, Spec] = {
     "by_query": ListSpec((dict,)),
 }
 
-#: the alert summary section of the report
-ALERT_SUMMARY_SCHEMA: Dict[str, Spec] = {
-    "total": (int,),
-    "by_rule": (dict,),
-    "events": ListSpec(ALERT_SCHEMA),
-}
-
 #: the telemetry summary section of the report
 TELEMETRY_SCHEMA: Dict[str, Spec] = {
     "series": (int,),
@@ -221,7 +205,6 @@ REPORT_SCHEMA: Dict[str, Spec] = {
     "hottest_operators": ListSpec(OPERATOR_SCHEMA),
     "chains": ListSpec(CHAIN_SCHEMA),
     "episodes": ListSpec(EPISODE_SCHEMA),
-    "alerts": ALERT_SUMMARY_SCHEMA,
     "telemetry": TELEMETRY_SCHEMA,
     # lineage sections (schema v3+): null / empty when tracing was off
     "waterfall": (dict, type(None)),
@@ -278,11 +261,6 @@ def validate_operator(obj: Mapping[str, Any]) -> None:
 def validate_series(obj: Mapping[str, Any]) -> None:
     """Validate one telemetry time-series record."""
     _check(dict(obj), SERIES_SCHEMA, "$")
-
-
-def validate_alert(obj: Mapping[str, Any]) -> None:
-    """Validate one alert-event record."""
-    _check(dict(obj), ALERT_SCHEMA, "$")
 
 
 def validate_lineage(obj: Mapping[str, Any]) -> None:

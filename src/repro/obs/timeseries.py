@@ -21,10 +21,9 @@ regardless of run length; overflow is counted, never silent.
 
 The engine-facing :class:`TelemetrySampler` is attached via
 ``Engine(..., telemetry=TelemetrySampler())``; it samples the standard
-signal set every ``period_ms`` of virtual time, feeds an optional
-:class:`~repro.obs.alerts.AlertEngine`, and publishes deadline-miss and
-watermark-lag aggregates through :class:`~repro.spe.metrics.RunMetrics`
-at the end of the run.
+signal set every ``period_ms`` of virtual time and publishes
+deadline-miss and watermark-lag aggregates through
+:class:`~repro.spe.metrics.RunMetrics` at the end of the run.
 """
 
 from __future__ import annotations
@@ -338,7 +337,7 @@ class TelemetryConfig:
         deadline_slo_ms: End-to-end (SWM) latency above which a sink
             delivery counts as a *deadline miss*.
         latency_window: Number of recent latencies backing the windowed
-            ``latency_recent_p99_ms`` gauge (alerting input).
+            ``latency_recent_p99_ms`` gauge.
         per_operator: Record per-operator queue-depth/CPU series (the
             widest part of the schema; disable for very large plans).
     """
@@ -369,22 +368,14 @@ class TelemetrySampler:
     :meth:`on_cycle`; the sampler drains fresh sink latencies every
     cycle and takes a full registry sample whenever the virtual clock
     crosses the next ``period_ms`` boundary (drift-free integer step
-    count, never wall time). Alert rules attached via ``rules`` are
-    evaluated at every sample instant.
+    count, never wall time).
     """
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        rules: Sequence[Any] = (),
-    ) -> None:
-        from repro.obs.alerts import AlertEngine
-
+    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = config or TelemetryConfig()
         self.registry = MetricsRegistry(
             period_ms=self.config.period_ms, max_samples=self.config.max_samples
         )
-        self.alerts = AlertEngine(rules)
         self.deadline_misses = 0
         self.samples_taken = 0
         self._sample_step = 0  # integer tick count on the virtual clock
@@ -421,7 +412,6 @@ class TelemetrySampler:
         self._collect(engine, now, event.used, event.overhead)
         self.registry.sample(now)
         self.samples_taken += 1
-        self.alerts.evaluate(now, self.registry)
 
     def on_rollback(self, engine: Any) -> None:
         """Re-base after a checkpoint rollback rewound the engine's stats.
@@ -575,27 +565,19 @@ class TelemetrySampler:
 
     def finalize(self, engine: Any) -> None:
         """End of a ``run()`` segment: publish the aggregates so far into
-        the run's ``RunMetrics`` and end the open alerts at this time in
-        the rows read from here on. The alerts themselves stay open, so a
-        run split into segments reports like one unbroken run."""
+        the run's ``RunMetrics``, so a run split into segments reports
+        like one unbroken run."""
         metrics = engine.metrics
-        self.alerts.finalize(engine.clock.now)
         metrics.deadline_misses = self.deadline_misses
         if self._lag_count > 0:
             metrics.watermark_lag_mean_ms = self._lag_sum / self._lag_count
             metrics.watermark_lag_max_ms = self._lag_max
-        metrics.alerts_fired = len(self.alerts.events)
-        metrics.alert_counts = self.alerts.counts()
 
     # -- trace serialization -------------------------------------------------
 
     def series_rows(self) -> List[Dict[str, Any]]:
         """``type=series`` rows (sorted by key; byte-deterministic)."""
         return self.registry.to_rows()
-
-    def alert_rows(self) -> List[Dict[str, Any]]:
-        """``type=alert`` rows (sorted by start/rule/series)."""
-        return self.alerts.to_rows()
 
 
 def _decentralized(engine: Any) -> bool:

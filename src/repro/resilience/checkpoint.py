@@ -60,8 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: helpers — the vectorized calendar queue and the scalar heap flatten
 #: to the identical canonical (ingest_time, seq)-sorted list, and
 #: restore loads into whichever layout the engine runs; the heap has
-#: since been retired, and the calendar queue writes the same list)
-SCHEMA_VERSION = 4
+#: since been retired, and the calendar queue writes the same list;
+#: v5: the run metrics no longer carry ``scalars.alerts_fired`` and
+#: ``alert_counts``, and the schema fingerprint records each declared
+#: field as ``key=attr:codec``)
+SCHEMA_VERSION = 5
 
 
 def _highest_marker_id(snapshot: Dict[str, Any]) -> int:

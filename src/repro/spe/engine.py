@@ -86,8 +86,8 @@ class CycleEvent(NamedTuple):
 class Engine:
     """Runs a set of queries under a scheduling policy on one node.
 
-    Cycle observers (``invariants``, ``tracer``, ``profiler``,
-    ``telemetry``, ``audit``, in that order) receive one
+    Cycle observers (``invariants``, ``profiler``, ``telemetry``,
+    ``audit``, in that order) receive one
     :class:`CycleEvent` per cycle through ``on_cycle(event)`` and one
     ``finalize(engine)`` call at the end of every :meth:`run`.
     """
@@ -117,7 +117,6 @@ class Engine:
         cycle_ms: float = 120.0,
         memory: MemoryConfig | None = None,
         seed: int = 0,
-        tracer=None,
         audit=None,
         profiler=None,
         faults=None,
@@ -161,7 +160,6 @@ class Engine:
         self.cores = cores
         self.cycle_ms = float(cycle_ms)
         self.memory = MemoryModel(memory)
-        self.tracer = tracer
         #: optional scheduler-decision audit trail (repro.obs.AuditLog)
         self.audit = audit
         #: optional per-operator profiler (repro.obs.OperatorProfiler)
@@ -738,7 +736,7 @@ class Engine:
         return tuple(
             observer
             for observer in (
-                self.invariants, self.tracer, self.profiler, self.telemetry, self.audit
+                self.invariants, self.profiler, self.telemetry, self.audit
             )
             if observer is not None
         )

@@ -28,7 +28,7 @@ from typing import (
 
 import numpy as np
 
-from repro.spe.state import LEDGER, MAP, RAW, ledgers, resume_only
+from repro.spe.state import LEDGER, RAW, ledgers, resume_only
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import OperatorProfile
@@ -174,13 +174,11 @@ class RunMetrics:
         ("scalars.deadline_misses", "deadline_misses", _CLOCKED),
         ("scalars.watermark_lag_max_ms", "watermark_lag_max_ms", _CLOCKED),
         ("scalars.watermark_lag_mean_ms", "watermark_lag_mean_ms", _CLOCKED),
-        ("scalars.alerts_fired", "alerts_fired", _CLOCKED),
         ("swm_latencies", "swm_latencies", LEDGER),
         ("marker_latencies", "marker_latencies", LEDGER),
         ("slowdowns", "slowdowns", LEDGER),
         ("per_query_swm_latencies", "per_query_swm_latencies", ledgers(partial(array, "d"))),
         ("samples", "samples", resume_only(LEDGER)),
-        ("alert_counts", "alert_counts", resume_only(MAP)),
     )
 
     duration_ms: float = 0.0
@@ -208,8 +206,6 @@ class RunMetrics:
     deadline_misses: int = 0  # sink latencies above the deadline SLO
     watermark_lag_max_ms: float = math.nan
     watermark_lag_mean_ms: float = math.nan
-    alerts_fired: int = 0
-    alert_counts: Dict[str, int] = field(default_factory=dict)
     #: per-operator profiles, populated at the end of a run when an
     #: OperatorProfiler is attached to the engine (repro.obs.profile).
     operator_profiles: List["OperatorProfile"] = field(default_factory=list)  # klink: transient[end-of-run observability artifact, not run state]
@@ -260,19 +256,19 @@ class RunMetrics:
     def mean_memory_bytes(self) -> float:
         if not self.samples:
             return 0.0
-        return float(np.mean([s.memory_bytes for s in self.samples]))
+        return float(np.mean(self.samples.memory_bytes))
 
     def memory_percentile(self, pct: float) -> float:
-        return percentile([s.memory_bytes for s in self.samples], pct)
+        return percentile(self.samples.memory_bytes, pct)
 
     @property
     def mean_cpu_fraction(self) -> float:
         if not self.samples:
             return 0.0
-        return float(np.mean([s.cpu_fraction for s in self.samples]))
+        return float(np.mean(self.samples.cpu_fraction))
 
     def cpu_percentile(self, pct: float) -> float:
-        return percentile([s.cpu_fraction for s in self.samples], pct)
+        return percentile(self.samples.cpu_fraction, pct)
 
     @property
     def overhead_fraction(self) -> float:
@@ -299,7 +295,6 @@ class RunMetrics:
             "deadline_misses": float(self.deadline_misses),
             "max_watermark_lag_ms": self.watermark_lag_max_ms,
             "mean_watermark_lag_ms": self.watermark_lag_mean_ms,
-            "alerts_fired": float(self.alerts_fired),
         }
 
     def resilience_summary(self) -> Dict[str, object]:

@@ -277,9 +277,6 @@ class TestDrivers:
         report = lint_paths([tmp_path])
         assert report.codes() == ["KL001"]
 
-    def test_default_allowlist_covers_tracing(self):
-        assert "KL001" in DEFAULT_FILE_ALLOWLIST["spe/tracing.py"]
-
     def test_default_allowlist_names_existing_files(self):
         """A stale entry (its file deleted or moved) would silently
         allowlist whatever file later takes that path."""

@@ -122,7 +122,7 @@ class TestRowCapProperty:
 class TestTraceEquivalence:
     def test_jsonl_trace_bytes_identical(self, tmp_path):
         # A fully-observed run (trace + audit + telemetry): every record
-        # the exporter writes — cycle decisions, series samples, alerts,
+        # the exporter writes — cycle decisions, series samples,
         # summary — must be byte-identical across batch sizes.
         def trace_bytes(batch_size: int) -> bytes:
             path = tmp_path / f"trace_b{batch_size}.jsonl"

@@ -179,7 +179,7 @@ class TestReportCommand:
         out_path = tmp_path / "report.json"
         assert main(self._run_args("--out", str(out_path))) == 0
         payload = json.loads(out_path.read_text())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
 
     def test_save_trace_while_reporting(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -258,16 +258,6 @@ class TestReportCommand:
 
 
 class TestTelemetryFlags:
-    def test_run_with_telemetry_reports_alerts_line(self, capsys):
-        rc = main([
-            "run", "--workload", "ysb", "--scheduler", "Klink",
-            "--queries", "2", "--duration", "30", "--cores", "4",
-            "--telemetry", "--slo-ms", "100", "--alert",
-            "tight: latency_recent_p99_ms > 100 for 1s",
-        ])
-        assert rc == 0
-        assert "[alerts" in capsys.readouterr().out
-
     def test_bench_json_emits_snapshot(self, tmp_path, capsys):
         import json
 
@@ -279,19 +269,17 @@ class TestTelemetryFlags:
         ])
         assert rc == 0
         payload = json.loads(bench.read_text())
-        assert payload["snapshot_version"] == 1
+        assert payload["snapshot_version"] == 2
+        assert "alerts" not in payload
         assert payload["workload"] == "ysb"
         assert payload["latency_ms"]["mean"] is not None
 
-    def test_bad_alert_rule_is_rejected(self):
-        from repro.obs import AlertRuleError
-
-        with pytest.raises(AlertRuleError):
-            main([
-                "run", "--workload", "ysb", "--queries", "2",
-                "--duration", "5", "--cores", "4",
-                "--telemetry", "--alert", "gibberish rule",
-            ])
+    def test_alert_options_are_gone(self):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--alert", "x > 1"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["compare", "a.json", "--max-new-alerts", "1"])
 
 
 class TestResilienceFlags:

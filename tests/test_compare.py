@@ -30,8 +30,8 @@ from repro.workloads import WorkloadParams, build_queries
 
 def sample_snapshot():
     return {
-        "snapshot_version": 1,
-        "schema_version": 2,
+        "snapshot_version": 2,
+        "schema_version": 4,
         "workload": "ysb",
         "scheduler": "Klink",
         "n_queries": 4,
@@ -39,7 +39,6 @@ def sample_snapshot():
         "throughput_eps": 10_000.0,
         "deadline_misses": 0,
         "watermark_lag_ms": {"mean": 300.0, "max": 500.0},
-        "alerts": {"total": 0, "by_rule": {}},
         "series_count": 10,
         "hottest_operators": [
             {"name": "ysb-0.agg", "cpu_ms": 400.0},
@@ -61,7 +60,6 @@ class TestSnapshot:
                 {"query_id": "q0", "name": "q0.b", "cpu_ms": 9.0},
             ],
             series=[{"name": "x"}],
-            alerts=[{"rule": "slo"}, {"rule": "slo"}],
             summary={
                 "mean_latency_ms": 10.0,
                 "p90_latency_ms": 20.0,
@@ -78,7 +76,7 @@ class TestSnapshot:
         assert snap["workload"] == "ysb"
         assert snap["latency_ms"]["p50"] == 12.0  # read off the CDF
         assert snap["deadline_misses"] == 3
-        assert snap["alerts"] == {"total": 2, "by_rule": {"slo": 2}}
+        assert "alerts" not in snap
         assert snap["series_count"] == 1
         assert snap["hottest_operators"] == [{"name": "q0.b", "cpu_ms": 9.0}]
 
@@ -161,15 +159,12 @@ class TestCompareSnapshots:
         current["throughput_eps"] = 20_000.0
         assert compare_snapshots(sample_snapshot(), current).ok
 
-    def test_new_alerts_and_misses_gate_absolutely(self):
+    def test_new_deadline_misses_gate_absolutely(self):
         current = sample_snapshot()
-        current["alerts"] = {"total": 1, "by_rule": {"slo": 1}}
         current["deadline_misses"] = 2
         result = compare_snapshots(sample_snapshot(), current)
-        assert {d.metric for d in result.regressions} == {
-            "alerts.total", "deadline_misses",
-        }
-        relaxed = CompareThresholds(max_new_alerts=1, max_new_deadline_misses=2)
+        assert {d.metric for d in result.regressions} == {"deadline_misses"}
+        relaxed = CompareThresholds(max_new_deadline_misses=2)
         assert compare_snapshots(sample_snapshot(), current, relaxed).ok
 
     def test_abs_floor_ignores_tiny_latency_deltas(self):
@@ -271,7 +266,6 @@ def run_ysb(*, fault=False, seed=1, duration=25_000.0):
               "n_queries": 4, "seed": seed},
         operators=[p.to_dict() for p in metrics.operator_profiles],
         series=sampler.series_rows(),
-        alerts=sampler.alert_rows(),
         summary=trace_summary(metrics),
     )
     return snapshot_from_trace(trace)
@@ -327,7 +321,7 @@ class TestCompareCli:
         capsys.readouterr()
         assert main(["compare", str(trace)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["snapshot_version"] == 1
+        assert payload["snapshot_version"] == 2
 
     def test_regression_exits_one(self, tmp_path, capsys):
         from repro.cli import main
@@ -383,6 +377,6 @@ class TestCompareCli:
         from repro.cli import main
 
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"snapshot_version": 1}))
+        path.write_text(json.dumps({"snapshot_version": 2}))
         assert main(["compare", "--check", str(path)]) == 1
         assert "[check]" in capsys.readouterr().err

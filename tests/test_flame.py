@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.klink import KlinkScheduler
 from repro.obs import (
+    AuditLog,
     Trace,
     chrome_trace_events,
     validate_chrome_trace,
@@ -17,11 +18,9 @@ from repro.obs.flame import (
     PID_OPERATORS,
     PID_SCHEDULER,
     PID_TELEMETRY,
-    trace_from_tracer,
 )
 from repro.obs.schema import SchemaError
 from repro.spe.engine import Engine
-from repro.spe.tracing import CycleTracer
 from tests.helpers import make_simple_query
 
 
@@ -53,11 +52,6 @@ def sample_trace():
             {"name": "queue_depth", "labels": {"query": "q0"},
              "kind": "gauge", "period_ms": 200.0,
              "points": [[200.0, 3.0], [400.0, 4.0]], "dropped": 0},
-        ],
-        alerts=[
-            {"rule": "slo", "series": "latency_recent_p99_ms",
-             "kind": "threshold", "start": 150.0, "end": 200.0,
-             "value": 2000.0},
         ],
         summary={"mean_latency_ms": 10.0},
     )
@@ -93,12 +87,10 @@ class TestChromeTraceEvents:
         assert q0[1]["ts"] == q0[0]["ts"] + q0[0]["dur"]
         assert all(e["pid"] == PID_OPERATORS for e in ops)
 
-    def test_alert_instants_and_series_counters(self):
+    def test_series_counters(self):
         events = chrome_trace_events(sample_trace())["traceEvents"]
-        instants = [e for e in events if e["ph"] == "i"]
-        assert len(instants) == 1
-        assert instants[0]["name"] == "alert:slo"
-        assert instants[0]["ts"] == 150_000.0
+        # no failures in the summary, so no instant marks
+        assert not [e for e in events if e["ph"] == "i"]
         counters = [e for e in events if e["ph"] == "C"]
         assert len(counters) == 2  # one per sampled point
         assert counters[0]["name"] == "queue_depth{query=q0}"
@@ -158,27 +150,24 @@ class TestWriteChromeTrace:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestTracerExport:
-    def test_cycle_tracer_to_chrome(self, tmp_path):
-        tracer = CycleTracer()
+class TestAuditExport:
+    def test_audited_run_exports_one_span_per_cycle(self, tmp_path):
+        audit = AuditLog()
         queries = [make_simple_query("q0", rate_eps=500.0)]
         engine = Engine(queries, KlinkScheduler(), cores=2, cycle_ms=100.0,
-                        seed=1, tracer=tracer)
+                        seed=1, audit=audit)
         metrics = engine.run(3_000.0)
+        trace = Trace(
+            meta={"cycle_ms": 100.0},
+            cycles=[record.to_dict() for record in audit.rows],
+        )
         path = tmp_path / "flame.json"
-        tracer.to_chrome(str(path), cycle_ms=100.0)
+        write_chrome_trace(str(path), trace)
         payload = json.loads(path.read_text())
         validate_chrome_trace(payload)
         spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == metrics.cycles
-
-    def test_trace_from_tracer_maps_plan_mode(self):
-        trace = trace_from_tracer(
-            [{"time": 100.0, "plan_mode": "memory", "cpu_used_ms": 1.0}],
-            cycle_ms=100.0,
-        )
-        assert trace.cycles[0]["mode"] == "memory"
-        assert trace.meta["cycle_ms"] == 100.0
+        assert {e["name"] for e in spans} == {"cycle:priority"}
 
 
 def lineage_rows():

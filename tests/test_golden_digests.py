@@ -37,7 +37,6 @@ Regenerate the fixture only for a deliberate output change::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import tempfile
@@ -74,7 +73,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
-from repro.spe.tracing import CycleTracer
 from repro.workloads import WorkloadParams, build_queries
 from tests.helpers import make_simple_query
 
@@ -180,7 +178,7 @@ def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
     """Fig. 6e's split deployment on four nodes: every query spans two
     nodes, so the other two rank it from forwarded delay and cost alone.
     Node 1 fails once and its standby moves its operators to a survivor.
-    Audit, telemetry and the cycle tracer stream into one JSONL trace."""
+    Audit and telemetry stream into one JSONL trace."""
     queries = build_queries("ysb", 16, WorkloadParams(seed=11, rate_scale=1.25))
     plan = PhysicalPlan.split(queries, 4, segments=2)
     coordinator = CheckpointCoordinator(2_000.0)
@@ -189,7 +187,6 @@ def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
         path = Path(tmp) / "trace.jsonl"
         writer = TraceWriter(str(path), meta={"run": "dist4-klink"})
         sampler = TelemetrySampler()
-        tracer = CycleTracer()
         engine = DistributedEngine.with_klink(
             queries,
             plan,
@@ -197,7 +194,6 @@ def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
             memory=MemoryConfig(capacity_bytes=0.5 * GIB),
             rpc_latency_ms=100.0,
             seed=11,
-            tracer=tracer,
             audit=AuditLog(stream=writer),
             telemetry=sampler,
             faults=FaultPlan([NodeFailure(6_000.0, 9_000.0, node=1)]),
@@ -208,15 +204,11 @@ def dist4_klink_traced_standby() -> Tuple[Engine, Dict[str, Any]]:
         metrics = engine.run(14_000.0)
         writer.finalize(
             series=sampler.series_rows(),
-            alerts=sampler.alert_rows(),
             summary=trace_summary(metrics),
         )
         trace = path.read_text()
     digests = _digests(engine, metrics, taken)
     digests["trace"] = _sha(trace)
-    digests["cycle_tracer"] = _json_sha(
-        [dataclasses.asdict(record) for record in tracer.rows]
-    )
     digests["last_slacks"] = _json_sha(
         [s.last_slacks for s in engine.node_schedulers]
     )
@@ -470,11 +462,9 @@ def nyt_traced_failure() -> Tuple[Engine, Dict[str, Any]]:
         path = Path(tmp) / "trace.jsonl"
         writer = TraceWriter(str(path), meta={"run": "nyt-traced-failure"})
         sampler = TelemetrySampler()
-        tracer = CycleTracer()
         profiler = OperatorProfiler()
         engine = _nyt_engine(
             KlinkScheduler(),
-            tracer=tracer,
             audit=AuditLog(stream=writer),
             profiler=profiler,
             telemetry=sampler,
@@ -485,16 +475,12 @@ def nyt_traced_failure() -> Tuple[Engine, Dict[str, Any]]:
         writer.finalize(
             operators=[p.to_dict() for p in metrics.operator_profiles],
             series=sampler.series_rows(),
-            alerts=sampler.alert_rows(),
             summary=trace_summary(metrics),
         )
         trace = path.read_text()
     return engine, {
         "summary": _json_sha(metrics.summary()),
         "trace": _sha(trace),
-        "cycle_tracer": _json_sha(
-            [dataclasses.asdict(record) for record in tracer.rows]
-        ),
     }
 
 
@@ -513,14 +499,13 @@ def dist_default_share_traced() -> Tuple[Engine, Dict[str, Any]]:
     """Default (processor sharing) on two nodes, every cycle observer
     attached. Node 0 is down from 4 s to 6 s and node 1 from 5 s to 7 s,
     with no recovery: blocked queries are deferred, and while both nodes
-    are down no node plans and the tracer records nothing."""
+    are down no node plans and the audit records nothing."""
     queries = build_queries("ysb", 8, WorkloadParams(seed=13))
     plan = PhysicalPlan.split(queries, 2, segments=2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         writer = TraceWriter(str(path), meta={"run": "dist-default-share"})
         sampler = TelemetrySampler()
-        tracer = CycleTracer()
         engine = DistributedEngine.with_policy(
             queries,
             plan,
@@ -529,7 +514,6 @@ def dist_default_share_traced() -> Tuple[Engine, Dict[str, Any]]:
             memory=MemoryConfig(capacity_bytes=0.5 * GIB),
             rpc_latency_ms=100.0,
             seed=13,
-            tracer=tracer,
             audit=AuditLog(stream=writer),
             profiler=OperatorProfiler(),
             telemetry=sampler,
@@ -544,16 +528,12 @@ def dist_default_share_traced() -> Tuple[Engine, Dict[str, Any]]:
         metrics = engine.run(12_000.0)
         writer.finalize(
             series=sampler.series_rows(),
-            alerts=sampler.alert_rows(),
             summary=trace_summary(metrics),
         )
         trace = path.read_text()
     return engine, {
         "summary": _json_sha(metrics.summary()),
         "trace": _sha(trace),
-        "cycle_tracer": _json_sha(
-            [dataclasses.asdict(record) for record in tracer.rows]
-        ),
     }
 
 
@@ -653,15 +633,16 @@ def test_nyt_and_share_runs_exercise_what_they_pin():
         assert pinned["backpressure_cycles"] > 0 and pinned["events_shed"] > 0
     engine, _ = nyt_traced_failure()
     assert engine.invariants.ok
-    # down cycles still trace (an empty plan) on the single engine
-    assert len(engine.tracer) == engine.metrics.cycles
-    assert any(not row.head_queries for row in engine.tracer.rows)
+    # down cycles still audit (an empty plan) on the single engine
+    assert len(engine.audit) == engine.metrics.cycles
+    assert any(row.head() is None for row in engine.audit.rows)
     dist, _ = dist_default_share_traced()
     assert dist.invariants.ok
     assert {type(s) for s in dist.node_schedulers} == {DefaultScheduler}
-    # cycles with both nodes down plan nothing and trace nothing
-    assert 0 < len(dist.tracer) < dist.metrics.cycles
-    assert {row.plan_mode for row in dist.tracer.rows} == {"share"}
+    # cycles with both nodes down plan nothing and audit nothing
+    audited = {row.cycle for row in dist.audit.rows}
+    assert 0 < len(audited) < dist.metrics.cycles
+    assert {row.mode for row in dist.audit.rows} == {"share"}
 
 
 def test_stored_snapshots_never_change_after_capture():

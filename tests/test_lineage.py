@@ -661,7 +661,7 @@ class TestTraceAndReport:
 
     def test_round_trip_and_overhead_accounting(self, traced_path):
         trace = read_trace(traced_path)
-        assert trace.schema_version == 3
+        assert trace.schema_version == 4
         assert trace.lineage and trace.swm_forecast and trace.lineage_summary
         summary = trace.lineage_summary
         validate_lineage_summary(json.loads(json.dumps(summary)))

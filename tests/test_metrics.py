@@ -7,7 +7,6 @@ import pytest
 
 from repro.spe.metrics import (
     RunMetrics,
-    UtilizationSample,
     cdf_points,
     mean_with_ci,
     percentile,
@@ -66,11 +65,8 @@ class TestRunMetrics:
         m.swm_latencies = [100.0, 200.0, 300.0, 400.0]
         m.slowdowns = [10.0, 20.0]
         m.total_events_processed = 50_000.0
-        m.samples = [
-            UtilizationSample(time=t, memory_bytes=b, cpu_fraction=c,
-                              events_processed=0.0)
-            for t, b, c in [(0, 100, 0.5), (1, 200, 0.7), (2, 300, 0.9)]
-        ]
+        for t, b, c in [(0, 100, 0.5), (1, 200, 0.7), (2, 300, 0.9)]:
+            m.samples.append(t, b, c, 0.0)
         return m
 
     def test_mean_latency(self):

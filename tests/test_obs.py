@@ -35,8 +35,9 @@ from repro.obs import (
     read_trace,
     render_text,
 )
-from repro.obs.export import CsvWriter, JsonlWriter
+from repro.obs.export import JsonlWriter
 from repro.obs.schema import (
+    CYCLE_SCHEMA,
     SchemaError,
     validate_cycle,
     validate_operator,
@@ -44,9 +45,10 @@ from repro.obs.schema import (
 )
 from repro.net.delays import ConstantDelay
 from repro.spe.engine import Engine
-from repro.spe.memory import MemoryConfig
+from repro.spe.memory import GIB, MemoryConfig
 from repro.spe.operators import MapOperator, SinkOperator
 from repro.spe.query import Query, SourceBinding, SourceSpec, chain
+from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.workloads import WorkloadParams, build_queries
 from repro.spe.engine import NodeCycle
 from tests.helpers import cycle_event, make_simple_query
@@ -279,6 +281,57 @@ class TestAuditLog:
             (0.0, 100.0, "backpressure"),
             (400.0, 500.0, "backpressure"),
         ]
+
+
+def audited_run(duration=5_000.0, audit=None, **engine_kw):
+    """One simple query under Klink on a 100 ms cycle, audited."""
+    # NB: `audit or AuditLog()` would discard an empty log, whose
+    # __len__ makes it falsy.
+    audit = audit if audit is not None else AuditLog()
+    Engine([make_simple_query()], KlinkScheduler(), cores=4, cycle_ms=100.0,
+           audit=audit, **engine_kw).run(duration)
+    return audit
+
+
+class TestAuditRows:
+    """The audit row is the per-cycle record: one row per cycle on one
+    node, bounded oldest-first, exported as JSON lines."""
+
+    def test_one_row_per_cycle(self):
+        assert len(audited_run(duration=5_000.0)) == 50
+
+    def test_rows_carry_clock_and_plan(self):
+        row = audited_run().last()
+        assert row.time == pytest.approx(5_000.0)
+        assert row.mode == "priority"
+        assert row.head().query_id == "q0"
+
+    def test_empty_log_last_is_none(self):
+        assert AuditLog().last() is None
+
+    def test_eviction_is_oldest_first(self):
+        audit = audited_run(audit=AuditLog(max_rows=7))  # 50 cycles offered
+        assert len(audit) == 7
+        times = [row.time for row in audit.rows]
+        # exactly the newest 7 cycles, still in chronological order
+        assert times == [4_400.0 + 100.0 * i for i in range(7)]
+
+    def test_single_row_buffer_keeps_newest(self):
+        audit = audited_run(duration=3_000.0, audit=AuditLog(max_rows=1))
+        assert len(audit) == 1
+        assert audit.last().time == pytest.approx(3_000.0)
+
+    def test_to_jsonl_round_trip(self, tmp_path):
+        audit = audited_run(duration=3_000.0, audit=AuditLog(max_rows=5))
+        path = tmp_path / "audit.jsonl"
+        audit.to_jsonl(str(path))
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows == [json.loads(dumps_line(r.to_dict())) for r in audit.rows]
+        for parsed, kept in zip(rows, audit.rows):
+            assert parsed["time"] == kept.time
+            assert parsed["mode"] == kept.mode
+            assert parsed["decisions"][0]["query_id"] == kept.head().query_id
+        assert list(rows[0]) == list(CYCLE_SCHEMA)
 
 
 def make_stateless_query(query_id, *, seed=0):
@@ -611,20 +664,6 @@ class TestExportPrimitives:
         with pytest.raises(ValueError):
             JsonlWriter(str(tmp_path / "x.jsonl"), flush_every=0)
 
-    def test_csv_writer_round_trip(self, tmp_path):
-        path = tmp_path / "rows.csv"
-        with CsvWriter(str(path), ["a", "b"]) as writer:
-            writer.write({"a": 1, "b": 2, "ignored": 3})
-            writer.write({"a": 4})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,2"
-        assert lines[2] == "4,"
-
-    def test_csv_writer_needs_fields(self, tmp_path):
-        with pytest.raises(ValueError):
-            CsvWriter(str(tmp_path / "x.csv"), [])
-
 
 class TestTraceContainer:
     def test_round_trip_through_disk(self, tmp_path):
@@ -638,7 +677,7 @@ class TestTraceContainer:
         )
         trace = read_trace(str(path))
         assert trace.meta["workload"] == "ysb"
-        assert trace.meta["schema_version"] == 3
+        assert trace.meta["schema_version"] == 4
         assert len(trace.cycles) == 1 and trace.cycles[0]["cycle"] == 0
         assert trace.operators[0]["name"] == "q0.map"
         assert trace.chains[0]["query_id"] == "q0"
@@ -799,6 +838,84 @@ class TestRunReport:
         report = build_report(read_trace(str(path)))
         validate_report(json.loads(report.to_json()))
         assert report.decision_timeline["cycles"] == metrics.cycles
+
+    @staticmethod
+    def _audited_report(**engine_kw):
+        audit = AuditLog()
+        q = make_simple_query(rate_eps=50_000.0, cost_ms=1.0)
+        metrics = Engine([q], KlinkScheduler(), cores=4, cycle_ms=100.0,
+                         audit=audit, **engine_kw).run(10_000.0)
+        trace = Trace(cycles=[record.to_dict() for record in audit.rows])
+        return build_report(trace), metrics
+
+    def test_no_episodes_without_pressure(self):
+        report, _ = self._audited_report()
+        assert report.episodes == []
+
+    def test_backpressure_run_reports_episodes(self):
+        report, metrics = self._audited_report(
+            memory=MemoryConfig(capacity_bytes=50_000.0,
+                                backpressure_threshold=0.5),
+        )
+        spans = [e for e in report.episodes if e.kind == "backpressure"]
+        assert spans
+        for episode in spans:
+            assert episode.start <= episode.end
+        assert sum(e.cycles for e in spans) == metrics.backpressure_cycles
+
+    def test_node_rows_of_one_cycle_fold_into_one(self):
+        """Two planning nodes write one row each per cycle; the cycle
+        throttles if either node's plan did."""
+        rows = [
+            dict(synthetic_trace().cycles[0], cycle=c, node=n, time=100.0 * (c + 1),
+                 backpressured=c == 1, throttled=(c, n) == (2, 1))
+            for c in range(4)
+            for n in range(2)
+        ]
+        report = build_report(Trace(cycles=rows))
+        tl = report.decision_timeline
+        assert tl["cycles"] == 4
+        assert (tl["time_start"], tl["time_end"]) == (100.0, 400.0)
+        assert tl["backpressure_cycles"] == 1 and tl["throttle_cycles"] == 1
+        assert [(e.kind, e.start, e.end, e.cycles) for e in report.episodes] == [
+            ("backpressure", 200.0, 200.0, 1),
+            ("throttle", 300.0, 300.0, 1),
+        ]
+        # reason and head counts stay per node plan
+        assert tl["head_query_counts"] == {"q0": 8}
+
+    def test_distributed_trace_counts_each_cycle_once(self, tmp_path):
+        """Fig. 6e's split deployment on four nodes writes one cycle row
+        per planning node; the report counts each cycle once."""
+        queries = build_queries("ysb", 16, WorkloadParams(seed=11, rate_scale=1.25))
+        path = tmp_path / "trace.jsonl"
+        writer = TraceWriter(str(path), meta={"run": "dist4"})
+        engine = DistributedEngine.with_klink(
+            queries,
+            PhysicalPlan.split(queries, 4, segments=2),
+            cores_per_node=1,
+            memory=MemoryConfig(capacity_bytes=0.5 * GIB),
+            rpc_latency_ms=100.0,
+            seed=11,
+            audit=AuditLog(stream=writer),
+        )
+        metrics = engine.run(20_000.0)
+        writer.finalize(summary={"cycles": metrics.cycles})
+        trace = read_trace(str(path))
+        assert len(trace.cycles) == 4 * metrics.cycles
+        tl = build_report(trace).decision_timeline
+        assert tl["cycles"] == metrics.cycles
+        assert tl["time_end"] == engine.clock.now
+        assert 0 < tl["backpressure_cycles"] == metrics.backpressure_cycles
+        by_cycle = {}
+        for row in trace.cycles:
+            by_cycle[row["cycle"]] = by_cycle.get(row["cycle"], False) or row["throttled"]
+        assert tl["throttle_cycles"] == sum(by_cycle.values())
+        episodes = build_report(trace).episodes
+        assert sum(
+            e.cycles for e in episodes if e.kind == "backpressure"
+        ) == metrics.backpressure_cycles
+        assert sum(tl["mode_counts"].values()) == len(trace.cycles)
 
 
 class TestSchemaValidator:

@@ -2,15 +2,14 @@
 
 Output is set by the input, not by how the caller slices the run: any
 split of a duration into segments, including lengths that are not whole
-cycles, must give the same summary, audit JSONL and cycle-tracer rows as
-one ``run()`` call — on the single-node engine (with its lineage rows
-too), on a two-node ``DistributedEngine``, and on a telemetry-sampled
-engine (with its series and alert rows).
+cycles, must give the same summary and audit JSONL as one ``run()``
+call — on the single-node engine (with its lineage rows too), on a
+two-node ``DistributedEngine``, and on a telemetry-sampled engine (with
+its series rows and deadline misses).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from functools import lru_cache
 from typing import Any, Callable, Dict, Sequence
@@ -21,11 +20,9 @@ from hypothesis import strategies as st
 from repro.core.klink import KlinkScheduler
 from repro.distributed import DistributedEngine, PhysicalPlan
 from repro.obs import AuditLog
-from repro.obs.alerts import DEFAULT_RULE_TEXTS, parse_rules
 from repro.obs.lineage import LineageTracker
 from repro.obs.timeseries import TelemetrySampler
 from repro.spe.engine import Engine
-from repro.spe.tracing import CycleTracer
 from repro.workloads import WorkloadParams, build_queries
 
 #: total simulated length: 166.7 cycles of the default 120 ms
@@ -41,7 +38,6 @@ def single_engine() -> Engine:
         KlinkScheduler(),
         cores=2,
         seed=SEED,
-        tracer=CycleTracer(),
         audit=AuditLog(),
         lineage=LineageTracker(0.2, seed=SEED),
     )
@@ -55,20 +51,18 @@ def distributed_engine() -> Engine:
         PhysicalPlan.split(queries, 2),
         cores_per_node=1,
         seed=SEED,
-        tracer=CycleTracer(),
         audit=AuditLog(),
     )
 
 
 def telemetry_engine() -> Engine:
-    """The same queries on two cores, sampled by the telemetry sampler
-    under the default alert rules."""
+    """The same queries on two cores, sampled by the telemetry sampler."""
     return Engine(
         build_queries("ysb", 4, WorkloadParams(seed=SEED)),
         KlinkScheduler(),
         cores=2,
         seed=SEED,
-        telemetry=TelemetrySampler(rules=parse_rules(DEFAULT_RULE_TEXTS)),
+        telemetry=TelemetrySampler(),
     )
 
 
@@ -89,12 +83,10 @@ def outputs(kind: str, segments: Sequence[int]) -> Dict[str, Any]:
     }
     if engine.audit is not None:
         result["audit"] = engine.audit.to_jsonl_str()
-        result["tracer"] = [dataclasses.asdict(row) for row in engine.tracer.rows]
     if engine.lineage is not None:
         result["lineage"] = engine.lineage.lineage_rows()
     if engine.telemetry is not None:
         result["series"] = engine.telemetry.series_rows()
-        result["alerts"] = engine.telemetry.alert_rows()
     return result
 
 
@@ -124,8 +116,8 @@ def test_one_call_covers_the_traced_paths():
     sampled = one_call("telemetry")
     # the run ends on the first cycle boundary at or past the duration
     assert single["cycles"] == dist["cycles"] == -(-DURATION_MS // 120)
-    assert single["lineage"] and single["audit"] and single["tracer"]
+    assert single["lineage"] and single["audit"]
     assert dist["audit"].count('"node":1') > 0
     summary = json.loads(sampled["summary"])
-    assert summary["deadline_misses"] > 0 and summary["alerts_fired"] > 0
-    assert sampled["series"] and sampled["alerts"]
+    assert summary["deadline_misses"] > 0
+    assert sampled["series"]

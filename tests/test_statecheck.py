@@ -110,13 +110,14 @@ class TestShippedTreeIsClean:
 
     def test_fingerprint_file_is_committed_and_well_formed(self):
         payload = json.loads((SRC / FINGERPRINT_REL).read_text())
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == 5
         assert "fingerprint" in payload
         # the contract lists every declaring class, schedulers included
         contract = payload["contract"]
         for entry in ("Engine", "Operator", "Channel", "SourceBinding", "RunMetrics"):
             assert entry in contract
-        assert contract["Scheduler"] == [] and "_cursor" in contract["RoundRobinScheduler"]
+        assert contract["Scheduler"] == []
+        assert contract["RoundRobinScheduler"] == ["cursor=_cursor:INT"]
 
 
 # -- mutation tests: the analyzer's teeth ------------------------------------
@@ -167,6 +168,40 @@ class TestMutationTeeth:
         assert "sneaky_extra" in ks210[0].message
         assert "SCHEMA_VERSION" in ks210[0].message
 
+    @staticmethod
+    def _edit_channel_entry(tree_copy, old, new):
+        streams = tree_copy / "spe" / "streams.py"
+        source = streams.read_text()
+        assert source.count(old) == 1
+        streams.write_text(source.replace(old, new))
+
+    def test_renamed_snapshot_key_fires_ks210(self, tree_copy):
+        """A renamed key keeps the attribute set, but old snapshots hold
+        the value under the old key: KS210 must fire."""
+        self._edit_channel_entry(
+            tree_copy,
+            '("pushed", "events_pushed", FLOAT),',
+            '("pushed_total", "events_pushed", FLOAT),',
+        )
+        report = check_paths([tree_copy])
+        ks210 = [d for d in report.diagnostics if d.code == "KS210"]
+        assert ks210, report.render_text()
+        assert "pushed_total=events_pushed:FLOAT" in ks210[0].message
+        assert "pushed=events_pushed:FLOAT" in ks210[0].message
+
+    def test_changed_codec_fires_ks210(self, tree_copy):
+        """A swapped codec decodes old snapshots differently: KS210 must
+        fire."""
+        self._edit_channel_entry(
+            tree_copy,
+            '("pushed", "events_pushed", FLOAT),',
+            '("pushed", "events_pushed", RAW),',
+        )
+        report = check_paths([tree_copy])
+        ks210 = [d for d in report.diagnostics if d.code == "KS210"]
+        assert ks210, report.render_text()
+        assert "pushed=events_pushed:RAW" in ks210[0].message
+
     def test_ks210_refuses_update_fingerprint(self, tree_copy):
         """--update-fingerprint must never bless a drifted contract."""
         self._widen_channel_contract(tree_copy)
@@ -179,9 +214,9 @@ class TestMutationTeeth:
     def test_version_bump_plus_refresh_clears_ks210(self, tree_copy):
         checkpoint = self._widen_channel_contract(tree_copy)
         source = checkpoint.read_text()
-        assert source.count("SCHEMA_VERSION = 4") == 1
+        assert source.count("SCHEMA_VERSION = 5") == 1
         checkpoint.write_text(
-            source.replace("SCHEMA_VERSION = 4", "SCHEMA_VERSION = 5")
+            source.replace("SCHEMA_VERSION = 5", "SCHEMA_VERSION = 6")
         )
         # stale fingerprint now reports KS211 (regenerable), not KS210
         report = check_paths([tree_copy])
@@ -192,8 +227,8 @@ class TestMutationTeeth:
         report = check_paths([tree_copy])
         assert report.diagnostics == [], report.render_text()
         payload = json.loads((tree_copy / FINGERPRINT_REL).read_text())
-        assert payload["schema_version"] == 5
-        assert "sneaky_extra" in payload["contract"]["Channel"]
+        assert payload["schema_version"] == 6
+        assert "sneaky_extra=sneaky_extra:FLOAT" in payload["contract"]["Channel"]
 
 
 # -- KS201: every mutable attribute is declared (synthetic) ------------------
@@ -290,8 +325,8 @@ class TestCoverageRules:
         assert report.diagnostics == [], report.render_text()
         payload = json.loads((root / FINGERPRINT_REL).read_text())
         assert payload["contract"] == {
-            "Channel": ["pending", "pushed"],
-            "CountingChannel": ["drops"],
+            "Channel": ["pending=pending:ITEMS", "pushed=pushed:FLOAT"],
+            "CountingChannel": ["drops=drops:INT"],
         }
 
 class TestSchedulerRules:
@@ -754,7 +789,7 @@ class TestFingerprintFlow:
         )
         report = check_paths([root])
         assert codes(report) == ["KS210"]
-        assert "Channel added ['dropped']" in messages(report)
+        assert "Channel added ['dropped=dropped:FLOAT']" in messages(report)
 
     def test_update_writes_a_stable_canonical_file(self, tmp_path):
         root = make_pkg(tmp_path, files={"spe/streams.py": CLEAN_CHANNEL})
@@ -763,7 +798,9 @@ class TestFingerprintFlow:
         first = path.read_text()
         payload = json.loads(first)
         assert payload["schema_version"] == 1
-        assert payload["contract"] == {"Channel": ["pending", "pushed"]}
+        assert payload["contract"] == {
+            "Channel": ["pending=pending:ITEMS", "pushed=pushed:FLOAT"]
+        }
         # regeneration is idempotent (sorted keys, fixed layout)
         check_paths([root], update_fingerprint=True)
         assert path.read_text() == first

@@ -178,13 +178,13 @@ class TestTelemetryConfig:
 
 
 def run_sampled(*, seed=1, duration=6_000.0, n_queries=2, config=None,
-                rules=(), delay_ms=0.0):
+                delay_ms=0.0):
     queries = [
         make_simple_query(f"q{i}", rate_eps=500.0, seed=seed + i,
                           delay_ms=delay_ms)
         for i in range(n_queries)
     ]
-    sampler = TelemetrySampler(config or TelemetryConfig(), rules=rules)
+    sampler = TelemetrySampler(config or TelemetryConfig())
     engine = Engine(queries, KlinkScheduler(), cores=4, cycle_ms=100.0,
                     seed=seed, telemetry=sampler)
     metrics = engine.run(duration)
@@ -247,10 +247,10 @@ class TestSamplerOnEngine:
                         KlinkScheduler(), cores=4, cycle_ms=100.0, seed=1,
                         telemetry=sampler)
         metrics = engine.run(6_000.0)
-        published = (json.dumps(metrics.summary(), sort_keys=True), sampler.alert_rows())
+        published = (json.dumps(metrics.summary(), sort_keys=True), sampler.series_rows())
         # a second call with no cycle in between publishes the same numbers
         sampler.finalize(engine)
-        assert (json.dumps(metrics.summary(), sort_keys=True), sampler.alert_rows()) == published
+        assert (json.dumps(metrics.summary(), sort_keys=True), sampler.series_rows()) == published
 
     def test_series_rows_validate_against_schema(self):
         sampler, _ = run_sampled()
@@ -331,21 +331,39 @@ class TestSamplerAcrossRollback:
 
 
 class TestTraceV2RoundTrip:
-    def test_series_and_alerts_round_trip(self, tmp_path):
+    def test_series_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         writer = TraceWriter(str(path), meta={"workload": "ysb"})
         writer.finalize(
             series=[{"name": "q", "labels": {}, "kind": "gauge",
                      "period_ms": 200.0, "points": [[200.0, 1.0]],
                      "dropped": 0}],
-            alerts=[{"rule": "r", "series": "q", "kind": "threshold",
-                     "start": 200.0, "end": 400.0, "value": 2.0}],
             summary={"cycles": 1},
         )
         trace = read_trace(str(path))
-        assert trace.schema_version == 3
+        assert trace.schema_version == 4
         assert trace.series[0]["name"] == "q"
-        assert trace.alerts[0]["rule"] == "r"
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_alert_lines_of_older_traces_are_skipped(self, tmp_path, version):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            f'{{"type":"meta","schema_version":{version},"workload":"ysb"}}\n'
+            '{"type":"alert","rule":"r","series":"q","start":200.0}\n'
+            '{"type":"summary","alerts_fired":1.0}\n'
+        )
+        trace = read_trace(str(path))
+        assert trace.summary == {"alerts_fired": 1.0}
+        assert not hasattr(trace, "alerts")
+
+    def test_alert_lines_are_unknown_from_v4(self, tmp_path):
+        path = tmp_path / "v4.jsonl"
+        path.write_text(
+            '{"type":"meta","schema_version":4,"workload":"ysb"}\n'
+            '{"type":"alert","rule":"r","series":"q","start":200.0}\n'
+        )
+        with pytest.raises(ValueError, match=r"v4.jsonl:2: unknown record type 'alert'"):
+            read_trace(str(path))
 
     def test_v1_trace_still_loads(self, tmp_path):
         path = tmp_path / "v1.jsonl"
@@ -356,5 +374,5 @@ class TestTraceV2RoundTrip:
         )
         trace = read_trace(str(path))
         assert trace.schema_version == 1
-        assert trace.series == [] and trace.alerts == []
+        assert trace.series == []
         assert len(trace.cycles) == 1
