@@ -26,54 +26,111 @@ Quickstart::
     print(metrics.summary())
 """
 
-from repro.core import (
-    ALL_BASELINES,
-    ClassBasedScheduler,
-    DefaultScheduler,
-    FCFSScheduler,
-    HighestRateScheduler,
-    KlinkScheduler,
-    LinearRegressionEstimator,
-    RoundRobinScheduler,
-    Scheduler,
-    StreamBoxScheduler,
-    SwmIngestionEstimator,
-)
-from repro.faults import (
-    FaultPlan,
-    InvariantMonitor,
-    InvariantViolation,
-    MemoryPressureSpike,
-    NodeFailure,
-    OperatorSlowdown,
-    SourceStall,
-    WatermarkDrop,
-    WatermarkStraggler,
-)
-from repro.net import ConstantDelay, DelayModel, ExponentialDelay, UniformDelay, ZipfDelay
-from repro.spe import (
-    CountWindowedAggregate,
-    Engine,
-    FusedOperator,
-    ReorderBuffer,
-    EventBatch,
-    FilterOperator,
-    LatencyMarker,
-    MapOperator,
-    MemoryConfig,
-    Query,
-    RunMetrics,
-    SinkOperator,
-    SlidingEventTimeWindows,
-    SourceBinding,
-    SourceSpec,
-    TumblingEventTimeWindows,
-    Watermark,
-    WindowedAggregate,
-    WindowedJoin,
-    chain,
-)
-from repro.workloads import WorkloadParams, build_queries, workload_names
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        ALL_BASELINES,
+        ClassBasedScheduler,
+        DefaultScheduler,
+        FCFSScheduler,
+        HighestRateScheduler,
+        KlinkScheduler,
+        LinearRegressionEstimator,
+        RoundRobinScheduler,
+        Scheduler,
+        StreamBoxScheduler,
+        SwmIngestionEstimator,
+    )
+    from repro.faults import (
+        FaultPlan,
+        InvariantMonitor,
+        InvariantViolation,
+        MemoryPressureSpike,
+        NodeFailure,
+        OperatorSlowdown,
+        SourceStall,
+        WatermarkDrop,
+        WatermarkStraggler,
+    )
+    from repro.net import ConstantDelay, DelayModel, ExponentialDelay, UniformDelay, ZipfDelay
+    from repro.spe import (
+        CountWindowedAggregate,
+        Engine,
+        FusedOperator,
+        ReorderBuffer,
+        EventBatch,
+        FilterOperator,
+        LatencyMarker,
+        MapOperator,
+        MemoryConfig,
+        Query,
+        RunMetrics,
+        SinkOperator,
+        SlidingEventTimeWindows,
+        SourceBinding,
+        SourceSpec,
+        TumblingEventTimeWindows,
+        Watermark,
+        WindowedAggregate,
+        WindowedJoin,
+        chain,
+    )
+    from repro.workloads import WorkloadParams, build_queries, workload_names
+
+#: public name -> the layer that defines it, imported on first use
+_EXPORTS = {
+    "KlinkScheduler": "repro.core",
+    "DefaultScheduler": "repro.core",
+    "FCFSScheduler": "repro.core",
+    "RoundRobinScheduler": "repro.core",
+    "HighestRateScheduler": "repro.core",
+    "StreamBoxScheduler": "repro.core",
+    "Scheduler": "repro.core",
+    "ClassBasedScheduler": "repro.core",
+    "ALL_BASELINES": "repro.core",
+    "SwmIngestionEstimator": "repro.core",
+    "LinearRegressionEstimator": "repro.core",
+    "Engine": "repro.spe",
+    "Query": "repro.spe",
+    "SourceSpec": "repro.spe",
+    "SourceBinding": "repro.spe",
+    "chain": "repro.spe",
+    "MapOperator": "repro.spe",
+    "FilterOperator": "repro.spe",
+    "WindowedAggregate": "repro.spe",
+    "WindowedJoin": "repro.spe",
+    "CountWindowedAggregate": "repro.spe",
+    "SinkOperator": "repro.spe",
+    "ReorderBuffer": "repro.spe",
+    "FusedOperator": "repro.spe",
+    "TumblingEventTimeWindows": "repro.spe",
+    "SlidingEventTimeWindows": "repro.spe",
+    "EventBatch": "repro.spe",
+    "Watermark": "repro.spe",
+    "LatencyMarker": "repro.spe",
+    "MemoryConfig": "repro.spe",
+    "RunMetrics": "repro.spe",
+    "FaultPlan": "repro.faults",
+    "SourceStall": "repro.faults",
+    "WatermarkStraggler": "repro.faults",
+    "WatermarkDrop": "repro.faults",
+    "OperatorSlowdown": "repro.faults",
+    "MemoryPressureSpike": "repro.faults",
+    "NodeFailure": "repro.faults",
+    "InvariantMonitor": "repro.faults",
+    "InvariantViolation": "repro.faults",
+    "DelayModel": "repro.net",
+    "UniformDelay": "repro.net",
+    "ZipfDelay": "repro.net",
+    "ConstantDelay": "repro.net",
+    "ExponentialDelay": "repro.net",
+    "build_queries": "repro.workloads",
+    "WorkloadParams": "repro.workloads",
+    "workload_names": "repro.workloads",
+}
 
 __version__ = "1.0.0"
 
@@ -133,3 +190,5 @@ __all__ = [
     "WorkloadParams",
     "workload_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

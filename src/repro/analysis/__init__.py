@@ -24,42 +24,29 @@ the package eagerly imports the submodule being executed).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from repro._lazy import lazy_exports
 
-#: public name -> (submodule, attribute)
-_EXPORTS: Dict[str, Tuple[str, str]] = {
-    "Diagnostic": ("repro.analysis.report", "Diagnostic"),
-    "Report": ("repro.analysis.report", "Report"),
-    "RULES": ("repro.analysis.lint", "RULES"),
-    "lint_file": ("repro.analysis.lint", "lint_file"),
-    "lint_paths": ("repro.analysis.lint", "lint_paths"),
-    "lint_source": ("repro.analysis.lint", "lint_source"),
-    "PLAN_RULES": ("repro.analysis.plan_check", "PLAN_RULES"),
-    "PlanValidationError": ("repro.analysis.plan_check", "PlanValidationError"),
-    "check_query": ("repro.analysis.plan_check", "check_query"),
-    "check_structure": ("repro.analysis.plan_check", "check_structure"),
-    "validate_queries": ("repro.analysis.plan_check", "validate_queries"),
-    "STATE_RULES": ("repro.analysis.statecheck", "STATE_RULES"),
-    "check_paths": ("repro.analysis.statecheck", "check_paths"),
-    "run_statecheck": ("repro.analysis.statecheck", "run_statecheck"),
-    "Pragmas": ("repro.analysis.pragmas", "Pragmas"),
-    "parse_pragmas": ("repro.analysis.pragmas", "parse_pragmas"),
+#: public name -> the module that defines it, imported on first use
+_EXPORTS = {
+    "Diagnostic": "repro.analysis.report",
+    "Report": "repro.analysis.report",
+    "RULES": "repro.analysis.lint",
+    "lint_file": "repro.analysis.lint",
+    "lint_paths": "repro.analysis.lint",
+    "lint_source": "repro.analysis.lint",
+    "PLAN_RULES": "repro.analysis.plan_check",
+    "PlanValidationError": "repro.analysis.plan_check",
+    "check_query": "repro.analysis.plan_check",
+    "check_structure": "repro.analysis.plan_check",
+    "validate_queries": "repro.analysis.plan_check",
+    "STATE_RULES": "repro.analysis.statecheck",
+    "check_paths": "repro.analysis.statecheck",
+    "run_statecheck": "repro.analysis.statecheck",
+    "Pragmas": "repro.analysis.pragmas",
+    "parse_pragmas": "repro.analysis.pragmas",
 }
 
 __all__ = sorted(_EXPORTS)
 
 
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,20 +16,11 @@ differ; the comparisons between policies are the reproduced object.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.bench.cache import (
-    CacheStats,
-    ResultCache,
-    cacheable,
-    config_key,
-    resolve_cache_dir,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.baselines import (
     DefaultScheduler,
@@ -40,27 +31,24 @@ from repro.core.baselines import (
 )
 from repro.core.klink import KlinkScheduler
 from repro.core.scheduler import Scheduler
-from repro.faults import FaultPlan, InvariantMonitor
-from repro.obs import (
-    AuditLog,
-    ChainProfile,
-    LineageTracker,
-    OperatorProfiler,
-    TelemetryConfig,
-    TelemetrySampler,
-    Trace,
-    TraceWriter,
-)
-from repro.resilience import (
-    CheckpointCoordinator,
-    RecoveryConfig,
-    RecoveryManager,
-)
 from repro.spe.engine import Engine
 from repro.spe.memory import GIB, MemoryConfig
 from repro.spe.metrics import RunMetrics
 from repro.spe.streams import DEFAULT_BATCH_SIZE
 from repro.workloads import WorkloadParams, build_queries
+
+# Faults, observers, resilience and the result cache load only in the
+# functions that use them, so a plain run never compiles those layers.
+if TYPE_CHECKING:
+    from repro.bench.cache import ResultCache
+    from repro.faults import InvariantMonitor
+    from repro.obs import (
+        AuditLog,
+        ChainProfile,
+        LineageTracker,
+        TelemetrySampler,
+        Trace,
+    )
 
 #: simulated experiment length (the paper runs 20 real minutes)
 DEFAULT_DURATION_MS = 120_000.0
@@ -224,6 +212,8 @@ def trace_from_result(result: ExperimentResult) -> Trace:
     and chain sections are filled when ``profile=True`` was also set,
     the series section when ``telemetry=True``.
     """
+    from repro.obs import Trace
+
     if result.audit is None:
         raise ValueError(
             "experiment ran without an audit log; re-run with audit=True"
@@ -255,23 +245,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scheduler = make_scheduler(config.scheduler, **overrides)
     faults = None
     if config.fault_seed is not None:
+        from repro.faults import FaultPlan
+
         faults = FaultPlan.random(
             config.fault_seed,
             config.duration_ms,
             query_ids=[q.query_id for q in queries],
         )
-    monitor = InvariantMonitor() if config.check_invariants else None
+    monitor = None
+    if config.check_invariants:
+        from repro.faults import InvariantMonitor
+
+        monitor = InvariantMonitor()
     writer = None
     if config.trace_path is not None:
+        from repro.obs import TraceWriter
+
         writer = TraceWriter(config.trace_path, meta=trace_meta(config))
     audit = None
     if config.audit or writer is not None:
+        from repro.obs import AuditLog
+
         audit = AuditLog(max_rows=config.audit_max_rows, stream=writer)
     profiler = None
     if config.profile or writer is not None:
+        from repro.obs import OperatorProfiler
+
         profiler = OperatorProfiler()
     sampler = None
     if config.telemetry or writer is not None:
+        from repro.obs import TelemetryConfig, TelemetrySampler
+
         # Traced runs always sample: the trace's v2 ``series`` section is
         # what `repro-bench compare` and the CI telemetry gate consume.
         sampler = TelemetrySampler(
@@ -282,6 +286,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
     lineage = None
     if config.lineage_sample_rate > 0.0:
+        from repro.obs import LineageTracker
+
         lineage = LineageTracker(config.lineage_sample_rate, seed=config.seed)
         if isinstance(scheduler, KlinkScheduler):
             # Pure observer of the estimates Klink computes anyway; the
@@ -289,12 +295,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             scheduler.forecast_audit = lineage.forecast
     checkpoints = None
     recovery = None
-    if config.checkpoint_period_ms is not None:
-        checkpoints = CheckpointCoordinator(config.checkpoint_period_ms)
-    if config.recover is not None:
-        if config.recover != "none" and checkpoints is None:
-            checkpoints = CheckpointCoordinator(DEFAULT_CHECKPOINT_PERIOD_MS)
-        recovery = RecoveryManager(RecoveryConfig(config.recover), checkpoints)
+    if config.checkpoint_period_ms is not None or config.recover is not None:
+        from repro.resilience import CheckpointCoordinator, RecoveryConfig, RecoveryManager
+
+        if config.checkpoint_period_ms is not None:
+            checkpoints = CheckpointCoordinator(config.checkpoint_period_ms)
+        if config.recover is not None:
+            if config.recover != "none" and checkpoints is None:
+                checkpoints = CheckpointCoordinator(DEFAULT_CHECKPOINT_PERIOD_MS)
+            recovery = RecoveryManager(RecoveryConfig(config.recover), checkpoints)
     engine = Engine(
         queries,
         scheduler,
@@ -374,6 +383,8 @@ def configure_cache(
     (``.bench_cache/``, or ``$REPRO_BENCH_CACHE``); ``enabled=False``
     disables persistent caching. Returns the active cache (or None).
     """
+    from repro.bench.cache import ResultCache, resolve_cache_dir
+
     global _DEFAULT_CACHE
     if not enabled:
         _DEFAULT_CACHE = None
@@ -405,6 +416,8 @@ def clear_cache(persistent: bool = False) -> None:
     _MEMORY_HITS = 0
     _SIMULATIONS = 0
     if persistent and _DEFAULT_CACHE is not None:
+        from repro.bench.cache import CacheStats
+
         _DEFAULT_CACHE.clear()
         _DEFAULT_CACHE.stats = CacheStats()
 
@@ -453,6 +466,8 @@ def run_cached(
     and the persistent cache (when configured) shares them across
     processes. Traced configs always run (see ``cache.cacheable``).
     """
+    from repro.bench.cache import cacheable, config_key
+
     persistent = _resolve_cache(cache)
     fingerprint = persistent.fingerprint if persistent is not None else None
     key = config_key(config, fingerprint)
@@ -511,6 +526,8 @@ def run_many(
     used so workers start from a clean interpreter on every platform —
     no inherited caches, RNG state, or open trace files.
     """
+    from repro.bench.cache import cacheable, config_key
+
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1: {jobs}")
     global _SIMULATIONS
@@ -544,6 +561,7 @@ def run_many(
         if jobs == 1 or len(pending_configs) == 1:
             fresh = [run_experiment(cfg) for cfg in pending_configs]
         else:
+            import multiprocessing
             import sys
 
             ctx = multiprocessing.get_context("spawn")

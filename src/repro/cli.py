@@ -28,7 +28,6 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.bench.estimation import estimator_accuracy
 from repro.bench.runner import (
     ExperimentConfig,
     SCHEDULER_NAMES,
@@ -39,8 +38,6 @@ from repro.bench.runner import (
     sweep,
     trace_from_result,
 )
-from repro.core.estimator import SwmIngestionEstimator
-from repro.core.lr import LinearRegressionEstimator
 from repro.spe.streams import DEFAULT_BATCH_SIZE
 from repro.workloads import (
     WorkloadParams,
@@ -456,6 +453,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.bench.estimation import estimator_accuracy
+    from repro.core.estimator import SwmIngestionEstimator
+    from repro.core.lr import LinearRegressionEstimator
+
     if args.estimator == "lr":
         estimator = LinearRegressionEstimator()
         label = "LR (gradient descent)"

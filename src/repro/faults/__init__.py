@@ -8,21 +8,41 @@
   CPU-budget invariants over a running engine.
 """
 
-from repro.faults.invariants import (
-    InvariantError,
-    InvariantMonitor,
-    InvariantViolation,
-)
-from repro.faults.plan import (
-    Fault,
-    FaultPlan,
-    MemoryPressureSpike,
-    NodeFailure,
-    OperatorSlowdown,
-    SourceStall,
-    WatermarkDrop,
-    WatermarkStraggler,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.invariants import (
+        InvariantError,
+        InvariantMonitor,
+        InvariantViolation,
+    )
+    from repro.faults.plan import (
+        Fault,
+        FaultPlan,
+        MemoryPressureSpike,
+        NodeFailure,
+        OperatorSlowdown,
+        SourceStall,
+        WatermarkDrop,
+        WatermarkStraggler,
+    )
+
+#: public name -> the module that defines it, imported on first use
+_EXPORTS = {
+    "Fault": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "SourceStall": "repro.faults.plan",
+    "WatermarkStraggler": "repro.faults.plan",
+    "WatermarkDrop": "repro.faults.plan",
+    "OperatorSlowdown": "repro.faults.plan",
+    "MemoryPressureSpike": "repro.faults.plan",
+    "NodeFailure": "repro.faults.plan",
+    "InvariantMonitor": "repro.faults.invariants",
+    "InvariantViolation": "repro.faults.invariants",
+    "InvariantError": "repro.faults.invariants",
+}
 
 __all__ = [
     "Fault",
@@ -37,3 +57,5 @@ __all__ = [
     "InvariantViolation",
     "InvariantError",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

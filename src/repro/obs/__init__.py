@@ -35,73 +35,135 @@ Usage::
         print(profile.name, profile.cpu_ms)
 """
 
-from repro.obs.audit import (
-    AuditLog,
-    DecisionExplainer,
-    DecisionRecord,
-    KNOWN_REASONS,
-    QueryDecision,
-    explain_with_fallback,
-)
-from repro.obs.export import (
-    JsonlWriter,
-    SCHEMA_VERSION,
-    Trace,
-    TraceWriter,
-    dumps_line,
-    jsonify,
-    read_trace,
-)
-from repro.obs.profile import ChainProfile, OperatorProfile, OperatorProfiler
-from repro.obs.report import (
-    Episode,
-    RunReport,
-    build_report,
-    render_text,
-    render_waterfall,
-)
-from repro.obs.schema import (
-    REPORT_SCHEMA,
-    SchemaError,
-    validate_cycle,
-    validate_lineage,
-    validate_lineage_summary,
-    validate_operator,
-    validate_report,
-    validate_series,
-    validate_swm_forecast,
-)
-from repro.obs.compare import (
-    CompareThresholds,
-    ComparisonResult,
-    check_snapshot,
-    compare_snapshots,
-    load_snapshot,
-    render_comparison,
-    snapshot_from_trace,
-    write_snapshot,
-)
-from repro.obs.flame import (
-    chrome_trace_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.lineage import (
-    LineageTracker,
-    RECORD_STATUSES,
-    SPAN_KINDS,
-    SwmForecastAudit,
-    waterfall,
-)
-from repro.obs.timeseries import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-    TelemetryConfig,
-    TelemetrySampler,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.audit import (
+        AuditLog,
+        DecisionExplainer,
+        DecisionRecord,
+        KNOWN_REASONS,
+        QueryDecision,
+        explain_with_fallback,
+    )
+    from repro.obs.export import (
+        JsonlWriter,
+        SCHEMA_VERSION,
+        Trace,
+        TraceWriter,
+        dumps_line,
+        jsonify,
+        read_trace,
+    )
+    from repro.obs.profile import ChainProfile, OperatorProfile, OperatorProfiler
+    from repro.obs.report import (
+        Episode,
+        RunReport,
+        build_report,
+        render_text,
+        render_waterfall,
+    )
+    from repro.obs.schema import (
+        REPORT_SCHEMA,
+        SchemaError,
+        validate_cycle,
+        validate_lineage,
+        validate_lineage_summary,
+        validate_operator,
+        validate_report,
+        validate_series,
+        validate_swm_forecast,
+    )
+    from repro.obs.compare import (
+        CompareThresholds,
+        ComparisonResult,
+        check_snapshot,
+        compare_snapshots,
+        load_snapshot,
+        render_comparison,
+        snapshot_from_trace,
+        write_snapshot,
+    )
+    from repro.obs.flame import (
+        chrome_trace_events,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+    from repro.obs.lineage import (
+        LineageTracker,
+        RECORD_STATUSES,
+        SPAN_KINDS,
+        SwmForecastAudit,
+        waterfall,
+    )
+    from repro.obs.timeseries import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        Series,
+        TelemetryConfig,
+        TelemetrySampler,
+    )
+
+#: public name -> the module that defines it, imported on first use
+_EXPORTS = {
+    "AuditLog": "repro.obs.audit",
+    "DecisionExplainer": "repro.obs.audit",
+    "DecisionRecord": "repro.obs.audit",
+    "QueryDecision": "repro.obs.audit",
+    "KNOWN_REASONS": "repro.obs.audit",
+    "explain_with_fallback": "repro.obs.audit",
+    "OperatorProfile": "repro.obs.profile",
+    "ChainProfile": "repro.obs.profile",
+    "OperatorProfiler": "repro.obs.profile",
+    "JsonlWriter": "repro.obs.export",
+    "TraceWriter": "repro.obs.export",
+    "Trace": "repro.obs.export",
+    "read_trace": "repro.obs.export",
+    "dumps_line": "repro.obs.export",
+    "jsonify": "repro.obs.export",
+    "SCHEMA_VERSION": "repro.obs.export",
+    "RunReport": "repro.obs.report",
+    "Episode": "repro.obs.report",
+    "build_report": "repro.obs.report",
+    "render_text": "repro.obs.report",
+    "render_waterfall": "repro.obs.report",
+    "SchemaError": "repro.obs.schema",
+    "REPORT_SCHEMA": "repro.obs.schema",
+    "validate_report": "repro.obs.schema",
+    "validate_cycle": "repro.obs.schema",
+    "validate_operator": "repro.obs.schema",
+    "validate_series": "repro.obs.schema",
+    "validate_lineage": "repro.obs.schema",
+    "validate_swm_forecast": "repro.obs.schema",
+    "validate_lineage_summary": "repro.obs.schema",
+    "LineageTracker": "repro.obs.lineage",
+    "SwmForecastAudit": "repro.obs.lineage",
+    "waterfall": "repro.obs.lineage",
+    "SPAN_KINDS": "repro.obs.lineage",
+    "RECORD_STATUSES": "repro.obs.lineage",
+    "Counter": "repro.obs.timeseries",
+    "Gauge": "repro.obs.timeseries",
+    "Histogram": "repro.obs.timeseries",
+    "Series": "repro.obs.timeseries",
+    "MetricsRegistry": "repro.obs.timeseries",
+    "TelemetryConfig": "repro.obs.timeseries",
+    "TelemetrySampler": "repro.obs.timeseries",
+    "chrome_trace_events": "repro.obs.flame",
+    "validate_chrome_trace": "repro.obs.flame",
+    "write_chrome_trace": "repro.obs.flame",
+    "CompareThresholds": "repro.obs.compare",
+    "ComparisonResult": "repro.obs.compare",
+    "check_snapshot": "repro.obs.compare",
+    "compare_snapshots": "repro.obs.compare",
+    "snapshot_from_trace": "repro.obs.compare",
+    "load_snapshot": "repro.obs.compare",
+    "write_snapshot": "repro.obs.compare",
+    "render_comparison": "repro.obs.compare",
+}
 
 __all__ = [
     "AuditLog",
@@ -158,3 +220,5 @@ __all__ = [
     "write_snapshot",
     "render_comparison",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

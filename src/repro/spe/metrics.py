@@ -34,33 +34,61 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import OperatorProfile
 
 
+def _sorted_or_none(values: Sequence[float]) -> Optional[np.ndarray]:
+    """A sorted float copy of ``values``; None when it holds a NaN."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    return None if math.isnan(ordered[-1]) else ordered
+
+
+def _linear(ordered: np.ndarray, pct: float) -> float:
+    """``np.percentile(ordered, pct)`` (method ``linear``) of a sorted,
+    non-empty, NaN-free array, with numpy's float operations in numpy's
+    order, so the result is the same double. Unlike ``np.percentile`` it
+    never calls ``np.unique``, which imports ``numpy.ma``."""
+    q = pct / 100
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n = len(ordered)
+    index = (n - 1) * q
+    lo = hi = -1  # at or past the last index numpy takes the last value
+    if index < n - 1:
+        lo = math.floor(index)
+        hi = lo + 1
+    gamma = index - lo
+    a = float(ordered[lo])
+    b = float(ordered[hi])
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
+
+
 def percentile(values: Sequence[float], pct: float) -> float:
-    """Percentile with linear interpolation; NaN for empty input.
+    """Percentile with linear interpolation (``np.percentile``'s default);
+    NaN for empty input or input holding a NaN.
 
     Accepts any array-like (list, tuple, numpy array, generator-backed
     sequence); emptiness is tested by length, not truthiness, because
     ``if not array`` is ambiguous for numpy arrays with more than one
     element.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    if len(values) == 0:
         return math.nan
-    return float(np.percentile(arr, pct))
+    ordered = _sorted_or_none(values)
+    return math.nan if ordered is None else _linear(ordered, pct)
 
 
 def cdf_points(values: Sequence[float], pcts: Iterable[float]) -> List[Tuple[float, float]]:
     """(percentile, latency) pairs for CDF figures (Figs. 6b, 7c, 7d).
 
-    All requested percentiles are computed in one vectorized
-    ``np.percentile`` call (which handles ordering internally), instead
-    of re-sorting and re-scanning the data once per point.
+    The data is sorted once for all requested percentiles, instead of
+    re-sorting and re-scanning it once per point.
     """
     pct_list = [float(p) for p in pcts]
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or not pct_list:
+    if len(values) == 0 or not pct_list:
         return [(p, math.nan) for p in pct_list]
-    qs = np.percentile(arr, pct_list)
-    return [(p, float(v)) for p, v in zip(pct_list, qs)]
+    ordered = _sorted_or_none(values)
+    return [(p, math.nan if ordered is None else _linear(ordered, p)) for p in pct_list]
 
 
 class ColumnLedger:

@@ -1,6 +1,10 @@
-"""Benchmark workload generators (YSB, LRB, NYT)."""
+"""Benchmark workload generators (YSB, LRB, NYT).
 
-from repro.workloads import lrb, nyt, ysb  # noqa: F401  (register builders)
+Each benchmark's module (``ysb``, ``lrb``, ``nyt``) is imported by the
+first :func:`build_queries` call that names it, or by attribute access.
+"""
+
+from repro._lazy import lazy_exports
 from repro.workloads.base import (
     WorkloadParams,
     build_queries,
@@ -19,3 +23,5 @@ __all__ = [
     "lrb",
     "nyt",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {})

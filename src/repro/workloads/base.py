@@ -9,6 +9,7 @@ deadlines) and per-query delay-model streams.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -58,6 +59,10 @@ QueryBuilder = Callable[..., Query]
 
 _REGISTRY: Dict[str, QueryBuilder] = {}
 
+#: the paper's benchmarks; ``repro.workloads.<name>`` registers its builder
+#: when :func:`build_queries` first asks for it
+_BUILTIN = ("lrb", "nyt", "ysb")
+
 
 def register_workload(name: str, builder: QueryBuilder) -> None:
     """Register a benchmark builder under ``name`` (ysb/lrb/nyt)."""
@@ -65,7 +70,13 @@ def register_workload(name: str, builder: QueryBuilder) -> None:
 
 
 def workload_names() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(set(_REGISTRY) | set(_BUILTIN))
+
+
+def _builder(name: str) -> Optional[QueryBuilder]:
+    if name not in _REGISTRY and name in _BUILTIN:
+        importlib.import_module(f"repro.workloads.{name}")
+    return _REGISTRY.get(name)
 
 
 def build_queries(
@@ -82,7 +93,7 @@ def build_queries(
     if n_queries < 1:
         raise ValueError(f"need at least one query: {n_queries}")
     params = params or WorkloadParams()
-    builder = _REGISTRY.get(workload.lower())
+    builder = _builder(workload.lower())
     if builder is None:
         raise ValueError(
             f"unknown workload {workload!r}; available: {workload_names()}"

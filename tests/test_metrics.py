@@ -1,9 +1,11 @@
 """Unit tests for metrics aggregation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.spe.metrics import (
     RunMetrics,
@@ -57,6 +59,52 @@ class TestPercentileHelpers:
         pts = cdf_points(values, [10, 50, 90])
         for pct, v in pts:
             assert v == pytest.approx(percentile(values, pct))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+#: arrays with many duplicates: a few distinct doubles (any sign, NaN and
+#: infinities included), each drawn many times
+_arrays = st.lists(st.floats(width=64), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+)
+_pcts = st.one_of(st.sampled_from([0, 100, 0.0, 100.0, 50, 90, 99]), st.floats(0.0, 100.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on inf - inf
+class TestPercentileMatchesNumpy:
+    """``percentile`` and ``cdf_points`` sort once and interpolate without
+    ``np.percentile`` (whose ``np.unique`` call imports ``numpy.ma``), and
+    must give the very double ``np.percentile`` gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=_arrays, pct=_pcts)
+    def test_percentile_is_bit_identical(self, values, pct):
+        expected = float(np.percentile(np.asarray(values, dtype=float), pct))
+        got = percentile(values, pct)
+        assert _bits(got) == _bits(expected) or (math.isnan(got) and math.isnan(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_arrays, pcts=st.lists(_pcts, min_size=1, max_size=5))
+    def test_cdf_points_are_bit_identical(self, values, pcts):
+        expected = np.percentile(np.asarray(values, dtype=float), [float(p) for p in pcts])
+        for (pct, got), want in zip(cdf_points(values, pcts), expected):
+            assert pct == float(pct)
+            assert _bits(got) == _bits(float(want)) or (math.isnan(got) and math.isnan(want))
+
+    def test_single_element_and_nan(self):
+        assert percentile([7.5], 0) == percentile([7.5], 100) == 7.5
+        assert math.isnan(percentile([1.0, math.nan, 3.0], 50))
+        assert math.isnan(cdf_points([math.nan], [50])[0][1])
+
+    @pytest.mark.parametrize("pct", [-1.0, 100.5, math.nan])
+    def test_out_of_range_percentile_raises_like_numpy(self, pct):
+        with pytest.raises(ValueError):
+            np.percentile([1.0, 2.0], pct)
+        with pytest.raises(ValueError):
+            percentile([1.0, 2.0], pct)
 
 
 class TestRunMetrics:
