@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import pkgutil
 from typing import Any, Callable, List, Mapping, MutableMapping, Tuple
 
 
@@ -40,6 +39,8 @@ def lazy_exports(
         return value
 
     def __dir__() -> List[str]:
+        import pkgutil
+
         submodules = {info.name for info in pkgutil.iter_modules(namespace["__path__"])}
         return sorted(set(namespace) | set(table) | submodules)
 

@@ -38,6 +38,7 @@ NOT_LOADED_BY_PLAIN_RUN = (
     "repro.core.classes",
     "repro.workloads.lrb",
     "repro.workloads.nyt",
+    "repro.distributed.cluster",
     "multiprocessing",
 )
 
@@ -50,6 +51,7 @@ LAZY_PACKAGES = (
     "repro.resilience",
     "repro.bench",
     "repro.workloads",
+    "repro.distributed",
     "repro.analysis",
 )
 
