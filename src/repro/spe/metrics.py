@@ -40,14 +40,17 @@ def _sorted_or_none(values: Sequence[float]) -> Optional[np.ndarray]:
     return None if math.isnan(ordered[-1]) else ordered
 
 
-def _linear(ordered: np.ndarray, pct: float) -> float:
+def _linear(ordered: Optional[np.ndarray], pct: float) -> float:
     """``np.percentile(ordered, pct)`` (method ``linear``) of a sorted,
-    non-empty, NaN-free array, with numpy's float operations in numpy's
-    order, so the result is the same double. Unlike ``np.percentile`` it
-    never calls ``np.unique``, which imports ``numpy.ma``."""
+    non-empty array (None: one holding a NaN), with numpy's float
+    operations in numpy's order, so the result is the same double.
+    Unlike ``np.percentile`` it never calls ``np.unique``, which imports
+    ``numpy.ma``."""
     q = pct / 100
     if not 0.0 <= q <= 1.0:
         raise ValueError("Percentiles must be in the range [0, 100]")
+    if ordered is None:
+        return math.nan
     n = len(ordered)
     index = (n - 1) * q
     lo = hi = -1  # at or past the last index numpy takes the last value
@@ -74,8 +77,7 @@ def percentile(values: Sequence[float], pct: float) -> float:
     """
     if len(values) == 0:
         return math.nan
-    ordered = _sorted_or_none(values)
-    return math.nan if ordered is None else _linear(ordered, pct)
+    return _linear(_sorted_or_none(values), pct)
 
 
 def cdf_points(values: Sequence[float], pcts: Iterable[float]) -> List[Tuple[float, float]]:
@@ -88,7 +90,7 @@ def cdf_points(values: Sequence[float], pcts: Iterable[float]) -> List[Tuple[flo
     if len(values) == 0 or not pct_list:
         return [(p, math.nan) for p in pct_list]
     ordered = _sorted_or_none(values)
-    return [(p, math.nan if ordered is None else _linear(ordered, p)) for p in pct_list]
+    return [(p, _linear(ordered, p)) for p in pct_list]
 
 
 class ColumnLedger:

@@ -99,12 +99,15 @@ class TestPercentileMatchesNumpy:
         assert math.isnan(percentile([1.0, math.nan, 3.0], 50))
         assert math.isnan(cdf_points([math.nan], [50])[0][1])
 
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, math.nan]])
     @pytest.mark.parametrize("pct", [-1.0, 100.5, math.nan])
-    def test_out_of_range_percentile_raises_like_numpy(self, pct):
+    def test_out_of_range_percentile_raises_like_numpy(self, values, pct):
         with pytest.raises(ValueError):
-            np.percentile([1.0, 2.0], pct)
+            np.percentile(values, pct)
         with pytest.raises(ValueError):
-            percentile([1.0, 2.0], pct)
+            percentile(values, pct)
+        with pytest.raises(ValueError):
+            cdf_points(values, [50, pct])
 
 
 class TestRunMetrics:
