@@ -40,13 +40,13 @@ def _watch_run(engine: Any, seen: List[str]) -> Any:
 
 def _experiment(seen: List[str], **fields: Any) -> Dict[str, Any]:
     real_engine = runner.Engine
-    runner.Engine = lambda *a, **k: _watch_run(real_engine(*a, **k), seen)  # type: ignore[misc]
+    runner.Engine = lambda *a, **k: _watch_run(real_engine(*a, **k), seen)
     try:
         result = runner.run_experiment(runner.ExperimentConfig(**fields))
     finally:
-        runner.Engine = real_engine  # type: ignore[misc]
-    summary = result.metrics.summary()
-    return {"recoveries": result.metrics.recoveries, "p99": summary["p99_latency_ms"]}
+        runner.Engine = real_engine
+    result.metrics.summary()  # what every run pays after Engine.run
+    return {"recoveries": result.metrics.recoveries}
 
 
 def _distributed(seen: List[str]) -> Dict[str, Any]:
@@ -56,8 +56,9 @@ def _distributed(seen: List[str]) -> Dict[str, Any]:
     queries = build_queries("ysb", 8, WorkloadParams(seed=11))
     plan = PhysicalPlan.split(queries, 2, segments=2)
     engine = _watch_run(DistributedEngine.with_klink(queries, plan, seed=11), seen)
-    summary = engine.run(20_000.0).summary()
-    return {"recoveries": 0, "p99": summary["p99_latency_ms"]}
+    metrics = engine.run(20_000.0)
+    metrics.summary()
+    return {"recoveries": metrics.recoveries}
 
 
 CASES = {
