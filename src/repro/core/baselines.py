@@ -18,14 +18,11 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import List, Optional
 
 from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
 from repro.spe.query import Query
 from repro.spe.state import INT
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.audit import QueryDecision
 
 
 def _rank_by_keys(queries: List[Query], keys: List[float]) -> List[Query]:
@@ -39,29 +36,6 @@ def _rank_by_keys(queries: List[Query], keys: List[float]) -> List[Query]:
     return [queries[i] for i in order]
 
 
-def _explain_scored(
-    plan: Plan, reason: str, score_of: Callable[[Query], Optional[float]]
-) -> "List[QueryDecision]":
-    """Audit-trail decisions for a policy ranked by one scalar key."""
-    from repro.obs.audit import QueryDecision
-
-    decisions = []
-    for rank, alloc in enumerate(plan.allocations):
-        query = alloc.query
-        score = score_of(query)
-        decisions.append(
-            QueryDecision(
-                query_id=query.query_id,
-                rank=rank,
-                reason=reason,
-                score=score if score is None or math.isfinite(score) else None,
-                memory_bytes=query.memory_bytes,
-                queued_events=query.queued_events,
-            )
-        )
-    return decisions
-
-
 class DefaultScheduler(Scheduler):
     """Flink default: processor-sharing, no prioritization."""
 
@@ -71,16 +45,12 @@ class DefaultScheduler(Scheduler):
         allocations = [Allocation(q) for q in ctx.queries]
         return Plan(allocations, mode="share")
 
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
-        return _explain_scored(plan, "processor-share", lambda q: None)
-
 
 class FCFSScheduler(Scheduler):
     """First-Come-First-Served over queued record arrival times."""
 
     name = "FCFS"
+    reason = "fcfs-oldest-arrival"
 
     def plan(self, ctx: SchedulerContext) -> Plan:
         queries = ctx.queries
@@ -91,19 +61,16 @@ class FCFSScheduler(Scheduler):
         ordered = _rank_by_keys(queries, arrivals)
         return Plan([Allocation(q) for q in ordered], mode="priority")
 
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
-        # score: engine time of the oldest queued record (the ranking key)
-        return _explain_scored(
-            plan, "fcfs-oldest-arrival", lambda q: q.oldest_queued_arrival()
-        )
+    def score(self, query: Query) -> Optional[float]:
+        # engine time of the oldest queued record (the ranking key)
+        return query.oldest_queued_arrival()
 
 
 class RoundRobinScheduler(Scheduler):
     """Fixed-quantum rotation over the deployed queries."""
 
     name = "RR"
+    reason = "rr-rotation"
     CHECKPOINT = (("cursor", "_cursor", INT),)
 
     def __init__(self) -> None:
@@ -117,11 +84,6 @@ class RoundRobinScheduler(Scheduler):
         rotation = queries[start:] + queries[:start]
         self._cursor = (start + ctx.cores) % len(queries)
         return Plan([Allocation(q) for q in rotation], mode="priority")
-
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
-        return _explain_scored(plan, "rr-rotation", lambda q: None)
 
     def reset(self) -> None:
         self._cursor = 0
@@ -137,6 +99,7 @@ class HighestRateScheduler(Scheduler):
     """
 
     name = "HR"
+    reason = "hr-productivity"
 
     @staticmethod
     def productivity(query: Query) -> float:
@@ -164,10 +127,8 @@ class HighestRateScheduler(Scheduler):
         ordered = _rank_by_keys(queries, keys)
         return Plan([Allocation(q) for q in ordered], mode="priority")
 
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
-        return _explain_scored(plan, "hr-productivity", self.productivity)
+    def score(self, query: Query) -> Optional[float]:
+        return self.productivity(query)
 
 
 class StreamBoxScheduler(Scheduler):
@@ -181,6 +142,7 @@ class StreamBoxScheduler(Scheduler):
     """
 
     name = "SBox"
+    reason = "sbox-deadline"
 
     def plan(self, ctx: SchedulerContext) -> Plan:
         queries = ctx.queries
@@ -191,13 +153,9 @@ class StreamBoxScheduler(Scheduler):
         ordered = _rank_by_keys(queries, deadlines)
         return Plan([Allocation(q) for q in ordered], mode="priority")
 
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
-        # score: the pending window deadline the ranking used
-        return _explain_scored(
-            plan, "sbox-deadline", lambda q: q.next_window_deadline()
-        )
+    def score(self, query: Query) -> Optional[float]:
+        # the pending window deadline the ranking used
+        return query.next_window_deadline()
 
 
 ALL_BASELINES = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.scheduler import Plan, Scheduler, SchedulerContext
+from repro.core.scheduler import Decisions, Plan, Scheduler, SchedulerContext
 from repro.spe.state import INT_MAP, STATE
 
 
@@ -68,21 +68,10 @@ class ClassBasedScheduler(Scheduler):
     def overhead_ms(self, ctx: SchedulerContext) -> float:
         return self.inner.overhead_ms(ctx)
 
-    def explain_plan(self, ctx: SchedulerContext, plan: Plan):
-        """Audit decisions come from the inner policy; only the class
-        re-sort changed the ranks, so re-rank the inner explanations in
-        this plan's allocation order."""
-        inner = {
-            d.query_id: d for d in self.inner.explain_plan(ctx, plan)
-        }
-        from dataclasses import replace
-
-        out = []
-        for rank, alloc in enumerate(plan.allocations):
-            decision = inner.get(alloc.query.query_id)
-            if decision is not None:
-                out.append(replace(decision, rank=rank))
-        return out
+    def explain_plan(self, ctx: SchedulerContext, plan: Plan) -> Decisions:
+        """The inner policy explains this plan: the class re-sort only
+        moved allocations, and ranks are positions in this plan."""
+        return self.inner.explain_plan(ctx, plan)
 
     def reset(self) -> None:
         self.inner.reset()

@@ -18,12 +18,11 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.audit import QueryDecision
     from repro.obs.lineage import SwmForecastAudit
 
 from repro.core.estimator import _MIN_STD_MS, SwmIngestionEstimator
 from repro.core.memory_policy import best_prefix
-from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
+from repro.core.scheduler import Allocation, Decisions, Plan, Scheduler, SchedulerContext
 from repro.core.slack import expected_slack_scalars, interval_steps_scalars
 from repro.spe.query import Query
 from repro.spe.state import BOOL, FLOAT, FLOAT_MAP, INT
@@ -303,9 +302,7 @@ class KlinkScheduler(Scheduler):
             return None, None
         return sum(means) / len(means), sum(stds) / len(stds)
 
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
+    def explain_plan(self, ctx: SchedulerContext, plan: Plan) -> Decisions:
         """Audit-trail explanation: why each query holds its rank.
 
         Reasons: ``memory-release`` / ``memory-mode-full`` while the
@@ -315,16 +312,18 @@ class KlinkScheduler(Scheduler):
         (infinite slack), and ``slack-order`` for the normal
         least-expected-slack ranking. Must follow :meth:`plan` in the
         same cycle: it reads the slacks and branches the plan recorded.
+        The finite slack is also the decision's score.
         """
-        from repro.obs.audit import QueryDecision
-
-        decisions: List[QueryDecision] = []
-        for rank, alloc in enumerate(plan.allocations):
+        ids: List[str] = []
+        reasons: List[str] = []
+        slacks: List[Optional[float]] = []
+        means: List[Optional[float]] = []
+        stds: List[Optional[float]] = []
+        memory: List[float] = []
+        queued: List[float] = []
+        for alloc in plan.allocations:
             query = alloc.query
             slack = self.last_slacks.get(query.query_id)
-            finite_slack = (
-                slack if slack is not None and math.isfinite(slack) else None
-            )
             if self._mm_active:
                 reason = (
                     "memory-release"
@@ -338,20 +337,14 @@ class KlinkScheduler(Scheduler):
             else:
                 reason = "slack-order"
             mean, std = self._delay_profile(query)
-            decisions.append(
-                QueryDecision(
-                    query_id=query.query_id,
-                    rank=rank,
-                    reason=reason,
-                    slack_ms=finite_slack,
-                    swm_delay_mean_ms=mean,
-                    swm_delay_std_ms=std,
-                    score=finite_slack,
-                    memory_bytes=query.memory_bytes,
-                    queued_events=query.queued_events,
-                )
-            )
-        return decisions
+            ids.append(query.query_id)
+            reasons.append(reason)
+            slacks.append(slack if slack is not None and math.isfinite(slack) else None)
+            means.append(mean)
+            stds.append(std)
+            memory.append(query.memory_bytes)
+            queued.append(query.queued_events)
+        return Decisions(ids, reasons, slacks, means, stds, slacks, memory, queued)
 
     def reset(self) -> None:
         self._mm_active = False

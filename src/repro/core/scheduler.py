@@ -29,11 +29,11 @@ exactly the operator sequence that releases the most memory (Sec. 3.4).
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.spe.engine
-    from repro.obs.audit import QueryDecision
     from repro.spe.operators import Operator
     from repro.spe.query import Query
 
@@ -82,6 +82,25 @@ class Plan:
         return [alloc.query.query_id for alloc in self.allocations]
 
 
+class Decisions(NamedTuple):
+    """A plan's explanation for the audit trail, one column per field.
+
+    Every column is in allocation order, so the decision at position
+    ``i`` has rank ``i``: ``ids`` and ``reasons`` name each query and
+    why it holds its rank, and the six value columns hold floats or
+    ``None`` (:class:`repro.obs.audit.QueryDecision` documents each).
+    """
+
+    ids: Sequence[str] = ()
+    reasons: Sequence[str] = ()
+    slack_ms: Sequence[Optional[float]] = ()
+    swm_delay_mean_ms: Sequence[Optional[float]] = ()
+    swm_delay_std_ms: Sequence[Optional[float]] = ()
+    score: Sequence[Optional[float]] = ()
+    memory_bytes: Sequence[float] = ()
+    queued_events: Sequence[float] = ()
+
+
 @dataclass
 class SchedulerContext:
     """The runtime information tuple I handed to the policy each cycle.
@@ -121,33 +140,38 @@ class Scheduler(abc.ABC):
         """CPU cost of running the policy itself this cycle."""
         return self.per_query_overhead_ms * len(ctx.queries)
 
-    # -- observability (repro.obs DecisionExplainer protocol) ----------------
+    # -- observability -------------------------------------------------------
 
-    def explain_plan(
-        self, ctx: SchedulerContext, plan: Plan
-    ) -> "List[QueryDecision]":
+    #: the audit trail's reason for every rank of a priority plan
+    reason: str = "priority-order"
+
+    def score(self, query: Query) -> Optional[float]:
+        """The scalar this policy ranked ``query`` on, for the audit
+        trail; ``None`` when it ranks on no single key."""
+        return None
+
+    def explain_plan(self, ctx: SchedulerContext, plan: Plan) -> Decisions:
         """Explain a plan for the scheduler-decision audit trail.
 
-        Called by :class:`repro.obs.audit.AuditLog` immediately after
-        :meth:`plan` within the same cycle, so per-cycle diagnostic state
-        is still consistent. The base implementation reports the plan's
-        allocation order with a generic reason; policies override it to
-        expose their actual ranking key (slack, arrival, productivity,
-        deadline, released memory).
+        The engine calls this right after :meth:`plan` in the same cycle,
+        before execution drains the queues the policy ranked on, so live
+        query state and per-cycle diagnostics still match the plan. The
+        base implementation gives every allocation :attr:`reason` (or
+        ``processor-share`` for a share plan) and its finite
+        :meth:`score`; Klink overrides it with its slacks and branches.
         """
-        from repro.obs.audit import QueryDecision
-
-        reason = "processor-share" if plan.mode == "share" else "priority-order"
-        return [
-            QueryDecision(
-                query_id=alloc.query.query_id,
-                rank=rank,
-                reason=reason,
-                memory_bytes=alloc.query.memory_bytes,
-                queued_events=alloc.query.queued_events,
-            )
-            for rank, alloc in enumerate(plan.allocations)
-        ]
+        queries = [alloc.query for alloc in plan.allocations]
+        n = len(queries)
+        return Decisions(
+            ids=[q.query_id for q in queries],
+            reasons=["processor-share" if plan.mode == "share" else self.reason] * n,
+            slack_ms=[None] * n,
+            swm_delay_mean_ms=[None] * n,
+            swm_delay_std_ms=[None] * n,
+            score=[s if s is None or math.isfinite(s) else None for s in map(self.score, queries)],
+            memory_bytes=[q.memory_bytes for q in queries],
+            queued_events=[q.queued_events for q in queries],
+        )
 
     def reset(self) -> None:
         """Clear any cross-cycle state (called between experiment runs)."""

@@ -3,8 +3,8 @@
 The subsystem that lets a run *prove* its claims:
 
 * :mod:`repro.obs.audit` — per-cycle scheduler-decision audit log with
-  machine-readable reasons, via the :class:`DecisionExplainer` protocol
-  every policy in :mod:`repro.core` implements;
+  machine-readable reasons, from the columns every policy's
+  ``Scheduler.explain_plan`` returns at plan time;
 * :mod:`repro.obs.profile` — per-operator and per-chain profiling
   (simulated CPU-ms, events in/out, queue/state high-water marks);
 * :mod:`repro.obs.export` — the bounded-memory streaming JSONL writer
@@ -42,11 +42,9 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.obs.audit import (
         AuditLog,
-        DecisionExplainer,
         DecisionRecord,
         KNOWN_REASONS,
         QueryDecision,
-        explain_with_fallback,
     )
     from repro.obs.export import (
         JsonlWriter,
@@ -111,11 +109,9 @@ if TYPE_CHECKING:
 #: public name -> the module that defines it, imported on first use
 _EXPORTS = {
     "AuditLog": "repro.obs.audit",
-    "DecisionExplainer": "repro.obs.audit",
     "DecisionRecord": "repro.obs.audit",
     "QueryDecision": "repro.obs.audit",
     "KNOWN_REASONS": "repro.obs.audit",
-    "explain_with_fallback": "repro.obs.audit",
     "OperatorProfile": "repro.obs.profile",
     "ChainProfile": "repro.obs.profile",
     "OperatorProfiler": "repro.obs.profile",
@@ -167,11 +163,9 @@ _EXPORTS = {
 
 __all__ = [
     "AuditLog",
-    "DecisionExplainer",
     "DecisionRecord",
     "QueryDecision",
     "KNOWN_REASONS",
-    "explain_with_fallback",
     "OperatorProfile",
     "ChainProfile",
     "OperatorProfiler",

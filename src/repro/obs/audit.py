@@ -9,14 +9,13 @@ overdue SWM, ...) and the runtime inputs the decision was based on: the
 slack estimate, the estimated SWM delay mean/std, memory bytes, and
 queued events.
 
-The engine calls :meth:`AuditLog.on_cycle` once per cycle (per node in
-the distributed engine); the log asks the active policy to *explain*
-its plan through the :class:`DecisionExplainer` protocol — every policy
-in :mod:`repro.core` implements ``explain_plan`` — and stores one
-:class:`DecisionRecord` with the decisions packed into columns. Memory
-is bounded: records live in a ``deque(maxlen=max_rows)``, and an
-optional ``stream`` (any object with a
-``write(dict)`` method, e.g. a :class:`~repro.obs.export.TraceWriter`)
+While a log is attached, the engine asks each node's policy to
+*explain* its plan right after planning: ``Scheduler.explain_plan``
+returns the decisions as columns (:class:`repro.core.scheduler.Decisions`).
+:meth:`AuditLog.on_cycle` stores one :class:`DecisionRecord` per node
+with those columns packed. Memory is bounded: records live in a
+``deque(maxlen=max_rows)``, and an optional ``stream`` (any object with
+a ``write(dict)`` method, e.g. a :class:`~repro.obs.export.TraceWriter`)
 receives every record as it is produced for unbounded-duration runs.
 """
 
@@ -25,21 +24,12 @@ from __future__ import annotations
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.export import JsonlWriter, dumps_line
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.scheduler import Decisions
 
 #: machine-readable decision reasons emitted by the shipped policies
 KNOWN_REASONS = (
@@ -49,7 +39,7 @@ KNOWN_REASONS = (
     "memory-release",     # Klink MM: prefix run releasing in-flight memory
     "memory-mode-full",   # Klink MM: no worthwhile prefix, full pipeline
     "processor-share",    # Default: fair share, no prioritization
-    "priority-order",     # generic priority plan (base fallback)
+    "priority-order",     # generic priority plan (base Scheduler)
     "fcfs-oldest-arrival",
     "rr-rotation",
     "hr-productivity",
@@ -59,12 +49,14 @@ KNOWN_REASONS = (
 
 @dataclass(frozen=True)
 class QueryDecision:
-    """One query's position in a cycle's plan, and why.
+    """One query's position in a cycle's plan, and why: the row that
+    :attr:`DecisionRecord.decisions` and :meth:`DecisionRecord.head`
+    rebuild from the record's columns.
 
     ``score`` carries the policy-specific ranking key (arrival time for
-    FCFS, productivity for HR, deadline for SBox, released bytes for
-    Klink's memory mode); ``slack_ms`` and the SWM delay moments are
-    filled by slack-driven policies.
+    FCFS, productivity for HR, deadline for SBox, the finite slack for
+    Klink); ``slack_ms`` and the SWM delay moments are filled by
+    slack-driven policies.
     """
 
     query_id: str
@@ -92,40 +84,23 @@ class QueryDecision:
         }
 
 
-@runtime_checkable
-class DecisionExplainer(Protocol):
-    """Protocol a policy implements to explain its plans.
-
-    ``explain_plan(ctx, plan)`` is called by the audit log immediately
-    after ``plan(ctx)`` within the same scheduling cycle, so any
-    per-cycle diagnostic state the policy keeps (e.g. Klink's
-    ``last_slacks``) is still consistent with the plan.
-    """
-
-    def explain_plan(self, ctx: Any, plan: Any) -> List[QueryDecision]:
-        ...
-
-
 #: QueryDecision's fields in declaration (and JSONL key) order
 _FIELDS = tuple(f.name for f in fields(QueryDecision))
-_field_values = attrgetter(*_FIELDS)
 
 
 class DecisionRecord:
     """One scheduling cycle's decision, with full per-query context.
 
-    The per-query decisions are stored packed, one column per field: query
-    ids and reasons as tuples in rank order (the rank is the position), the
-    float fields as ``array('d')`` columns with one bitmask marking their
-    ``None`` cells. A column holding any other non-float value (an ``int``
-    score, say) stays a tuple, and so do ranks that are not the positions,
-    so every record serializes exactly as its decisions did.
+    The per-query decisions are stored packed, one column per field:
+    query ids and reasons as tuples in rank order (the rank is the
+    position), the six value columns as ``array('d')`` with one bitmask
+    marking their ``None`` cells.
     """
 
     __slots__ = (
         "time", "cycle", "node", "policy", "mode", "backpressured",
         "throttled", "memory_utilization", "cpu_used_ms", "overhead_ms",
-        "_ids", "_ranks", "_reasons", "_floats", "_none",
+        "_ids", "_reasons", "_floats", "_none",
     )
 
     def __init__(
@@ -141,7 +116,7 @@ class DecisionRecord:
         memory_utilization: float,
         cpu_used_ms: float,
         overhead_ms: float,
-        decisions: Sequence[QueryDecision] = (),
+        decisions: Decisions,
     ) -> None:
         self.time = time
         self.cycle = cycle
@@ -153,25 +128,15 @@ class DecisionRecord:
         self.memory_utilization = memory_utilization
         self.cpu_used_ms = cpu_used_ms
         self.overhead_ms = overhead_ms
-        n = len(decisions)
-        ids, ranks, reasons, *columns = list(
-            zip(*map(_field_values, decisions))
-        ) or [()] * len(_FIELDS)
-        self._ids: Tuple[str, ...] = ids
-        self._reasons: Tuple[str, ...] = reasons
-        positional = ranks == tuple(range(n)) and set(map(type, ranks)) <= {int}
-        self._ranks: Optional[Tuple[Any, ...]] = None if positional else ranks
+        n = len(decisions.ids)
+        self._ids: Tuple[str, ...] = tuple(decisions.ids)
+        self._reasons: Tuple[str, ...] = tuple(decisions.reasons)
         floats: List[Sequence[Any]] = []
         none = 0
-        for c, values in enumerate(columns):
-            types = set(map(type, values))
-            if types <= {float}:
-                floats.append(array("d", values))
-            elif types <= {float, type(None)}:
+        for c, values in enumerate(decisions[2:]):
+            if None in values:
                 none |= sum(1 << (c * n + i) for i, v in enumerate(values) if v is None)
-                floats.append(array("d", [0.0 if v is None else v for v in values]))
-            else:
-                floats.append(values)
+            floats.append(array("d", [0.0 if v is None else v for v in values]))
         self._floats = tuple(floats)
         self._none = none
 
@@ -184,8 +149,7 @@ class DecisionRecord:
             if mask:
                 column = [None if mask >> i & 1 else v for i, v in enumerate(column)]
             columns.append(column)
-        ranks: Sequence[Any] = range(n) if self._ranks is None else self._ranks
-        return zip(self._ids, ranks, self._reasons, *columns)
+        return zip(self._ids, range(n), self._reasons, *columns)
 
     @property
     def decisions(self) -> Tuple[QueryDecision, ...]:
@@ -211,27 +175,6 @@ class DecisionRecord:
     def head(self) -> Optional[QueryDecision]:
         """The top-ranked decision (None for an empty plan)."""
         return next((QueryDecision(*row) for row in self._rows()), None)
-
-
-def explain_with_fallback(scheduler: Any, ctx: Any, plan: Any) -> List[QueryDecision]:
-    """Ask the policy to explain its plan; fall back to plan order.
-
-    Third-party policies that predate the protocol still get a usable
-    audit trail: rank from allocation order, reason from the plan mode.
-    """
-    if isinstance(scheduler, DecisionExplainer):
-        return scheduler.explain_plan(ctx, plan)
-    reason = "processor-share" if plan.mode == "share" else "priority-order"
-    return [
-        QueryDecision(
-            query_id=alloc.query.query_id,
-            rank=rank,
-            reason=reason,
-            memory_bytes=alloc.query.memory_bytes,
-            queued_events=alloc.query.queued_events,
-        )
-        for rank, alloc in enumerate(plan.allocations)
-    ]
 
 
 class AuditLog:

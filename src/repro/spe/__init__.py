@@ -1,5 +1,12 @@
-"""The stream processing engine substrate (discrete-event simulator)."""
+"""The stream processing engine substrate (discrete-event simulator).
 
+The engine and the operators load with the package; the reorder buffer
+and the watermark generators load on first use (``repro._lazy``).
+"""
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.spe.engine import CycleEvent, Engine, NodeCycle
 from repro.spe.events import EventBatch, LatencyMarker, Watermark
 from repro.spe.memory import GIB, MemoryConfig, MemoryModel
@@ -15,13 +22,6 @@ from repro.spe.operators import (
     WindowedAggregate,
     WindowedJoin,
 )
-from repro.spe.reorder import ReorderBuffer
-from repro.spe.watermarks import (
-    BoundedOutOfOrderness,
-    PunctuatedWatermarks,
-    WatermarkGeneratorOperator,
-    WatermarkStrategy,
-)
 from repro.spe.query import Query, SourceBinding, SourceSpec, StreamProgress, chain
 from repro.spe.simtime import VirtualClock, millis, seconds
 from repro.spe.streams import Channel
@@ -32,6 +32,24 @@ from repro.spe.windows import (
     TumblingEventTimeWindows,
     WindowAssigner,
 )
+
+if TYPE_CHECKING:
+    from repro.spe.reorder import ReorderBuffer
+    from repro.spe.watermarks import (
+        BoundedOutOfOrderness,
+        PunctuatedWatermarks,
+        WatermarkGeneratorOperator,
+        WatermarkStrategy,
+    )
+
+#: public name -> the module that defines it, imported on first use
+_EXPORTS = {
+    "ReorderBuffer": "repro.spe.reorder",
+    "WatermarkStrategy": "repro.spe.watermarks",
+    "BoundedOutOfOrderness": "repro.spe.watermarks",
+    "PunctuatedWatermarks": "repro.spe.watermarks",
+    "WatermarkGeneratorOperator": "repro.spe.watermarks",
+}
 
 __all__ = [
     "Engine",
@@ -78,3 +96,5 @@ __all__ = [
     "TumblingEventTimeWindows",
     "CountWindows",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

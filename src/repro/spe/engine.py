@@ -35,8 +35,7 @@ from typing import Any, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.scheduler import Allocation, Plan, Scheduler, SchedulerContext
-from repro.obs.audit import explain_with_fallback
+from repro.core.scheduler import Allocation, Decisions, Plan, Scheduler, SchedulerContext
 from repro.spe.events import EventBatch, LatencyMarker, Watermark
 from repro.spe.memory import MemoryConfig, MemoryModel
 from repro.spe.metrics import RunMetrics
@@ -58,7 +57,7 @@ class NodeCycle(NamedTuple):
     node: int
     scheduler: Scheduler
     plan: Plan
-    decisions: List[Any]
+    decisions: Decisions
     used: float
     overhead: float
 
@@ -847,7 +846,7 @@ class Engine:
         if down_nodes:
             # Sources keep generating; their output ages in the network
             # buffer and floods in at recovery.
-            idle = NodeCycle(0, self.scheduler, Plan([], mode="priority"), [], 0.0, 0.0)
+            idle = NodeCycle(0, self.scheduler, Plan([], mode="priority"), Decisions(), 0.0, 0.0)
             return self._collect(), (idle,)
         self._deliver_ingestions(now, backpressured)
         ctx = self._collect()
@@ -864,9 +863,7 @@ class Engine:
         # Explanations are captured at *plan* time: policies that rank
         # on live queue state (FCFS arrival, HR productivity) must be
         # read before execution drains the queues they ranked on.
-        decisions = (
-            explain_with_fallback(scheduler, ctx, plan) if self.audit is not None else []
-        )
+        decisions = scheduler.explain_plan(ctx, plan) if self.audit is not None else Decisions()
         overhead = plan.overhead_ms + scheduler.overhead_ms(ctx)
         # Memory pressure (heap churn, GC) taxes the cycle's useful CPU.
         tax = self.memory.pressure_tax(ctx.memory_utilization)

@@ -29,7 +29,9 @@ PROBE = Path(__file__).resolve().parent / "coldstart_probe.py"
 
 #: modules a plain YSB Klink run must not load
 NOT_LOADED_BY_PLAIN_RUN = (
-    *(f"repro.obs.{m}" for m in ("report", "compare", "flame", "lineage", "profile", "schema", "timeseries")),
+    "repro.obs",
+    "repro.spe.reorder",
+    "repro.spe.watermarks",
     "repro.resilience",
     "repro.faults.plan",
     "repro.bench.cache",
@@ -47,6 +49,7 @@ LAZY_PACKAGES = (
     "repro",
     "repro.obs",
     "repro.core",
+    "repro.spe",
     "repro.faults",
     "repro.resilience",
     "repro.bench",

@@ -299,10 +299,10 @@ class TestDistributedAuditReasons:
                 decisions = explain(ctx, node_plan)
                 if scheduler._mm_active:
                     return decisions
-                for decision, alloc in zip(decisions, node_plan.allocations):
+                for reason, alloc in zip(decisions.reasons, node_plan.allocations):
                     query = alloc.query
                     took = took_overdue_branch(scheduler, query, ctx)
-                    assert (decision.reason == "overdue-swm") == took
+                    assert (reason == "overdue-swm") == took
                     source = plan.source_node(query) == scheduler.node
                     globally = (
                         KlinkScheduler._pending_swm_slack(query, ctx.now)

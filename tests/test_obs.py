@@ -19,10 +19,9 @@ from repro.core.baselines import (
 )
 from repro.core.classes import ClassBasedScheduler
 from repro.core.klink import KlinkScheduler
-from repro.core.scheduler import Allocation, Plan, SchedulerContext
+from repro.core.scheduler import Allocation, Decisions, Plan, Scheduler, SchedulerContext
 from repro.obs import (
     AuditLog,
-    DecisionExplainer,
     KNOWN_REASONS,
     OperatorProfiler,
     QueryDecision,
@@ -30,7 +29,6 @@ from repro.obs import (
     TraceWriter,
     build_report,
     dumps_line,
-    explain_with_fallback,
     jsonify,
     read_trace,
     render_text,
@@ -89,8 +87,10 @@ class TestDecisionExplainers:
                 assert d.reason in KNOWN_REASONS
 
     @pytest.mark.parametrize("factory", ALL_POLICIES)
-    def test_policies_satisfy_protocol(self, factory):
-        assert isinstance(factory(), DecisionExplainer)
+    def test_policies_are_schedulers(self, factory):
+        """Every shipped policy explains through ``Scheduler.explain_plan``
+        (its own override or the base's reason-and-score columns)."""
+        assert isinstance(factory(), Scheduler)
 
     def test_klink_reports_slack_and_delay_moments(self):
         audit, _, _ = run_audited(KlinkScheduler())
@@ -128,17 +128,6 @@ class TestDecisionExplainers:
                 assert ids.index("q0") == len(ids) - 1
             assert [d.rank for d in record.decisions] == list(range(len(ids)))
 
-    def test_fallback_for_protocol_less_policy(self):
-        class Opaque:
-            def plan(self, ctx):  # pragma: no cover - not called here
-                raise NotImplementedError
-
-        q = make_simple_query("q0")
-        plan = Plan([Allocation(q)], mode="priority")
-        ctx = SchedulerContext(now=0.0, cycle_ms=100.0, cores=2, queries=[q])
-        decisions = explain_with_fallback(Opaque(), ctx, plan)
-        assert [d.reason for d in decisions] == ["priority-order"]
-
     def test_klink_memory_mode_reasons(self):
         q = make_simple_query("q0")
         scheduler = KlinkScheduler()
@@ -146,8 +135,8 @@ class TestDecisionExplainers:
         ctx = SchedulerContext(now=0.0, cycle_ms=100.0, cores=2, queries=[q])
         prefix_plan = Plan([Allocation(q, [q.operators[0]])], mode="priority")
         full_plan = Plan([Allocation(q)], mode="priority")
-        assert scheduler.explain_plan(ctx, prefix_plan)[0].reason == "memory-release"
-        assert scheduler.explain_plan(ctx, full_plan)[0].reason == "memory-mode-full"
+        assert scheduler.explain_plan(ctx, prefix_plan).reasons[0] == "memory-release"
+        assert scheduler.explain_plan(ctx, full_plan).reasons[0] == "memory-mode-full"
 
 
 class TestAuditLog:
@@ -222,7 +211,7 @@ class TestAuditLog:
             plan = Plan([Allocation(q)], throttle_ingestion=thr)
             audit.on_cycle(cycle_event(
                 now=float(i * 100), cycle=i, ctx=ctx, backpressured=bp,
-                nodes=[NodeCycle(0, Stub(), plan, [], 0.0, 0.0)],
+                nodes=[NodeCycle(0, Stub(), plan, Decisions(), 0.0, 0.0)],
             ))
         return audit
 
@@ -371,8 +360,9 @@ def klink_with_mm():
 
 
 def run_explained(scheduler, *, max_rows=50_000, duration=8_000.0):
-    """Audited run of :func:`mixed_queries`: the log, every list the
-    policy's ``explain_plan`` returned, and every line the log streamed."""
+    """Audited run of :func:`mixed_queries`: the log, every
+    :class:`Decisions` the policy's ``explain_plan`` returned, and every
+    line the log streamed."""
     explained = []
     explain = scheduler.explain_plan
 
@@ -392,6 +382,17 @@ def run_explained(scheduler, *, max_rows=50_000, duration=8_000.0):
     Engine(mixed_queries(), scheduler, cores=2, cycle_ms=100.0, seed=3,
            memory=MIXED_MEMORY, audit=audit).run(duration)
     return audit, explained, lines
+
+
+def rows_of(decisions):
+    """The :class:`QueryDecision` rows a :class:`Decisions` stands for:
+    one per position, with the position as the rank."""
+    ids, reasons, *columns = decisions
+    assert all(len(c) == len(ids) for c in (reasons, *columns))
+    return [
+        QueryDecision(query_id, rank, reason, *values)
+        for rank, (query_id, reason, *values) in enumerate(zip(ids, reasons, *columns))
+    ]
 
 
 def assert_same_decisions(actual, expected):
@@ -416,7 +417,7 @@ def decisions_line(record):
 
 
 def decisions_line_of(decisions):
-    return dumps_line({"decisions": [d.to_dict() for d in decisions]})
+    return dumps_line({"decisions": [d.to_dict() for d in rows_of(decisions)]})
 
 
 PACKED_POLICIES = {
@@ -432,19 +433,23 @@ PACKED_POLICIES = {
 
 
 class TestPackedDecisionRecords:
-    """The audit log keeps each cycle's decisions as columns; every record
-    must still read and serialize exactly as the explainer's objects."""
+    """The audit log keeps each cycle's decisions as packed columns; every
+    record must still read and serialize exactly as the columns the
+    policy explained."""
 
     @pytest.mark.parametrize("name", sorted(PACKED_POLICIES))
     def test_records_match_explainer_and_stream(self, name):
         audit, explained, lines = run_explained(PACKED_POLICIES[name]())
         assert len(audit) == audit.records_seen == len(explained) == len(lines)
         for record, decisions, line in zip(audit.rows, explained, lines):
+            # the record packs floats: an int would read back as a float
+            for column in decisions[2:]:
+                assert {type(v) for v in column} <= {float, type(None)}
             assert dumps_line(record.to_dict()) == line
             assert decisions_line(record) == decisions_line_of(decisions)
-            assert_same_decisions(record.decisions, decisions)
+            assert_same_decisions(record.decisions, rows_of(decisions))
             head = record.head()
-            assert_same_decisions([] if head is None else [head], decisions[:1])
+            assert_same_decisions([] if head is None else [head], rows_of(decisions)[:1])
 
     def test_klink_run_covers_every_klink_reason(self):
         audit, _, _ = run_explained(klink_with_mm())
@@ -459,23 +464,28 @@ class TestPackedDecisionRecords:
         first, second = record.decisions, record.decisions
         assert first is not second and first == second
         assert isinstance(first, tuple)  # read-only
-        assert list(first) == explained[-1]
+        assert list(first) == rows_of(explained[-1])
 
     def test_awkward_values_are_exact(self):
-        """Ints, bools, ``-0.0``, non-finite floats, ``None`` and ranks
-        that are not positions survive packing unchanged."""
+        """``-0.0``, NaN, infinities and ``None`` survive packing
+        unchanged, in every value column."""
         q = make_simple_query("q0")
         ctx = SchedulerContext(now=0.0, cycle_ms=100.0, cores=1, queries=[q])
         plan = Plan([Allocation(q)])
-        awkward = [
-            QueryDecision("a", 0, "slack-order", slack_ms=-0.0, score=3,
-                          memory_bytes=True, queued_events=2),
-            QueryDecision("b", 5, "overdue-swm", slack_ms=None,
-                          swm_delay_mean_ms=math.nan,
-                          swm_delay_std_ms=-math.inf, score=-1.5),
-            QueryDecision("c", 1.0, "no-deadline", swm_delay_mean_ms=None,
-                          score=None, queued_events=-0.0),
-        ]
+        awkward = Decisions(
+            ids=("a", "b", "c"),
+            reasons=("slack-order", "overdue-swm", "no-deadline"),
+            slack_ms=(-0.0, None, math.inf),
+            swm_delay_mean_ms=(1.5, math.nan, None),
+            swm_delay_std_ms=(None, -math.inf, 0.25),
+            score=(3.0, -1.5, None),
+            memory_bytes=(math.nan, 0.0, -0.0),
+            queued_events=(2.0, math.inf, -0.0),
+        )
+
+        def take(positions):
+            return Decisions(*(column[positions] for column in awkward))
+
         lines = []
 
         class Lines:
@@ -483,17 +493,17 @@ class TestPackedDecisionRecords:
                 lines.append(dumps_line(row))
 
         audit = AuditLog(stream=Lines())
-        cases = (awkward, [], awkward[:1], awkward[1:])
+        cases = (awkward, Decisions(), take(slice(1)), take(slice(1, None)))
         for i, decisions in enumerate(cases):
             node = NodeCycle(0, DefaultScheduler(), plan, decisions, 0.0, 0.0)
             audit.on_cycle(
                 cycle_event(now=float(i), cycle=i, ctx=ctx, nodes=[node])
             )
             record = audit.last()
-            assert_same_decisions(record.decisions, decisions)
+            assert_same_decisions(record.decisions, rows_of(decisions))
             assert decisions_line(record) == decisions_line_of(decisions)
-        assert '"score":3,' in lines[0] and '"slack_ms":-0.0,' in lines[0]
-        assert '"memory_bytes":true,' in lines[0] and '"rank":1.0,' in lines[0]
+        assert '"score":3.0,' in lines[0] and '"slack_ms":-0.0,' in lines[0]
+        assert '"queued_events":-0.0}' in lines[0] and '"rank":1,' in lines[0]
         assert audit.reason_counts() == {
             "no-deadline": 2, "overdue-swm": 2, "slack-order": 2,
         }
@@ -509,13 +519,13 @@ class TestPackedDecisionRecords:
         assert [r.cycle for r in audit.rows] == list(range(seen - 5, seen))
         for record, decisions, line in zip(audit.rows, explained[-5:], lines[-5:]):
             assert dumps_line(record.to_dict()) == line
-            assert_same_decisions(record.decisions, decisions)
+            assert_same_decisions(record.decisions, rows_of(decisions))
         kept = explained[-5:]
         assert audit.reason_counts() == dict(
-            sorted(Counter(d.reason for ds in kept for d in ds).items())
+            sorted(Counter(r for ds in kept for r in ds.reasons).items())
         )
         assert audit.head_query_counts() == dict(
-            sorted(Counter(ds[0].query_id for ds in kept if ds).items())
+            sorted(Counter(ds.ids[0] for ds in kept if ds.ids).items())
         )
 
     def test_retains_at_most_100_bytes_per_decision(self):
@@ -541,6 +551,41 @@ class TestPackedDecisionRecords:
             tracemalloc.stop()
         assert audit.records_seen == 300 and traced == 100 * 40
         assert retained / traced <= 100
+
+
+class TestBaselineScores:
+    """A baseline's audited ``score`` is the key its plan ranked on, read
+    before execution drained the queues: FCFS arrivals and SBox
+    deadlines ascend by rank with ``None`` (no queued record, no pending
+    deadline) as +inf, and HR productivities descend with ``None``
+    (infinite productivity) first. Under class-based scheduling the
+    order holds within each class."""
+
+    CLASSES = {"q0": 1, "s0": 0, "q1": 0, "q2": 2}
+
+    @staticmethod
+    def sort_key(policy, score):
+        if policy == "HR":
+            return -math.inf if score is None else -score
+        return math.inf if score is None else score
+
+    @pytest.mark.parametrize("classed", [False, True])
+    @pytest.mark.parametrize("policy", ["FCFS", "HR", "SBox"])
+    def test_scores_follow_the_ranking(self, policy, classed):
+        scheduler = PACKED_POLICIES[policy]()
+        if classed:
+            scheduler = ClassBasedScheduler(scheduler, self.CLASSES)
+        audit, _, _ = run_explained(scheduler)
+        scored = 0
+        for record in audit.rows:
+            by_class = {}
+            for d in record.decisions:
+                group = self.CLASSES[d.query_id] if classed else 0
+                by_class.setdefault(group, []).append(self.sort_key(policy, d.score))
+                scored += d.score is not None
+            for keys in by_class.values():
+                assert keys == sorted(keys), (record.cycle, keys)
+        assert scored > 0
 
 
 class TestKlinkExplainOracle:
@@ -585,10 +630,10 @@ class TestKlinkExplainOracle:
         def checked(ctx, plan):
             expected = self.reference(scheduler, ctx, plan)
             decisions = explain(ctx, plan)
-            actual = [
-                (d.query_id, d.reason, d.swm_delay_mean_ms, d.swm_delay_std_ms)
-                for d in decisions
-            ]
+            actual = list(zip(
+                decisions.ids, decisions.reasons,
+                decisions.swm_delay_mean_ms, decisions.swm_delay_std_ms,
+            ))
             cycles.append((repr(actual), repr(expected), expected))
             return decisions
 

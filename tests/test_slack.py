@@ -3,10 +3,15 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from repro.core.estimator import SwmEstimate
 from repro.core.slack import (
+    _OVERDUE_EPS,
     expected_slack,
+    expected_slack_scalars,
     gaussian_q,
     interval_probability,
     interval_steps,
@@ -133,3 +138,62 @@ class TestIntervalSteps:
     def test_now_inside_interval_truncates(self):
         e = estimate(mean=1000.0, std=100.0, z=2.0)  # [800, 1200]
         assert interval_steps(e, now=1100.0, cycle_ms=100.0) == 1
+
+
+class TestExpectedSlackOracle:
+    """Algorithm 1 against the continuous expectation it discretizes.
+
+    On the branch that is not overdue, the loop slides cells
+    ``[x, x + r]`` from ``lo = max(now, t_min)`` while ``x <= t_max`` and
+    charges each cell's conditional mass at the cell's *end*. The exact
+    expectation ``E[(T - now - cost) 1{T in grid} | T > now]`` over the
+    same cells, taken with ``scipy.integrate.quad``, charges each arrival
+    at its own time, so Algorithm 1 exceeds it by between 0 and
+    ``r`` x the grid's conditional mass.
+    """
+
+    #: z of the 95% confidence interval the estimator reports
+    Z = 1.96
+
+    @staticmethod
+    def grid(lo, t_max, cycle_ms):
+        """The cells the loop slides, built with its own float steps."""
+        cells = []
+        x = lo
+        while x <= t_max:
+            cells.append((x, x + cycle_ms))
+            x = x + cycle_ms
+        return cells
+
+    @given(
+        mean=st.floats(0.0, 20_000.0),
+        std=st.floats(1.0, 3_000.0),
+        offset=st.floats(-4.0, 1.9),  # now = mean + offset * std
+        cost=st.floats(0.0, 5_000.0),
+        cycle_ms=st.sampled_from([50.0, 120.0, 250.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_discretization_overestimates_by_at_most_one_cycle(
+        self, mean, std, offset, cost, cycle_ms
+    ):
+        now = mean + offset * std
+        t_min, t_max = mean - self.Z * std, mean + self.Z * std
+        alive = stats.norm.sf(now, mean, std)  # P(T > now)
+        assume(alive >= _OVERDUE_EPS and t_max > now)  # not overdue
+        slack = expected_slack_scalars(mean, std, t_min, t_max, now, cost, cycle_ms)
+
+        def weighted(t):
+            return (t - now - cost) * stats.norm.pdf(t, mean, std) / alive
+
+        exact = mass = quad_error = 0.0
+        cells = self.grid(max(now, t_min), t_max, cycle_ms)
+        for a, b in cells:
+            value, error = integrate.quad(weighted, a, b)
+            exact += value
+            quad_error += error
+            mass += (stats.norm.cdf(b, mean, std) - stats.norm.cdf(a, mean, std)) / alive
+        # Tolerance: quad's own error estimates, plus float rounding of
+        # sums whose terms are at most the times involved.
+        tol = quad_error + 1e-9 * (abs(now) + cost + cycle_ms * len(cells))
+        gap = slack - exact
+        assert -tol <= gap <= cycle_ms * mass + tol, (gap, cycle_ms * mass, tol)
