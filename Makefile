@@ -11,13 +11,13 @@ test:
 	$(PY) -m pytest -x -q
 
 lint:
-	$(PY) -m repro.analysis.lint src/repro --ci
+	$(PY) -m repro.analysis.lint src/repro
 
-# State-contract gate: declared checkpoint state covers every mutable
-# attribute, schema-fingerprint freshness, canonical serialization,
-# worker purity.
+# The same analyzer with the state-contract gate added: declared
+# checkpoint state covers every mutable attribute, schema-fingerprint
+# freshness, canonical serialization, append-only ledgers, worker purity.
 statecheck:
-	$(PY) -m repro.analysis.statecheck src/repro
+	$(PY) -m repro.analysis.lint --state src/repro
 
 mypy:
 	mypy src/repro/analysis src/repro/obs src/repro/resilience

@@ -5,19 +5,20 @@ Two pragma forms are recognised, both as trailing comments:
 ``# klink: allow[CODE, ...]``
     Suppresses findings with the listed rule codes on that line
     (``allow[*]`` suppresses everything). Used by the determinism
-    linter (KL...), the plan validator (KP...), and the state-contract
-    analyzer (KS.../KW...).
+    rules (KL...), the plan validator (KP...), and the state-contract
+    and worker-purity rules (KS.../KW...).
 
 ``# klink: transient[reason]``
     Declares the attribute assigned on that line *transient*: it is
     deliberately excluded from the checkpoint snapshot contract, so the
-    KS201 snapshot-coverage rule skips it. The reason is mandatory and
-    is echoed in ``--format json`` output so reviewers can audit why a
-    field escapes capture/restore.
+    KS201 snapshot-coverage rule skips it. The reason is mandatory, so
+    that the source says why a field escapes capture/restore: an empty
+    ``transient[]`` declares nothing. Each transient attribute is counted
+    as a suppressed KS201 in the report.
 
 Suppression is counted, not silent: :func:`apply_suppressions` returns
 both the surviving findings and a per-code tally of what the pragmas and
-file allowlists swallowed, which the reporting layer surfaces in CI
+whole-rule scopes swallowed, which the reporting layer surfaces in CI
 artifacts.
 """
 
@@ -40,16 +41,13 @@ class Pragmas:
     #: line number -> rule codes allowed on that line (may contain "*")
     allow: Mapping[int, FrozenSet[str]] = field(default_factory=dict)
     #: line number -> reason string from a ``transient[...]`` pragma
+    #: (never empty: a pragma without a reason is not recorded)
     transient: Mapping[int, str] = field(default_factory=dict)
 
     def allows(self, line: int, code: str) -> bool:
         """True when a pragma on ``line`` suppresses ``code``."""
         codes = self.allow.get(line)
         return codes is not None and (code in codes or "*" in codes)
-
-    def transient_reason(self, line: int) -> str:
-        """The ``transient[...]`` reason on ``line``; "" when absent."""
-        return self.transient.get(line, "")
 
     def is_transient(self, line: int) -> bool:
         return line in self.transient
@@ -68,7 +66,7 @@ def parse_pragmas(source: str) -> Pragmas:
                 if code.strip()
             )
         match = _TRANSIENT_PRAGMA.search(line)
-        if match:
+        if match and match.group(1).strip():
             transient[lineno] = match.group(1).strip()
     return Pragmas(allow=allow, transient=transient)
 

@@ -1,8 +1,7 @@
 """Shared diagnostic and reporting infrastructure for analysis passes.
 
-The analysis passes — the determinism linter (:mod:`repro.analysis.lint`),
-the query-plan validator (:mod:`repro.analysis.plan_check`), and the
-state-contract analyzer (:mod:`repro.analysis.statecheck`) — emit
+The analysis passes — the source analyzer (:mod:`repro.analysis.lint`)
+and the query-plan validator (:mod:`repro.analysis.plan_check`) — emit
 :class:`Diagnostic` records collected into a :class:`Report`. A diagnostic
 carries a stable rule code (``KL...`` for lint rules, ``KP...`` for plan
 rules, ``KS...``/``KW...`` for state-contract rules), a severity, and
@@ -91,7 +90,7 @@ class Report:
 
     def __init__(self, diagnostics: Iterable[Diagnostic] = ()) -> None:
         self.diagnostics: List[Diagnostic] = list(diagnostics)
-        #: rule code -> findings swallowed by pragmas / file allowlists
+        #: rule code -> findings swallowed by pragmas / whole-rule scopes
         self.suppressed: Dict[str, int] = {}
 
     # -- collection --------------------------------------------------------

@@ -13,6 +13,7 @@ Usage (installed as ``repro-bench``, or ``python -m repro.cli``)::
     repro-bench estimate --delay zipf --confidence 95
     repro-bench check-plan --workload ysb --queries 4
     repro-bench lint src/repro
+    repro-bench lint --state src/repro
     repro-bench list
 
 Every command prints a human-readable table; ``--csv PATH`` additionally
@@ -474,29 +475,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import run_lint
-
-    _, exit_code = run_lint(
-        args.paths,
-        output_format=args.format,
-        quiet=args.quiet,
-        state=args.state,
-    )
-    return exit_code
-
-
-def cmd_statecheck(args: argparse.Namespace) -> int:
-    from repro.analysis.statecheck import run_statecheck
-
-    _, exit_code = run_statecheck(
-        args.paths,
-        output_format=args.format,
-        update_fingerprint=args.update_fingerprint,
-    )
-    return exit_code
-
-
 def cmd_check_plan(args: argparse.Namespace) -> int:
     from repro.analysis.plan_check import PlanValidationError, validate_queries
 
@@ -662,30 +640,13 @@ def build_parser() -> argparse.ArgumentParser:
     est_p.add_argument("--repetitions", type=int, default=3)
     est_p.set_defaults(func=cmd_estimate)
 
-    lint_p = sub.add_parser(
-        "lint", help="run the determinism linter (KL rules) over source trees"
-    )
-    lint_p.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories to lint (default src/repro)")
-    lint_p.add_argument("--format", default="text", choices=["text", "json"])
-    lint_p.add_argument("--quiet", action="store_true",
-                        help="suppress the summary line")
-    lint_p.add_argument("--state", action="store_true",
-                        help="also run the state-contract analyzer "
-                        "(KS2xx/KW3xx rules)")
-    lint_p.set_defaults(func=cmd_lint)
+    from repro.analysis.lint import add_arguments
 
-    state_p = sub.add_parser(
-        "statecheck",
-        help="check the checkpoint state contract (KS2xx/KW3xx rules)",
-    )
-    state_p.add_argument("paths", nargs="*", default=["src/repro"],
-                         help="package roots to analyze (default src/repro)")
-    state_p.add_argument("--format", default="text", choices=["text", "json"])
-    state_p.add_argument("--update-fingerprint", action="store_true",
-                         help="rewrite resilience/schema_fingerprint.json "
-                         "from the current contract")
-    state_p.set_defaults(func=cmd_statecheck)
+    add_arguments(sub.add_parser(
+        "lint",
+        help="run the source analyzer over source trees (KL rules; "
+        "--state adds the KS2xx/KW3xx rules)",
+    ))
 
     check_p = sub.add_parser(
         "check-plan",

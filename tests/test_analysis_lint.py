@@ -1,4 +1,5 @@
-"""Determinism linter: one positive + one suppressed + one clean case per rule."""
+"""Source analyzer, KL family: one positive + one suppressed + one clean
+case per rule, and the shared loader, driver and command line."""
 
 from __future__ import annotations
 
@@ -9,10 +10,8 @@ import pytest
 
 import repro
 from repro.analysis.lint import (
-    DEFAULT_FILE_ALLOWLIST,
     RULES,
     iter_python_files,
-    lint_file,
     lint_paths,
     lint_source,
     main,
@@ -257,8 +256,8 @@ class TestKL007:
         inside.write_text(src)
         outside = tmp_path / "tool.py"
         outside.write_text(src)
-        assert lint_file(inside).codes() == ["KL007"]
-        assert lint_file(outside).codes() == []
+        assert lint_paths([inside]).codes() == ["KL007"]
+        assert lint_paths([outside]).codes() == []
 
 
 # -- file/tree drivers -------------------------------------------------------
@@ -277,15 +276,26 @@ class TestDrivers:
         report = lint_paths([tmp_path])
         assert report.codes() == ["KL001"]
 
-    def test_default_allowlist_names_existing_files(self):
-        """A stale entry (its file deleted or moved) would silently
-        allowlist whatever file later takes that path."""
-        package = Path(repro.__file__).parent
-        for suffix in DEFAULT_FILE_ALLOWLIST:
-            assert (package / suffix).is_file(), suffix
+    def test_state_run_parses_each_file_once(self, monkeypatch):
+        """One loader: a ``--state`` run reads every rule family off one
+        parse of each file."""
+        import ast
+
+        pkg = Path(repro.__file__).parent
+        real_parse = ast.parse
+        parsed = []
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report, code = run_lint([str(pkg)], quiet=True, state=True)
+        assert code == 0, report.render_text()
+        assert sorted(parsed) == sorted(str(p) for p in pkg.rglob("*.py"))
 
     def test_rules_table_matches_emitted_codes(self):
-        assert set(RULES) == {
+        assert {code for code in RULES if code.startswith("KL")} == {
             "KL000", "KL001", "KL002", "KL003", "KL004", "KL005", "KL006",
             "KL007",
         }

@@ -42,6 +42,8 @@ NOT_LOADED_BY_PLAIN_RUN = (
     "repro.workloads.nyt",
     "repro.distributed.cluster",
     "multiprocessing",
+    "repro.analysis.lint",
+    "repro.analysis.pragmas",
 )
 
 #: packages whose public names load on first use

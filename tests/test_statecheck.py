@@ -1,4 +1,5 @@
-"""Tests for the state-contract analyzer (repro.analysis.statecheck).
+"""Tests for the source analyzer's state-contract and worker-purity rules
+(``repro-lint --state``: the KS and KW families of repro.analysis.lint).
 
 Two kinds of proof live here:
 
@@ -24,16 +25,16 @@ import pytest
 
 import repro
 from repro.analysis.pragmas import parse_pragmas
-from repro.analysis.statecheck import (
-    STATE_RULES,
-    check_paths,
-    main,
-    run_statecheck,
-)
+from repro.analysis.lint import RULES, lint_paths, main, run_lint
 
 SRC = Path(repro.__file__).resolve().parent
 
 FINGERPRINT_REL = "resilience/schema_fingerprint.json"
+
+
+def check_paths(paths, update_fingerprint=False):
+    """The analyzer with the state families on, as ``repro-lint --state``."""
+    return lint_paths(paths, state=True, update_fingerprint=update_fingerprint)
 
 
 def codes(report):
@@ -242,15 +243,18 @@ class TestCoverageRules:
         assert report.diagnostics == [], report.render_text()
 
     def test_uncaptured_attr_fires_ks201(self, tmp_path):
-        channel = CLEAN_CHANNEL + (
-            "\n    def mark(self):\n        self.dirty = True\n"
-        )
-        root = make_pkg(tmp_path, files={"spe/streams.py": channel})
-        report = check_paths([root])
-        ks201 = [d for d in report.diagnostics if d.code == "KS201"]
-        assert len(ks201) == 1
-        assert "Channel.dirty" in ks201[0].message
-        assert "transient[reason]" in ks201[0].message
+        # a transient pragma without a reason declares nothing
+        for case, pragma in enumerate(["", "  # klink: transient[]"]):
+            channel = CLEAN_CHANNEL + (
+                "\n    def mark(self):\n        self.dirty = True%s\n" % pragma
+            )
+            root = make_pkg(tmp_path / str(case), files={"spe/streams.py": channel})
+            report = check_paths([root])
+            ks201 = [d for d in report.diagnostics if d.code == "KS201"]
+            assert len(ks201) == 1, pragma
+            assert "Channel.dirty" in ks201[0].message
+            assert "transient[reason]" in ks201[0].message
+            assert "KS201" not in report.suppressed
 
     def test_transient_pragma_suppresses_and_is_counted(self, tmp_path):
         channel = CLEAN_CHANNEL + (
@@ -356,13 +360,19 @@ class TestSchedulerRules:
 
 class TestSerializationRules:
     def test_dumps_without_sort_keys_fires_ks221(self, tmp_path):
-        checkpoint = CLEAN_CHECKPOINT.replace(
-            "json.dumps(snapshot, sort_keys=True, separators=(\",\", \":\"))",
-            "json.dumps(snapshot)",
-        )
-        root = make_pkg(tmp_path, checkpoint=checkpoint)
-        report = check_paths([root])
-        assert "KS221" in codes(report)
+        # json resolves through the import aliases, under any name
+        for case, (imports, call) in enumerate([
+            ("import json", "json.dumps(snapshot)"),
+            ("import json as _json", "_json.dumps(snapshot)"),
+            ("from json import dumps", "dumps(snapshot)"),
+        ]):
+            checkpoint = CLEAN_CHECKPOINT.replace("import json", imports).replace(
+                "json.dumps(snapshot, sort_keys=True, separators=(\",\", \":\"))",
+                call,
+            )
+            root = make_pkg(tmp_path / str(case), checkpoint=checkpoint)
+            report = check_paths([root])
+            assert "KS221" in codes(report), imports
 
     def test_bench_cache_is_also_a_canonical_path(self, tmp_path):
         cache = """
@@ -389,16 +399,18 @@ class TestSerializationRules:
         assert "KS221" not in codes(report)
 
     def test_list_of_dict_items_fires_ks222(self, tmp_path):
-        checkpoint = CLEAN_CHECKPOINT + textwrap.dedent(
-            """
+        # dict views, and the set expressions KL003 also flags
+        for case, rows in enumerate(["mapping.items()", "set(mapping)"]):
+            checkpoint = CLEAN_CHECKPOINT + textwrap.dedent(
+                """
 
-            def _rows(mapping):
-                return list(mapping.items())
-            """
-        )
-        root = make_pkg(tmp_path, checkpoint=checkpoint)
-        report = check_paths([root])
-        assert "KS222" in codes(report)
+                def _rows(mapping):
+                    return list(%s)
+                """ % rows
+            )
+            root = make_pkg(tmp_path / str(case), checkpoint=checkpoint)
+            report = check_paths([root])
+            assert "KS222" in codes(report), rows
 
     def test_listcomp_over_keys_fires_ks222(self, tmp_path):
         checkpoint = CLEAN_CHECKPOINT + textwrap.dedent(
@@ -652,10 +664,21 @@ class TestLedgerGrowth:
 
 class TestWorkerPurity:
     def test_worker_reading_mutated_global_fires_kw301(self, tmp_path):
+        # the container counts however the module binds it
+        for case, binding in enumerate([
+            "_CACHE = {}",
+            "_CACHE: Dict[int, int] = dict()",
+            "_CACHE: Dict[int, int] = {}",
+        ]):
+            self._assert_kw301_on_cache(tmp_path / str(case), binding)
+
+    @staticmethod
+    def _assert_kw301_on_cache(tmp_path, binding):
         runner = """
             import multiprocessing
+            from typing import Dict
 
-            _CACHE = {}
+            %s
 
             def _seed(key):
                 _CACHE[key] = 1
@@ -667,11 +690,11 @@ class TestWorkerPurity:
                 ctx = multiprocessing.get_context("spawn")
                 with ctx.Pool(2) as pool:
                     return pool.map(_worker, cfgs)
-        """
+        """ % binding
         root = make_pkg(tmp_path, files={"bench/runner.py": runner})
         report = check_paths([root])
         kw301 = [d for d in report.diagnostics if d.code == "KW301"]
-        assert kw301
+        assert kw301, binding
         assert "'_CACHE'" in kw301[0].message
 
     def test_never_mutated_module_dict_is_a_constant(self, tmp_path):
@@ -812,21 +835,21 @@ class TestFingerprintFlow:
 class TestDriver:
     def test_missing_contract_source_is_a_usage_error(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
-        report, code = run_statecheck([str(tmp_path / "empty")])
+        report, code = run_lint([str(tmp_path / "empty")], state=True)
         assert code == 2
         assert codes(report) == ["KS200"]
 
     def test_exit_codes_clean_and_findings(self, tmp_path, capsys):
         root = make_pkg(tmp_path, files={"spe/streams.py": CLEAN_CHANNEL})
-        _, code = run_statecheck([str(root)], update_fingerprint=True)
+        _, code = run_lint([str(root)], state=True, update_fingerprint=True)
         assert code == 0
         out = capsys.readouterr().out
-        assert "state contract clean" in out
+        assert "file(s) clean (lint + state contract)" in out
         # introduce a finding: uncaptured attribute
         (root / "spe" / "streams.py").write_text(
             CLEAN_CHANNEL + "\n    def mark(self):\n        self.dirty = 1\n"
         )
-        _, code = run_statecheck([str(root)])
+        _, code = run_lint([str(root)], state=True)
         assert code == 1
 
     def test_json_output_carries_categories_and_suppressions(self, tmp_path, capsys):
@@ -837,7 +860,7 @@ class TestDriver:
         root = make_pkg(tmp_path, files={"spe/streams.py": channel})
         check_paths([root], update_fingerprint=True)
         capsys.readouterr()
-        _, code = run_statecheck([str(root)], output_format="json")
+        _, code = run_lint([str(root)], output_format="json", state=True)
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -847,15 +870,15 @@ class TestDriver:
     def test_rules_listing(self, capsys):
         assert main(["--rules"]) == 0
         out = capsys.readouterr().out
-        for rule_code in STATE_RULES:
+        for rule_code in RULES:
             assert rule_code in out
 
     def test_module_main_on_shipped_tree(self, capsys):
-        assert main([str(SRC)]) == 0
-        assert "state contract clean" in capsys.readouterr().out
+        assert main([str(SRC), "--state"]) == 0
+        assert "file(s) clean (lint + state contract)" in capsys.readouterr().out
 
     def test_state_rules_registry(self):
-        assert set(STATE_RULES) == {
+        assert {code for code in RULES if code.startswith(("KS", "KW"))} == {
             "KS200", "KS201", "KS210", "KS211",
             "KS221", "KS222", "KS223", "KS224", "KW301", "KW302",
         }
@@ -877,11 +900,11 @@ class TestCLIIntegration:
         assert lint_main([str(SRC), "--state"]) == 0
         assert "(lint + state contract)" in capsys.readouterr().out
 
-    def test_repro_bench_statecheck_subcommand(self, capsys):
+    def test_repro_bench_lint_state_subcommand(self, capsys):
         from repro.cli import main as cli_main
 
-        assert cli_main(["statecheck", str(SRC)]) == 0
-        assert "state contract clean" in capsys.readouterr().out
+        assert cli_main(["lint", "--state", str(SRC)]) == 0
+        assert "file(s) clean (lint + state contract)" in capsys.readouterr().out
 
 
 # -- pragma parsing ----------------------------------------------------------
@@ -893,10 +916,12 @@ class TestPragmas:
             "x = 1\n"
             "self.memo = {}  # klink: transient[derived cache]\n"
             "y = 2  # klink: allow[KS221, KW301]\n"
+            "self.flag = 1  # klink: transient[ ]\n"
         )
         assert pragmas.is_transient(2)
-        assert pragmas.transient_reason(2) == "derived cache"
+        assert pragmas.transient == {2: "derived cache"}
         assert not pragmas.is_transient(1)
+        assert not pragmas.is_transient(4)
         assert pragmas.allows(3, "KS221")
         assert pragmas.allows(3, "KW301")
         assert not pragmas.allows(3, "KS201")
