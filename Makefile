@@ -36,22 +36,21 @@ check-report:
 	$(PY) -m repro.cli report --workload ysb --scheduler Default \
 		--queries 4 --duration 15 --format json --check-schema > /dev/null
 
-# Telemetry gate: two seeded runs must be byte-identical (trace and
-# BENCH json), the trace must pass schema + Chrome-trace validation,
-# and the fresh snapshot must not regress against the checked-in
-# baseline (benchmarks/results/BENCH_ysb.json).
+# Telemetry gate: two seeded runs must write byte-identical traces, the
+# trace must pass schema + Chrome-trace validation, and the fresh run's
+# report must not regress against the checked-in baseline report
+# (benchmarks/results/report_ysb.json).
 check-telemetry:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	run="$(PY) -m repro.cli run --workload ysb --scheduler Klink \
 		--queries 4 --duration 30 --cores 8 --seed 1 --no-cache"; \
-	$$run --trace $$dir/a.jsonl --bench-json $$dir/bench_a.json > /dev/null; \
-	$$run --trace $$dir/b.jsonl --bench-json $$dir/bench_b.json > /dev/null; \
+	$$run --trace $$dir/a.jsonl > /dev/null; \
+	$$run --trace $$dir/b.jsonl > /dev/null; \
 	cmp $$dir/a.jsonl $$dir/b.jsonl; \
-	cmp $$dir/bench_a.json $$dir/bench_b.json; \
 	$(PY) -m repro.cli report --trace $$dir/a.jsonl --check-schema \
-		--chrome $$dir/flame.json > /dev/null; \
-	$(PY) -m repro.cli compare benchmarks/results/BENCH_ysb.json \
-		$$dir/bench_a.json
+		--chrome $$dir/flame.json --out $$dir/report_a.json > /dev/null; \
+	$(PY) -m repro.cli compare benchmarks/results/report_ysb.json \
+		$$dir/report_a.json
 
 check: lint statecheck check-plan check-report check-telemetry test
 

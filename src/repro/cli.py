@@ -8,8 +8,8 @@ Usage (installed as ``repro-bench``, or ``python -m repro.cli``)::
     repro-bench report --workload ysb --scheduler Klink --queries 8 --duration 30
     repro-bench report --trace trace.jsonl --format json
     repro-bench report --trace trace.jsonl --chrome flame.json
-    repro-bench compare trace.jsonl --emit BENCH_ysb.json
-    repro-bench compare BENCH_ysb.json fresh_trace.jsonl
+    repro-bench report --trace trace.jsonl --out report.json
+    repro-bench compare report.json fresh_trace.jsonl
     repro-bench estimate --delay zipf --confidence 95
     repro-bench check-plan --workload ysb --queries 4
     repro-bench lint src/repro
@@ -26,7 +26,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.bench.runner import (
@@ -240,19 +239,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         lineage_sample_rate=args.lineage_sample_rate,
         **_telemetry_fields(args),
     )
-    if args.bench_json:
-        # Snapshots are summarized from the full trace sections.
-        cfg = replace(cfg, audit=True, profile=True, telemetry=True)
     _configure_cli_cache(args)
     res = run_cached(cfg)
     if args.trace:
         print(f"[trace] wrote {args.trace}")
-    if args.bench_json:
-        from repro.obs.compare import snapshot_from_trace, write_snapshot
-
-        snapshot = snapshot_from_trace(trace_from_result(res))
-        write_snapshot(args.bench_json, snapshot)
-        print(f"[bench] wrote {args.bench_json}")
     rows = [_summary_row(res)]
     _print_rows(rows)
     if args.csv:
@@ -295,18 +285,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import build_report, jsonify, read_trace, render_text
+    from repro.obs import build_report, read_trace, render_text
     from repro.obs.report import render_waterfall
-    from repro.obs.schema import (
-        SchemaError,
-        validate_cycle,
-        validate_lineage,
-        validate_lineage_summary,
-        validate_operator,
-        validate_report,
-        validate_series,
-        validate_swm_forecast,
-    )
+    from repro.obs.schema import SchemaError, validate_report, validate_trace
 
     if args.trace is not None:
         try:
@@ -355,18 +336,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.check_schema:
         try:
             validate_report(payload)
-            for row in trace.cycles:
-                validate_cycle(jsonify(row))
-            for row in trace.operators:
-                validate_operator(jsonify(row))
-            for row in trace.series:
-                validate_series(jsonify(row))
-            for row in trace.lineage:
-                validate_lineage(jsonify(row))
-            for row in trace.swm_forecast:
-                validate_swm_forecast(jsonify(row))
-            if trace.lineage_summary:
-                validate_lineage_summary(jsonify(trace.lineage_summary))
+            validate_trace(trace)
         except SchemaError as exc:
             print(f"[schema] FAIL: {exc}", file=sys.stderr)
             return 1
@@ -398,55 +368,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.obs.compare import (
-        CompareThresholds,
-        check_snapshot,
-        compare_snapshots,
-        dumps_snapshot,
-        load_input,
-        render_comparison,
-        write_snapshot,
-    )
+    from repro.obs import dumps_line
+    from repro.obs.report import compare_reports, load_report, render_comparison
 
-    if len(args.paths) not in (1, 2):
-        print("[compare] ERROR: pass one input (with --emit) or two "
-              "inputs to diff", file=sys.stderr)
-        return 2
     try:
-        snapshots = [load_input(path) for path in args.paths]
+        baseline = load_report(args.baseline)
+        current = load_report(args.current)
     except (OSError, ValueError) as exc:
         print(f"[compare] ERROR: {exc}", file=sys.stderr)
         return 2
-    if args.check:
-        failed = False
-        for path, snapshot in zip(args.paths, snapshots):
-            problems = check_snapshot(snapshot)
-            for problem in problems:
-                print(f"[check] {path}: {problem}", file=sys.stderr)
-            if problems:
-                failed = True
-            else:
-                print(f"[check] OK: {path}", file=sys.stderr)
-        if failed:
-            return 1
-    current = snapshots[-1]
-    if args.emit:
-        write_snapshot(args.emit, current)
-        print(f"[compare] wrote {args.emit}", file=sys.stderr)
-    if len(snapshots) == 1:
-        if not args.emit and not args.check:
-            print(dumps_snapshot(current), end="")
-        return 0
-    thresholds = CompareThresholds(
-        latency_pct=args.latency_threshold,
-        throughput_pct=args.throughput_threshold,
-        operator_cpu_pct=args.operator_cpu_threshold,
-        max_new_deadline_misses=args.max_new_deadline_misses,
-    )
-    result = compare_snapshots(snapshots[0], current, thresholds)
+    result = compare_reports(baseline, current)
     if args.format == "json":
-        from repro.obs import dumps_line
-
         print(dumps_line(result.to_dict()))
     else:
         print(render_comparison(result))
@@ -525,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
              "profiles, telemetry series, summary) to PATH as JSONL, "
              "for repro-bench report / compare",
     )
-    run_p.add_argument(
-        "--bench-json", default=None, metavar="PATH",
-        help="emit a BENCH_<workload>.json telemetry snapshot of the run "
-             "(implies audit/profile/telemetry), for repro-bench compare",
-    )
     run_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser(
@@ -587,36 +514,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_p = sub.add_parser(
         "compare",
-        help="emit/diff BENCH_<workload>.json telemetry snapshots; "
-             "nonzero exit when the second input regresses the first",
+        help="diff two run reports; nonzero exit when CURRENT regresses "
+             "BASELINE",
     )
-    compare_p.add_argument(
-        "paths", nargs="+", metavar="PATH",
-        help="traces (.jsonl) or snapshots (.json): one input with "
-             "--emit to snapshot it, two inputs (baseline, current) "
-             "to diff",
-    )
-    compare_p.add_argument("--emit", default=None, metavar="PATH",
-                           help="write the (last) input's snapshot to PATH")
-    compare_p.add_argument("--latency-threshold", type=float, default=10.0,
-                           metavar="PCT",
-                           help="allowed latency increase in %% (default 10)")
-    compare_p.add_argument("--throughput-threshold", type=float, default=10.0,
-                           metavar="PCT",
-                           help="allowed throughput decrease in %% (default 10)")
-    compare_p.add_argument("--operator-cpu-threshold", type=float,
-                           default=25.0, metavar="PCT",
-                           help="allowed per-operator CPU growth in %% "
-                                "(default 25)")
-    compare_p.add_argument("--max-new-deadline-misses", type=int, default=0,
-                           help="allowed deadline-miss increase (default 0)")
+    for name in ("baseline", "current"):
+        compare_p.add_argument(
+            name, metavar=name.upper(),
+            help="a run trace (.jsonl) or a report JSON from "
+                 "'report --out'",
+        )
     compare_p.add_argument("--format", default="text",
                            choices=["text", "json"])
-    compare_p.add_argument(
-        "--check", action="store_true",
-        help="structurally validate every input snapshot (shape, finite "
-             "numbers, non-negative counts); non-zero exit on problems",
-    )
     compare_p.set_defaults(func=cmd_compare)
 
     sweep_p = sub.add_parser("sweep", help="sweep query counts x schedulers")

@@ -127,8 +127,17 @@ def interval_steps(estimate: SwmEstimate, now: float, cycle_ms: float) -> int:
 def interval_steps_scalars(
     t_min: float, t_max: float, now: float, cycle_ms: float
 ) -> int:
-    """Scalar-argument core of :func:`interval_steps` (fused fast path)."""
-    lo = max(now, t_min)
-    if t_max <= lo:
+    """Scalar-argument core of :func:`interval_steps` (fused fast path).
+
+    Counts the grid points ``max(now, t_min) + k * cycle_ms <= t_max``
+    (``k >= 0``) that
+    :func:`expected_slack_scalars`' loop slides over, so an interval
+    that is an exact multiple of the cycle counts its closing boundary.
+    (The loop also returns early for an SWM that is virtually certain to
+    have arrived, which needs the mean; only ``t_max <= now`` is modelled.)
+    """
+    if t_max <= now or t_max < t_min:
         return 0
-    return int(math.ceil((t_max - lo) / cycle_ms))
+    lo = max(now, t_min)
+    steps = int(math.ceil((t_max - lo) / cycle_ms))
+    return steps + 1 if lo + steps * cycle_ms <= t_max else steps

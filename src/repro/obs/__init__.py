@@ -9,7 +9,8 @@ The subsystem that lets a run *prove* its claims:
   (simulated CPU-ms, events in/out, queue/state high-water marks);
 * :mod:`repro.obs.export` — the bounded-memory streaming JSONL writer
   and the run-trace container format;
-* :mod:`repro.obs.report` — ``repro-bench report``'s builder/renderer;
+* :mod:`repro.obs.report` — ``repro-bench report``'s builder/renderer,
+  and ``repro-bench compare``'s threshold-gated diff of two run reports;
 * :mod:`repro.obs.schema` — documented schemas + validators (CI-checked);
 * :mod:`repro.obs.timeseries` — in-run telemetry: Counter/Gauge/Histogram
   registry sampled on the virtual clock into bounded ring-buffer series;
@@ -18,9 +19,7 @@ The subsystem that lets a run *prove* its claims:
   lineage waterfalls;
 * :mod:`repro.obs.lineage` — deterministic sampled per-record causal
   tracing (latency-waterfall attribution) and the SWM-forecast
-  accuracy audit;
-* :mod:`repro.obs.compare` — ``repro-bench compare``: ``BENCH_*.json``
-  telemetry snapshots and threshold-gated cross-run regression diffs.
+  accuracy audit.
 
 Usage::
 
@@ -57,9 +56,13 @@ if TYPE_CHECKING:
     )
     from repro.obs.profile import ChainProfile, OperatorProfile, OperatorProfiler
     from repro.obs.report import (
+        ComparisonResult,
         Episode,
         RunReport,
         build_report,
+        compare_reports,
+        load_report,
+        render_comparison,
         render_text,
         render_waterfall,
     )
@@ -73,16 +76,7 @@ if TYPE_CHECKING:
         validate_report,
         validate_series,
         validate_swm_forecast,
-    )
-    from repro.obs.compare import (
-        CompareThresholds,
-        ComparisonResult,
-        check_snapshot,
-        compare_snapshots,
-        load_snapshot,
-        render_comparison,
-        snapshot_from_trace,
-        write_snapshot,
+        validate_trace,
     )
     from repro.obs.flame import (
         chrome_trace_events,
@@ -127,6 +121,10 @@ _EXPORTS = {
     "build_report": "repro.obs.report",
     "render_text": "repro.obs.report",
     "render_waterfall": "repro.obs.report",
+    "ComparisonResult": "repro.obs.report",
+    "compare_reports": "repro.obs.report",
+    "load_report": "repro.obs.report",
+    "render_comparison": "repro.obs.report",
     "SchemaError": "repro.obs.schema",
     "REPORT_SCHEMA": "repro.obs.schema",
     "validate_report": "repro.obs.schema",
@@ -136,6 +134,7 @@ _EXPORTS = {
     "validate_lineage": "repro.obs.schema",
     "validate_swm_forecast": "repro.obs.schema",
     "validate_lineage_summary": "repro.obs.schema",
+    "validate_trace": "repro.obs.schema",
     "LineageTracker": "repro.obs.lineage",
     "SwmForecastAudit": "repro.obs.lineage",
     "waterfall": "repro.obs.lineage",
@@ -151,14 +150,6 @@ _EXPORTS = {
     "chrome_trace_events": "repro.obs.flame",
     "validate_chrome_trace": "repro.obs.flame",
     "write_chrome_trace": "repro.obs.flame",
-    "CompareThresholds": "repro.obs.compare",
-    "ComparisonResult": "repro.obs.compare",
-    "check_snapshot": "repro.obs.compare",
-    "compare_snapshots": "repro.obs.compare",
-    "snapshot_from_trace": "repro.obs.compare",
-    "load_snapshot": "repro.obs.compare",
-    "write_snapshot": "repro.obs.compare",
-    "render_comparison": "repro.obs.compare",
 }
 
 __all__ = [
@@ -181,6 +172,10 @@ __all__ = [
     "build_report",
     "render_text",
     "render_waterfall",
+    "ComparisonResult",
+    "compare_reports",
+    "load_report",
+    "render_comparison",
     "SchemaError",
     "REPORT_SCHEMA",
     "validate_report",
@@ -190,6 +185,7 @@ __all__ = [
     "validate_lineage",
     "validate_swm_forecast",
     "validate_lineage_summary",
+    "validate_trace",
     "LineageTracker",
     "SwmForecastAudit",
     "waterfall",
@@ -205,14 +201,6 @@ __all__ = [
     "chrome_trace_events",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "CompareThresholds",
-    "ComparisonResult",
-    "check_snapshot",
-    "compare_snapshots",
-    "snapshot_from_trace",
-    "load_snapshot",
-    "write_snapshot",
-    "render_comparison",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

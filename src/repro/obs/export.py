@@ -221,6 +221,8 @@ def read_trace(path: str) -> Trace:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             kind = row.pop("type", None)
             if kind == "meta":
                 trace.meta = row

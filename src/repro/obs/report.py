@@ -19,16 +19,29 @@
 
 ``render_text`` produces the human-readable report; ``RunReport.to_json``
 the machine-readable one (validated by :mod:`repro.obs.schema`).
+
+``compare_reports`` diffs two report documents for ``repro-bench
+compare``, the regression gate: *higher is worse* for latency, watermark
+lag, deadline misses and per-operator CPU; *lower is worse* for
+throughput. A metric that is absent, ``null`` or NaN on either side (NaN
+is what an empty input produces, e.g. the mean latency of a run that
+completed no windows) diffs as **missing**: it is listed in
+:attr:`ComparisonResult.missing` and the rendered table, so it never
+passes silently as "no change", and it is never a regression, because
+there is no number to regress against.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.obs.export import SCHEMA_VERSION, Trace, dumps_line
+from repro.obs.export import SCHEMA_VERSION, Trace, dumps_line, read_trace
 from repro.obs.lineage import SPAN_KINDS, waterfall as build_waterfall
+from repro.obs.schema import SchemaError, validate_report, validate_trace
 
 
 @dataclass(frozen=True)
@@ -383,4 +396,234 @@ def render_text(report: RunReport) -> str:
                 f"mem_hwm={float(ch.get('memory_bytes_hwm', 0.0)):,.0f}B "
                 f"hottest={ch.get('hottest_operator', '?')}"
             )
+    return "\n".join(lines)
+
+
+# -- cross-run comparison (repro-bench compare) -------------------------------
+
+#: allowed growth of latency and watermark lag, in percent
+LATENCY_PCT = 10.0
+#: allowed throughput drop, in percent
+THROUGHPUT_PCT = 10.0
+#: allowed CPU growth of a hottest operator both runs share, in percent
+OPERATOR_CPU_PCT = 25.0
+#: allowed deadline-miss increase (gated absolutely, not in percent)
+MAX_NEW_DEADLINE_MISSES = 0
+#: latency and watermark-lag deltas at most this large never regress
+ABS_FLOOR_MS = 1.0
+
+#: ``meta`` keys that must agree for two runs to be comparable
+_IDENTITY_KEYS = ("workload", "scheduler", "n_queries")
+
+
+def load_report(path: str) -> Dict[str, Any]:
+    """Read one ``compare`` input as a report document.
+
+    A whole-file JSON object is a report written by ``repro-bench report
+    --out`` and must pass :func:`~repro.obs.schema.validate_report`; a
+    JSONL file is a run trace, validated with
+    :func:`~repro.obs.schema.validate_trace` and built into a report.
+    Raises ``ValueError`` (a :class:`SchemaError` names ``path`` and the
+    JSON path of the mismatch).
+    """
+    try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except json.JSONDecodeError:  # not one JSON document: a trace
+            trace = read_trace(path)
+            validate_trace(trace)
+            return json.loads(build_report(trace).to_json())
+        validate_report(payload)
+        return payload
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Delta:
+    """One compared metric."""
+
+    metric: str
+    baseline: Optional[float]
+    current: Optional[float]
+    change_pct: Optional[float]
+    limit: str
+    regressed: bool
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "metric": self.metric,
+            "baseline": self.baseline,
+            "current": self.current,
+            "change_pct": self.change_pct,
+            "limit": self.limit,
+            "regressed": self.regressed,
+        }
+
+
+@dataclass
+class ComparisonResult:
+    """All deltas plus the headline verdict."""
+
+    deltas: List[Delta]
+    identity_mismatches: List[str]
+
+    @property
+    def regressions(self) -> List[Delta]:
+        return [d for d in self.deltas if d.regressed]
+
+    @property
+    def missing(self) -> List[Delta]:
+        """Metrics that could not be compared (absent/null/NaN on a side)."""
+        return [d for d in self.deltas if d.limit == "missing"]
+
+    @property
+    def ok(self) -> bool:
+        return not self.regressions and not self.identity_mismatches
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "ok": self.ok,
+            "identity_mismatches": list(self.identity_mismatches),
+            "regressions": [d.to_dict() for d in self.regressions],
+            "missing": [d.metric for d in self.missing],
+            "deltas": [d.to_dict() for d in self.deltas],
+        }
+
+
+def _as_number(value: Any) -> Optional[float]:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    number = float(value)
+    return number if math.isfinite(number) else None
+
+
+def _delta(
+    metric: str,
+    base_v: Any,
+    cur_v: Any,
+    *,
+    limit_pct: float = 0.0,
+    higher_is_worse: bool = True,
+    abs_floor: float = 0.0,
+    max_increase: Optional[int] = None,
+) -> Delta:
+    base_n, cur_n = _as_number(base_v), _as_number(cur_v)
+    if base_n is None or cur_n is None:
+        # Absent, null, or NaN on either side (NaN-vs-NaN included).
+        return Delta(metric, base_n, cur_n, None, "missing", False)
+    if base_n == 0:
+        change = None if cur_n == 0 else math.inf
+    else:
+        change = 100.0 * (cur_n - base_n) / abs(base_n)
+    if max_increase is not None:
+        limit = f"+{max_increase} absolute"
+        regressed = (cur_n - base_n) > max_increase
+    else:
+        limit = f"{'+' if higher_is_worse else '-'}{limit_pct:g}%"
+        regressed = (
+            change is not None
+            and abs(cur_n - base_n) > abs_floor
+            and (change > limit_pct if higher_is_worse else change < -limit_pct)
+        )
+    return Delta(metric, base_n, cur_n, change, limit, regressed)
+
+
+def _latencies(report: Mapping[str, Any]) -> Dict[str, Any]:
+    """Mean/p50/p90/p99 latency; p50 (and a missing p90/p99) off the CDF."""
+    summary = report.get("summary", {})
+    cdf = {
+        float(point[0]): point[1]
+        for point in report.get("latency_cdf", ())
+        if len(point) >= 2
+    }
+    return {
+        "mean": summary.get("mean_latency_ms"),
+        "p50": cdf.get(50.0),
+        "p90": summary.get("p90_latency_ms", cdf.get(90.0)),
+        "p99": summary.get("p99_latency_ms", cdf.get(99.0)),
+    }
+
+
+def _operator_cpu(report: Mapping[str, Any]) -> Dict[str, Any]:
+    return {
+        str(op.get("name")): op.get("cpu_ms")
+        for op in report.get("hottest_operators", ())
+    }
+
+
+def compare_reports(
+    baseline: Mapping[str, Any], current: Mapping[str, Any]
+) -> ComparisonResult:
+    """Diff two report documents; see the module docstring for semantics."""
+    base_meta = baseline.get("meta", {})
+    cur_meta = current.get("meta", {})
+    mismatches = [
+        f"{key}: {base_meta[key]!r} != {cur_meta[key]!r}"
+        for key in _IDENTITY_KEYS
+        if key in base_meta and key in cur_meta
+        and base_meta[key] != cur_meta[key]
+    ]
+    base_sum = baseline.get("summary", {})
+    cur_sum = current.get("summary", {})
+    base_lat, cur_lat = _latencies(baseline), _latencies(current)
+    deltas = [
+        _delta(f"latency_ms.{pct}", base_lat[pct], cur_lat[pct],
+               limit_pct=LATENCY_PCT, abs_floor=ABS_FLOOR_MS)
+        for pct in ("mean", "p50", "p90", "p99")
+    ]
+    deltas.append(_delta(
+        "throughput_eps", base_sum.get("throughput_eps"),
+        cur_sum.get("throughput_eps"),
+        limit_pct=THROUGHPUT_PCT, higher_is_worse=False,
+    ))
+    deltas.append(_delta(
+        "deadline_misses", base_sum.get("deadline_misses"),
+        cur_sum.get("deadline_misses"),
+        max_increase=MAX_NEW_DEADLINE_MISSES,
+    ))
+    deltas.append(_delta(
+        "watermark_lag_ms.max", base_sum.get("max_watermark_lag_ms"),
+        cur_sum.get("max_watermark_lag_ms"),
+        limit_pct=LATENCY_PCT, abs_floor=ABS_FLOOR_MS,
+    ))
+    base_ops, cur_ops = _operator_cpu(baseline), _operator_cpu(current)
+    deltas.extend(
+        _delta(f"operator_cpu_ms.{name}", base_ops[name], cur_ops[name],
+               limit_pct=OPERATOR_CPU_PCT)
+        for name in sorted(base_ops.keys() & cur_ops.keys())
+    )
+    return ComparisonResult(deltas=deltas, identity_mismatches=mismatches)
+
+
+def render_comparison(result: ComparisonResult) -> str:
+    """Human-readable diff table."""
+    verdict = "OK" if result.ok else "REGRESSION"
+    if result.ok and result.missing:
+        verdict = f"OK ({len(result.missing)} metric(s) missing)"
+    lines = [f"=== compare: {verdict} ==="]
+    for mismatch in result.identity_mismatches:
+        lines.append(f"  !! identity mismatch: {mismatch}")
+    lines.append(
+        f"  {'metric':34s} {'baseline':>14s} {'current':>14s} {'change':>9s}  limit"
+    )
+
+    def fmt(value: Optional[float]) -> str:
+        return "-" if value is None else f"{value:,.2f}"
+
+    for delta in result.deltas:
+        if delta.change_pct is None:
+            change = "-"
+        elif math.isfinite(delta.change_pct):
+            change = f"{delta.change_pct:+.1f}%"
+        else:
+            change = "new"
+        mark = " <-- REGRESSED" if delta.regressed else ""
+        if delta.limit == "missing":
+            mark = " (missing)"
+        lines.append(
+            f"  {delta.metric:34s} {fmt(delta.baseline):>14s} "
+            f"{fmt(delta.current):>14s} {change:>9s}  {delta.limit}{mark}"
+        )
     return "\n".join(lines)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Tuple, Union
 
+from repro.obs.export import Trace, jsonify
+
 NUMBER: Tuple[type, ...] = (int, float)
 OPT_NUMBER: Tuple[type, ...] = (int, float, type(None))
 
@@ -243,9 +245,34 @@ def _check(value: Any, spec: Spec, path: str) -> None:
         _check(value[key], sub, f"{path}.{key}")
 
 
-def validate_report(obj: Mapping[str, Any]) -> None:
+def validate_report(obj: Any) -> None:
     """Validate a report JSON document; raises :class:`SchemaError`."""
-    _check(dict(obj), REPORT_SCHEMA, "$")
+    _check(obj, REPORT_SCHEMA, "$")
+
+
+def validate_trace(trace: Trace) -> None:
+    """Validate a run trace: its meta and summary records are present and
+    every record of the other sections matches its schema. The JSON path
+    of a mismatch names the section, e.g. ``$operator[3].cpu_ms``."""
+    if not trace.meta:
+        raise SchemaError("$meta: missing meta record (not a run trace?)")
+    if not trace.summary:
+        raise SchemaError("$summary: missing summary record (truncated trace?)")
+    sections = (
+        ("cycle", trace.cycles, CYCLE_SCHEMA),
+        ("operator", trace.operators, OPERATOR_SCHEMA),
+        ("series", trace.series, SERIES_SCHEMA),
+        ("lineage", trace.lineage, LINEAGE_SCHEMA),
+        ("swm_forecast", trace.swm_forecast, SWM_FORECAST_SCHEMA),
+    )
+    for name, rows, spec in sections:
+        for i, row in enumerate(rows):
+            _check(jsonify(row), spec, f"${name}[{i}]")
+    if trace.lineage_summary:
+        _check(
+            jsonify(trace.lineage_summary), LINEAGE_SUMMARY_SCHEMA,
+            "$lineage_summary",
+        )
 
 
 def validate_cycle(obj: Mapping[str, Any]) -> None:

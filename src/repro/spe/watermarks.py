@@ -31,7 +31,7 @@ import abc
 import math
 from typing import Optional
 
-from repro.spe.events import EventBatch, RecordBatch, Watermark
+from repro.spe.events import RecordBatch, Watermark
 from repro.spe.operators import Operator
 from repro.spe.query import StreamProgress
 from repro.spe.state import FLOAT, INT, RAW, STATE, TAG
@@ -41,8 +41,9 @@ class WatermarkStrategy(abc.ABC):
     """Decides when to emit a watermark and with what timestamp."""
 
     @abc.abstractmethod
-    def on_batch(self, batch: EventBatch, now: float) -> Optional[float]:
-        """Observe a batch; return a watermark timestamp to emit, or None."""
+    def on_batch(self, t_end: float, now: float) -> Optional[float]:
+        """Observe a batch whose events end at event time ``t_end``;
+        return a watermark timestamp to emit, or None."""
 
     def on_idle(self, now: float) -> Optional[float]:
         """Called once per cycle even without data; may emit (default: no)."""
@@ -74,8 +75,8 @@ class BoundedOutOfOrderness(WatermarkStrategy):
         self.max_event_time = -math.inf
         self._next_emit = 0.0
 
-    def on_batch(self, batch: EventBatch, now: float) -> Optional[float]:
-        self.max_event_time = max(self.max_event_time, batch.t_end)
+    def on_batch(self, t_end: float, now: float) -> Optional[float]:
+        self.max_event_time = max(self.max_event_time, t_end)
         return self.on_idle(now)
 
     def on_idle(self, now: float) -> Optional[float]:
@@ -102,8 +103,8 @@ class PunctuatedWatermarks(WatermarkStrategy):
         self.bound_ms = float(bound_ms)
         self.max_event_time = -math.inf
 
-    def on_batch(self, batch: EventBatch, now: float) -> Optional[float]:
-        self.max_event_time = max(self.max_event_time, batch.t_end)
+    def on_batch(self, t_end: float, now: float) -> Optional[float]:
+        self.max_event_time = max(self.max_event_time, t_end)
         return self.max_event_time - self.bound_ms
 
 
@@ -164,14 +165,7 @@ class WatermarkGeneratorOperator(Operator):
         now: float,
     ) -> None:
         super()._on_row(rb, index, count, input_index, now)  # forward the data
-        batch = EventBatch(
-            count=count,
-            t_start=rb.t_starts[index],
-            t_end=rb.t_ends[index],
-            delay=rb.delays[index],
-            bytes_per_event=rb.bytes_per_event,
-        )
-        self._maybe_emit(self.strategy.on_batch(batch, now), now)
+        self._maybe_emit(self.strategy.on_batch(rb.t_ends[index], now), now)
 
     def _on_watermark(self, wm: Watermark, input_index: int, now: float) -> None:
         # Absorb upstream watermarks: this operator re-generates progress.

@@ -258,28 +258,24 @@ class TestReportCommand:
 
 
 class TestTelemetryFlags:
-    def test_bench_json_emits_snapshot(self, tmp_path, capsys):
-        import json
-
-        bench = tmp_path / "BENCH_ysb.json"
-        rc = main([
-            "run", "--workload", "ysb", "--scheduler", "Klink",
-            "--queries", "2", "--duration", "30", "--cores", "4",
-            "--bench-json", str(bench),
-        ])
-        assert rc == 0
-        payload = json.loads(bench.read_text())
-        assert payload["snapshot_version"] == 2
-        assert "alerts" not in payload
-        assert payload["workload"] == "ysb"
-        assert payload["latency_ms"]["mean"] is not None
-
     def test_alert_options_are_gone(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--alert", "x > 1"])
         with pytest.raises(SystemExit):
             parser.parse_args(["compare", "a.json", "--max-new-alerts", "1"])
+
+    def test_snapshot_options_are_gone(self):
+        parser = build_parser()
+        for argv in (
+            ["run", "--bench-json", "BENCH_ysb.json"],
+            ["compare", "a.jsonl", "b.jsonl", "--emit", "c.json"],
+            ["compare", "a.jsonl", "b.jsonl", "--check"],
+            ["compare", "a.jsonl", "b.jsonl", "--latency-threshold", "5"],
+            ["compare", "a.jsonl", "b.jsonl", "--max-new-deadline-misses", "1"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
 
 class TestResilienceFlags:

@@ -1,9 +1,8 @@
-"""Tests for cross-run regression comparison (repro.obs.compare):
-snapshots, threshold-gated diffs, and the repro-bench compare CLI."""
+"""Tests for cross-run regression comparison (``repro-bench compare``):
+run-report inputs, the threshold-gated diff, and the CLI."""
 
 import copy
 import json
-import math
 
 import pytest
 
@@ -11,188 +10,187 @@ from repro.core.klink import KlinkScheduler
 from repro.faults import FaultPlan
 from repro.faults.plan import OperatorSlowdown
 from repro.obs import (
-    CompareThresholds,
     OperatorProfiler,
+    SchemaError,
     TelemetryConfig,
     TelemetrySampler,
     Trace,
-    check_snapshot,
-    compare_snapshots,
-    load_snapshot,
+    build_report,
+    compare_reports,
+    load_report,
     render_comparison,
-    snapshot_from_trace,
-    write_snapshot,
+    validate_report,
 )
-from repro.obs.compare import bench_snapshot_name, load_input
 from repro.spe.engine import Engine
 from repro.workloads import WorkloadParams, build_queries
 
 
-def sample_snapshot():
+def operator(name, cpu_ms):
+    """One operator profile with every field the report schema requires."""
     return {
-        "snapshot_version": 2,
-        "schema_version": 4,
-        "workload": "ysb",
-        "scheduler": "Klink",
-        "n_queries": 4,
-        "latency_ms": {"mean": 100.0, "p50": 80.0, "p90": 150.0, "p99": 200.0},
-        "throughput_eps": 10_000.0,
-        "deadline_misses": 0,
-        "watermark_lag_ms": {"mean": 300.0, "max": 500.0},
-        "series_count": 10,
-        "hottest_operators": [
-            {"name": "ysb-0.agg", "cpu_ms": 400.0},
-            {"name": "ysb-0.filter", "cpu_ms": 100.0},
-        ],
+        "query_id": name.split(".")[0], "name": name, "kind": "map",
+        "cpu_ms": cpu_ms, "events_in": 0.0, "events_out": 0.0,
+        "watermarks_seen": 0, "panes_fired": 0, "late_events_dropped": 0.0,
+        "queued_events_hwm": 0.0, "queued_bytes_hwm": 0.0,
+        "state_bytes_hwm": 0.0,
     }
 
 
+def sample_trace():
+    return Trace(
+        meta={"schema_version": 4, "workload": "ysb", "scheduler": "Klink",
+              "n_queries": 4},
+        operators=[operator("ysb-0.filter", 100.0),
+                   operator("ysb-0.agg", 400.0)],
+        summary={
+            "mean_latency_ms": 100.0,
+            "p90_latency_ms": 150.0,
+            "p99_latency_ms": 200.0,
+            "throughput_eps": 10_000.0,
+            "deadline_misses": 0,
+            "mean_watermark_lag_ms": 300.0,
+            "max_watermark_lag_ms": 500.0,
+            "latency_cdf": [[50.0, 80.0], [90.0, 150.0], [99.0, 200.0]],
+        },
+    )
+
+
+def sample_report():
+    """A report document, as ``repro-bench report --out`` writes it."""
+    return json.loads(build_report(sample_trace()).to_json())
+
+
 class TestSnapshot:
-    def test_name_convention(self):
-        assert bench_snapshot_name("ysb") == "BENCH_ysb.json"
+    """The inputs of ``compare``: run reports, from a trace or a JSON file."""
 
     def test_from_trace_key_order_and_content(self):
-        trace = Trace(
-            meta={"schema_version": 2, "workload": "ysb",
-                  "scheduler": "Klink", "n_queries": 2, "seed": 1},
-            operators=[
-                {"query_id": "q0", "name": "q0.a", "cpu_ms": 5.0},
-                {"query_id": "q0", "name": "q0.b", "cpu_ms": 9.0},
-            ],
-            series=[{"name": "x"}],
-            summary={
-                "mean_latency_ms": 10.0,
-                "p90_latency_ms": 20.0,
-                "p99_latency_ms": 30.0,
-                "throughput_eps": 100.0,
-                "deadline_misses": 3,
-                "mean_watermark_lag_ms": 40.0,
-                "max_watermark_lag_ms": 50.0,
-                "latency_cdf": [[50.0, 12.0], [99.0, 30.0]],
-            },
-        )
-        snap = snapshot_from_trace(trace, top_k=1)
-        assert list(snap)[:2] == ["snapshot_version", "schema_version"]
-        assert snap["workload"] == "ysb"
-        assert snap["latency_ms"]["p50"] == 12.0  # read off the CDF
-        assert snap["deadline_misses"] == 3
-        assert "alerts" not in snap
-        assert snap["series_count"] == 1
-        assert snap["hottest_operators"] == [{"name": "q0.b", "cpu_ms": 9.0}]
-
-    def test_rejects_bad_top_k(self):
-        with pytest.raises(ValueError):
-            snapshot_from_trace(Trace(), top_k=0)
+        result = compare_reports(sample_report(), sample_report())
+        assert [d.metric for d in result.deltas] == [
+            "latency_ms.mean", "latency_ms.p50", "latency_ms.p90",
+            "latency_ms.p99", "throughput_eps", "deadline_misses",
+            "watermark_lag_ms.max",
+            "operator_cpu_ms.ysb-0.agg", "operator_cpu_ms.ysb-0.filter",
+        ]
+        by_metric = {d.metric: d for d in result.deltas}
+        assert by_metric["latency_ms.p50"].current == 80.0  # off the CDF
+        assert by_metric["operator_cpu_ms.ysb-0.agg"].current == 400.0
 
     def test_write_load_round_trip(self, tmp_path):
-        path = tmp_path / "BENCH_ysb.json"
-        write_snapshot(str(path), sample_snapshot())
-        assert load_snapshot(str(path)) == sample_snapshot()
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"snapshot_version": 99}\n')
-        with pytest.raises(ValueError, match="snapshot_version"):
-            load_snapshot(str(path))
+        path = tmp_path / "report.json"
+        path.write_text(build_report(sample_trace()).to_json() + "\n")
+        assert load_report(str(path)) == sample_report()
 
     def test_load_rejects_non_snapshot_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"hello": 1}\n')
-        with pytest.raises(ValueError):
-            load_snapshot(str(path))
+        with pytest.raises(SchemaError, match=r"bad\.json: \$\.schema_version"):
+            load_report(str(path))
 
     def test_load_input_autodetects_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(
-            '{"type":"meta","schema_version":2,"workload":"ysb"}\n'
+            '{"type":"meta","schema_version":4,"workload":"ysb"}\n'
             '{"type":"summary","mean_latency_ms":5.0,"latency_cdf":[]}\n'
         )
-        snap = load_input(str(path))
-        assert snap["latency_ms"]["mean"] == 5.0
+        report = load_report(str(path))
+        validate_report(report)
+        assert report["summary"]["mean_latency_ms"] == 5.0
 
 
 class TestCheckSnapshot:
     def test_flags_structural_problems(self):
-        snapshot = sample_snapshot()
-        assert check_snapshot(snapshot) == []
-        broken = dict(snapshot)
-        del broken["throughput_eps"]
-        assert any("throughput_eps" in p for p in check_snapshot(broken))
-        broken = dict(snapshot)
-        broken["latency_ms"] = {"mean": 1.0}  # missing percentiles
-        assert check_snapshot(broken)
-        broken = dict(snapshot)
-        broken["hottest_operators"] = [{"name": "x", "cpu_ms": None}]
-        assert check_snapshot(broken)
-        broken = dict(snapshot)
-        broken["snapshot_version"] = 99
-        assert any("snapshot_version" in p for p in check_snapshot(broken))
+        report = sample_report()
+        validate_report(report)
+        broken = dict(report)
+        del broken["summary"]
+        with pytest.raises(SchemaError, match=r"\$\.summary"):
+            validate_report(broken)
+        broken = dict(report)
+        broken["latency_cdf"] = [[50.0]]  # a point without its value
+        with pytest.raises(SchemaError, match=r"\$\.latency_cdf\[0\]"):
+            validate_report(broken)
+        broken = copy.deepcopy(report)
+        broken["hottest_operators"][0]["cpu_ms"] = None
+        with pytest.raises(SchemaError, match=r"hottest_operators\[0\]\.cpu_ms"):
+            validate_report(broken)
+        with pytest.raises(SchemaError, match=r"^\$: expected object"):
+            validate_report([report])
 
 
 class TestCompareSnapshots:
+    """Diff semantics of ``compare_reports``."""
+
     def test_identical_snapshots_are_ok(self):
-        result = compare_snapshots(sample_snapshot(), sample_snapshot())
+        result = compare_reports(sample_report(), sample_report())
         assert result.ok and not result.regressions
         assert "OK" in render_comparison(result)
 
     def test_latency_regression_detected(self):
-        current = sample_snapshot()
-        current["latency_ms"]["mean"] = 150.0  # +50% > 10% default
-        result = compare_snapshots(sample_snapshot(), current)
+        current = sample_report()
+        current["summary"]["mean_latency_ms"] = 150.0  # +50% > 10%
+        result = compare_reports(sample_report(), current)
         assert not result.ok
         assert [d.metric for d in result.regressions] == ["latency_ms.mean"]
         assert "REGRESSED" in render_comparison(result)
 
     def test_latency_improvement_is_ok(self):
-        current = sample_snapshot()
-        current["latency_ms"]["mean"] = 50.0
-        assert compare_snapshots(sample_snapshot(), current).ok
+        current = sample_report()
+        current["summary"]["mean_latency_ms"] = 50.0
+        assert compare_reports(sample_report(), current).ok
 
     def test_throughput_drop_is_a_regression(self):
-        current = sample_snapshot()
-        current["throughput_eps"] = 5_000.0  # -50%
-        result = compare_snapshots(sample_snapshot(), current)
+        current = sample_report()
+        current["summary"]["throughput_eps"] = 5_000.0  # -50%
+        result = compare_reports(sample_report(), current)
         assert [d.metric for d in result.regressions] == ["throughput_eps"]
 
     def test_throughput_gain_is_ok(self):
-        current = sample_snapshot()
-        current["throughput_eps"] = 20_000.0
-        assert compare_snapshots(sample_snapshot(), current).ok
+        current = sample_report()
+        current["summary"]["throughput_eps"] = 20_000.0
+        assert compare_reports(sample_report(), current).ok
 
     def test_new_deadline_misses_gate_absolutely(self):
-        current = sample_snapshot()
-        current["deadline_misses"] = 2
-        result = compare_snapshots(sample_snapshot(), current)
+        # One more miss is a regression however small the relative change.
+        baseline = sample_report()
+        baseline["summary"]["deadline_misses"] = 100
+        current = copy.deepcopy(baseline)
+        current["summary"]["deadline_misses"] = 101
+        result = compare_reports(baseline, current)
         assert {d.metric for d in result.regressions} == {"deadline_misses"}
-        relaxed = CompareThresholds(max_new_deadline_misses=2)
-        assert compare_snapshots(sample_snapshot(), current, relaxed).ok
+        current["summary"]["deadline_misses"] = 90
+        assert compare_reports(baseline, current).ok
 
     def test_abs_floor_ignores_tiny_latency_deltas(self):
-        baseline = sample_snapshot()
-        baseline["latency_ms"] = {"mean": 0.5, "p50": 0.5, "p90": 0.5, "p99": 0.5}
+        baseline = sample_report()
+        baseline["summary"].update(
+            mean_latency_ms=0.5, p90_latency_ms=0.5, p99_latency_ms=0.5
+        )
+        baseline["latency_cdf"] = [[50.0, 0.5]]
         current = copy.deepcopy(baseline)
-        current["latency_ms"]["mean"] = 1.2  # +140% but only +0.7ms
-        assert compare_snapshots(baseline, current).ok
+        current["summary"]["mean_latency_ms"] = 1.2  # +140% but only +0.7ms
+        assert compare_reports(baseline, current).ok
 
     def test_missing_values_report_but_never_regress(self):
-        current = sample_snapshot()
-        current["latency_ms"]["p50"] = None
-        current["watermark_lag_ms"] = {"mean": None, "max": None}
-        result = compare_snapshots(sample_snapshot(), current)
+        current = sample_report()
+        current["latency_cdf"][0][1] = None  # p50
+        current["summary"]["max_watermark_lag_ms"] = None
+        del current["summary"]["throughput_eps"]
+        result = compare_reports(sample_report(), current)
         assert result.ok
         missing = {d.metric for d in result.missing}
-        assert "latency_ms.p50" in missing
-        assert "watermark_lag_ms.max" in missing
+        assert missing == {
+            "latency_ms.p50", "watermark_lag_ms.max", "throughput_eps",
+        }
         assert set(result.to_dict()["missing"]) == missing
 
     def test_nan_vs_number_diffs_as_missing_not_regression(self):
         # A NaN metric (empty-input mean from an in-memory trace summary)
         # against a real number must surface as "missing" — even when the
         # numeric comparison would otherwise have been a huge regression.
-        current = sample_snapshot()
-        current["latency_ms"]["mean"] = float("nan")
-        current["throughput_eps"] = float("nan")  # lower-is-worse metric
-        result = compare_snapshots(sample_snapshot(), current)
+        current = sample_report()
+        current["summary"]["mean_latency_ms"] = float("nan")
+        current["summary"]["throughput_eps"] = float("nan")  # lower is worse
+        result = compare_reports(sample_report(), current)
         assert result.ok  # never a spurious regression
         missing = {d.metric for d in result.missing}
         assert "latency_ms.mean" in missing
@@ -207,11 +205,11 @@ class TestCompareSnapshots:
         assert "metric(s) missing" in rendered  # not a silent pass
 
     def test_nan_vs_nan_is_missing_not_silent_equality(self):
-        baseline = sample_snapshot()
-        current = sample_snapshot()
-        baseline["latency_ms"]["p99"] = float("nan")
-        current["latency_ms"]["p99"] = float("nan")
-        result = compare_snapshots(baseline, current)
+        baseline = sample_report()
+        current = sample_report()
+        baseline["summary"]["p99_latency_ms"] = float("nan")
+        current["summary"]["p99_latency_ms"] = float("nan")
+        result = compare_reports(baseline, current)
         assert result.ok
         by_metric = {d.metric: d for d in result.deltas}
         delta = by_metric["latency_ms.p99"]
@@ -222,27 +220,30 @@ class TestCompareSnapshots:
         assert "latency_ms.p99" in {d.metric for d in result.missing}
 
     def test_operator_cpu_growth_detected(self):
-        current = sample_snapshot()
+        current = sample_report()
         current["hottest_operators"][0]["cpu_ms"] = 600.0  # +50% > 25%
-        result = compare_snapshots(sample_snapshot(), current)
+        result = compare_reports(sample_report(), current)
         assert [d.metric for d in result.regressions] == [
             "operator_cpu_ms.ysb-0.agg"
         ]
 
+    def test_operators_only_one_run_lists_are_not_compared(self):
+        current = sample_report()
+        current["hottest_operators"][1]["name"] = "ysb-1.filter"
+        metrics = [d.metric for d in compare_reports(sample_report(), current).deltas]
+        assert "operator_cpu_ms.ysb-0.agg" in metrics
+        assert not any(m.endswith(".filter") for m in metrics)
+
     def test_identity_mismatch_fails_comparison(self):
-        current = sample_snapshot()
-        current["scheduler"] = "Default"
-        result = compare_snapshots(sample_snapshot(), current)
+        current = sample_report()
+        current["meta"]["scheduler"] = "Default"
+        result = compare_reports(sample_report(), current)
         assert not result.ok and result.identity_mismatches
         assert "identity mismatch" in render_comparison(result)
 
-    def test_thresholds_reject_negative(self):
-        with pytest.raises(ValueError):
-            CompareThresholds(latency_pct=-1.0)
-
 
 def run_ysb(*, fault=False, seed=1, duration=25_000.0):
-    """One YSB run summarized into an in-memory snapshot."""
+    """One YSB run built into an in-memory report document."""
     from repro.spe.memory import GIB, MemoryConfig
 
     params = WorkloadParams(delay="uniform", rate_scale=1.0, seed=seed)
@@ -262,25 +263,25 @@ def run_ysb(*, fault=False, seed=1, duration=25_000.0):
     from repro.bench.runner import trace_summary
 
     trace = Trace(
-        meta={"schema_version": 2, "workload": "ysb", "scheduler": "Klink",
+        meta={"schema_version": 4, "workload": "ysb", "scheduler": "Klink",
               "n_queries": 4, "seed": seed},
         operators=[p.to_dict() for p in metrics.operator_profiles],
         series=sampler.series_rows(),
         summary=trace_summary(metrics),
     )
-    return snapshot_from_trace(trace)
+    return json.loads(build_report(trace).to_json())
 
 
 class TestEndToEndRegressionGate:
     def test_identical_reruns_compare_clean(self):
         a, b = run_ysb(), run_ysb()
-        assert a == b  # fully deterministic snapshot
-        assert compare_snapshots(a, b).ok
+        assert a == b  # fully deterministic report
+        assert compare_reports(a, b).ok
 
     def test_fault_injected_slowdown_flags_regression(self):
         baseline = run_ysb()
         slowed = run_ysb(fault=True)
-        result = compare_snapshots(baseline, slowed)
+        result = compare_reports(baseline, slowed)
         assert not result.ok
         metrics = {d.metric for d in result.regressions}
         # The slowdown shows up in delivered latency at minimum.
@@ -303,38 +304,38 @@ class TestCompareCli:
         return path
 
     def test_emit_then_compare_identical_exits_zero(self, tmp_path, capsys):
+        # A report JSON of one run against the trace of a seeded rerun.
         from repro.cli import main
 
         trace_a = self._run_trace(tmp_path, "a.jsonl")
         trace_b = self._run_trace(tmp_path, "b.jsonl")
-        bench = tmp_path / "BENCH_ysb.json"
-        assert main(["compare", str(trace_a), "--emit", str(bench)]) == 0
-        assert bench.exists()
+        report = tmp_path / "report_ysb.json"
+        assert main([
+            "report", "--trace", str(trace_a), "--out", str(report),
+        ]) == 0
         capsys.readouterr()
-        assert main(["compare", str(bench), str(trace_b)]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert main(["compare", str(report), str(trace_b)]) == 0
+        out = capsys.readouterr().out
+        assert "OK" in out and "REGRESSED" not in out
+        assert main(["compare", str(trace_b), str(report)]) == 0
 
-    def test_single_input_prints_snapshot(self, tmp_path, capsys):
+    def test_one_input_exits_two(self, tmp_path):
         from repro.cli import main
 
-        trace = self._run_trace(tmp_path)
-        capsys.readouterr()
-        assert main(["compare", str(trace)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["snapshot_version"] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(tmp_path / "t.jsonl")])
+        assert exc.value.code == 2
 
     def test_regression_exits_one(self, tmp_path, capsys):
         from repro.cli import main
 
         trace = self._run_trace(tmp_path)
-        snap = load_input(str(trace))
         # Fabricate a faster baseline: current then looks regressed.
-        better = copy.deepcopy(snap)
-        for key, value in better["latency_ms"].items():
-            if value is not None:
-                better["latency_ms"][key] = value * 0.5
+        better = load_report(str(trace))
+        summary = better["summary"]
+        summary["mean_latency_ms"] = summary["mean_latency_ms"] * 0.5
         baseline = tmp_path / "baseline.json"
-        write_snapshot(str(baseline), better)
+        baseline.write_text(json.dumps(better))
         capsys.readouterr()
         assert main(["compare", str(baseline), str(trace)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
@@ -353,30 +354,39 @@ class TestCompareCli:
     def test_unreadable_input_exits_two(self, tmp_path, capsys):
         from repro.cli import main
 
-        bad = tmp_path / "junk.json"
-        bad.write_text("{not json at all\n")
-        assert main(["compare", str(bad), str(bad)]) == 2
+        for text in ("{not json at all\n", "1\n2\n", "null\n"):
+            bad = tmp_path / "junk.json"
+            bad.write_text(text)
+            assert main(["compare", str(bad), str(bad)]) == 2
 
     def test_three_inputs_exit_two(self, tmp_path):
         from repro.cli import main
 
-        trace = self._run_trace(tmp_path)
-        assert main(["compare", str(trace), str(trace), str(trace)]) == 2
+        path = str(tmp_path / "t.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", path, path, path])
+        assert exc.value.code == 2
 
-    def test_check_accepts_valid_snapshot(self, tmp_path, capsys):
+    def test_invalid_report_exits_two(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = tmp_path / "ok.json"
-        write_snapshot(str(path), sample_snapshot())
-        assert main(["compare", "--check", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert "[check] OK" in captured.err
-        assert captured.out == ""  # --check suppresses the dump
-
-    def test_check_rejects_invalid_snapshot(self, tmp_path, capsys):
-        from repro.cli import main
-
+        report = sample_report()
+        report["summary"] = []
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"snapshot_version": 2}))
-        assert main(["compare", "--check", str(path)]) == 1
-        assert "[check]" in capsys.readouterr().err
+        path.write_text(json.dumps(report))
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps(sample_report()))
+        assert main(["compare", str(ok), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "$.summary" in err
+
+    def test_truncated_trace_exits_two(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = self._run_trace(tmp_path)
+        lines = trace.read_text().splitlines(keepends=True)
+        truncated = tmp_path / "truncated.jsonl"
+        truncated.write_text("".join(lines[:-1]))  # drop the summary
+        assert main(["compare", str(trace), str(truncated)]) == 2
+        assert "truncated trace" in capsys.readouterr().err
+

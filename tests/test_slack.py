@@ -1,5 +1,6 @@
 """Unit tests for the expected-slack computation (Sec. 3.2, Alg. 1)."""
 
+import itertools
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.slack import (
     gaussian_q,
     interval_probability,
     interval_steps,
+    interval_steps_scalars,
     survival,
 )
 
@@ -126,18 +128,47 @@ class TestExpectedSlack:
         assert fine == pytest.approx(1000.0, rel=0.05)
 
 
+def loop_slides(t_min, t_max, now, cycle_ms):
+    """Slides of expected_slack_scalars' grid loop, counted by a copy of it
+    (its t_max <= now early return included)."""
+    if t_max <= now:
+        return 0
+    slides = 0
+    x = max(now, t_min)
+    while x <= t_max:
+        x = x + cycle_ms
+        slides += 1
+    return slides
+
+
 class TestIntervalSteps:
     def test_counts_slides_across_interval(self):
-        e = estimate(mean=1000.0, std=100.0, z=2.0)  # width 400
-        assert interval_steps(e, now=0.0, cycle_ms=100.0) == 4
+        # [800, 1200] is 4 cycles wide: the loop slides from 800 through
+        # the closing boundary 1200, five times.
+        e = estimate(mean=1000.0, std=100.0, z=2.0)
+        assert interval_steps(e, now=0.0, cycle_ms=100.0) == 5
+
+    def test_matches_the_slack_loop(self):
+        # Exact multiples of the cycle (240/120, 400/100, ...) included.
+        intervals = [(0.0, 240.0), (800.0, 1200.0), (800.0, 1199.0),
+                     (800.0, 800.0), (0.0, 1000.0), (500.0, 1250.0),
+                     (900.0, 800.0)]
+        nows = [-100.0, 0.0, 240.0, 799.0, 800.0, 1100.0, 1200.0]
+        cycles = [1.0, 7.0, 50.0, 100.0, 120.0, 250.0]
+        for (t_min, t_max), now, cycle_ms in itertools.product(
+            intervals, nows, cycles
+        ):
+            args = (t_min, t_max, now, cycle_ms)
+            assert interval_steps_scalars(*args) == loop_slides(*args), args
 
     def test_interval_in_past_is_zero(self):
         e = estimate(mean=1000.0, std=10.0)
         assert interval_steps(e, now=2000.0, cycle_ms=100.0) == 0
 
     def test_now_inside_interval_truncates(self):
-        e = estimate(mean=1000.0, std=100.0, z=2.0)  # [800, 1200]
-        assert interval_steps(e, now=1100.0, cycle_ms=100.0) == 1
+        # [800, 1200] from now=1100: the loop slides at 1100 and 1200 only.
+        e = estimate(mean=1000.0, std=100.0, z=2.0)
+        assert interval_steps(e, now=1100.0, cycle_ms=100.0) == 2
 
 
 class TestExpectedSlackOracle:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.delays import ConstantDelay
 from repro.spe.engine import Engine
-from repro.spe.events import EventBatch, RecordBatch, Watermark
+from repro.spe.events import RecordBatch, Watermark
 from repro.spe.operators import SinkOperator, WindowedAggregate
 from repro.spe.query import Query, SourceBinding, SourceSpec
 from repro.spe.watermarks import (
@@ -18,10 +18,6 @@ from repro.spe.windows import TumblingEventTimeWindows
 from repro.core.baselines import DefaultScheduler
 
 
-def batch(count=10, t0=0.0, t1=100.0):
-    return EventBatch(count=count, t_start=t0, t_end=t1)
-
-
 class TestBoundedOutOfOrderness:
     def test_no_watermark_before_data(self):
         s = BoundedOutOfOrderness(bound_ms=100.0)
@@ -29,14 +25,14 @@ class TestBoundedOutOfOrderness:
 
     def test_watermark_trails_max_event_time(self):
         s = BoundedOutOfOrderness(bound_ms=100.0, period_ms=200.0)
-        ts = s.on_batch(batch(t0=0, t1=500), now=600.0)
+        ts = s.on_batch(500.0, now=600.0)
         assert ts == 400.0
 
     def test_periodic_emission_rate_limited(self):
         s = BoundedOutOfOrderness(bound_ms=0.0, period_ms=200.0)
-        assert s.on_batch(batch(t1=100), now=0.0) == 100.0
-        assert s.on_batch(batch(t0=100, t1=150), now=50.0) is None  # too soon
-        assert s.on_batch(batch(t0=150, t1=300), now=250.0) == 300.0
+        assert s.on_batch(100.0, now=0.0) == 100.0
+        assert s.on_batch(150.0, now=50.0) is None  # too soon
+        assert s.on_batch(300.0, now=250.0) == 300.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -48,13 +44,18 @@ class TestBoundedOutOfOrderness:
 class TestPunctuated:
     def test_emits_on_every_batch(self):
         s = PunctuatedWatermarks(bound_ms=50.0)
-        assert s.on_batch(batch(t1=100), now=0.0) == 50.0
-        assert s.on_batch(batch(t0=100, t1=200), now=0.0) == 150.0
+        assert s.on_batch(100.0, now=0.0) == 50.0
+        assert s.on_batch(200.0, now=0.0) == 150.0
 
     def test_max_event_time_never_regresses(self):
         s = PunctuatedWatermarks(bound_ms=0.0)
-        s.on_batch(batch(t1=500), now=0.0)
-        assert s.on_batch(batch(t0=0, t1=100), now=0.0) == 500.0
+        s.on_batch(500.0, now=0.0)
+        assert s.on_batch(100.0, now=0.0) == 500.0
+
+
+def push_row(gen, t_end, count=10):
+    """Queue one payload row ending at event time ``t_end`` on ``gen``."""
+    gen.inputs[0].push_row(count, 0.0, t_end, 0.0, 100, 0.0)
 
 
 class TestGeneratorOperator:
@@ -68,7 +69,7 @@ class TestGeneratorOperator:
 
     def test_forwards_data_and_injects_watermark(self):
         gen, sink = self.make()
-        gen.inputs[0].push(batch(count=5, t1=100), 0.0)
+        push_row(gen, 100.0, count=5)
         gen.step(1e9, 0.0)
         records = [e.record for e in list(sink.inputs[0])]
         assert isinstance(records[0], RecordBatch)
@@ -77,8 +78,8 @@ class TestGeneratorOperator:
 
     def test_watermarks_monotone(self):
         gen, sink = self.make()
-        gen.inputs[0].push(batch(t1=500), 0.0)
-        gen.inputs[0].push(batch(t0=0, t1=100), 0.0)  # older data
+        push_row(gen, 500.0)
+        push_row(gen, 100.0)  # older data
         gen.step(1e9, 0.0)
         wms = [
             e.record.timestamp
@@ -106,7 +107,7 @@ class TestGeneratorOperator:
         )
         gen, _ = self.make()
         gen.attach_progress(progress)
-        gen.inputs[0].push(batch(t1=150), 0.0)
+        push_row(gen, 150.0)
         gen.step(1e9, now=200.0)
         assert progress.last_watermark_ts == 150.0
         assert progress.epoch_index == 1  # swept the [0,100) deadline
